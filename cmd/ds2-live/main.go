@@ -216,15 +216,22 @@ func main() {
 		return
 	}
 
-	// eng is the control seam both deployments implement; the rest of
-	// the command drives a 2-worker cluster and a single-process job
-	// identically.
+	// One job type runs both deployments; -workers only decides where
+	// its instances are placed.
 	var (
-		eng               ds2.LiveEngine
-		rescales          func() int
+		job               *ds2.LiveJob
+		err               error
 		workerAddrs       []string
 		workerMetricsURLs []string
+		store             ds2.LiveCheckpointStore
+		spName            string
 	)
+	if *restoreFrom != "" {
+		if store, spName, err = savepointAt(*restoreFrom); err != nil {
+			log.Fatal(err)
+		}
+	}
+	cfg := ds2.LiveJobConfig{Metrics: reg}
 	if *workers > 0 {
 		// Workers serve their own /metrics when anything downstream
 		// consumes them: the parent's exporter (federation) or the
@@ -232,48 +239,27 @@ func main() {
 		withMetrics := reg != nil || *requireWorkerMetrics != ""
 		addrs, maddrs, release := spawnDistWorkers(*workers, *workload, *rate1, *rate2, *step, *seed, withMetrics)
 		defer release()
-		var cluster *ds2.LiveCluster
-		var err error
-		if *restoreFrom != "" {
-			store, name, serr := savepointAt(*restoreFrom)
-			if serr != nil {
-				log.Fatal(serr)
-			}
-			cluster, err = ds2.NewLiveClusterFromSavepoint(pipeline, *workload, initial, addrs, ds2.LiveJobConfig{Metrics: reg}, store, name)
-			if err == nil {
-				fmt.Printf("restored from savepoint %s\n", *restoreFrom)
-			}
+		if store != nil {
+			job, err = ds2.NewLiveClusterFromSavepoint(pipeline, *workload, initial, addrs, cfg, store, spName)
 		} else {
-			cluster, err = ds2.NewLiveCluster(pipeline, *workload, initial, addrs, ds2.LiveJobConfig{Metrics: reg})
+			job, err = ds2.NewLiveCluster(pipeline, *workload, initial, addrs, cfg)
 		}
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer cluster.Close()
-		defer cluster.Stop()
-		eng, rescales = cluster, cluster.Rescales
 		workerAddrs, workerMetricsURLs = addrs, maddrs
-		fmt.Printf("distributed over %d worker processes: %s\n", *workers, strings.Join(addrs, " "))
+	} else if store != nil {
+		job, err = ds2.NewLiveJobFromSavepoint(pipeline, initial, cfg, store, spName)
 	} else {
-		var job *ds2.LiveJob
-		var err error
-		if *restoreFrom != "" {
-			store, name, serr := savepointAt(*restoreFrom)
-			if serr != nil {
-				log.Fatal(serr)
-			}
-			job, err = ds2.NewLiveJobFromSavepoint(pipeline, initial, ds2.LiveJobConfig{Metrics: reg}, store, name)
-			if err == nil {
-				fmt.Printf("restored from savepoint %s\n", *restoreFrom)
-			}
-		} else {
-			job, err = ds2.NewLiveJob(pipeline, initial, ds2.LiveJobConfig{Metrics: reg})
-		}
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer job.Stop()
-		eng, rescales = job, job.Rescales
+		job, err = ds2.NewLiveJob(pipeline, initial, cfg)
+	}
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer job.Close()
+	defer job.Stop()
+	if store != nil {
+		fmt.Printf("restored from savepoint %s\n", *restoreFrom)
+	}
+	if *workers > 0 {
+		fmt.Printf("distributed over %d worker processes: %s\n", *workers, strings.Join(workerAddrs, " "))
 	}
 
 	fmt.Printf("== ds2-live %s: %g → %g records/s at t=%gs, interval %gs, optimum %s ==\n",
@@ -281,14 +267,13 @@ func main() {
 
 	// The engine adapter both control modes drive; with -savepoint-dir
 	// it also executes savepoint requests into the store.
-	rt := ds2.NewLiveEngineRuntime(eng)
+	rt := ds2.NewLiveRuntime(job)
 	if spStore != nil {
 		rt.SavepointTo(spStore, "savepoint")
 	}
 	var savepoints []ds2.SavepointRecord
 
 	var trace ds2.Trace
-	var err error
 	serviceBase := ""
 	switch {
 	case *addr != "" || *serveInproc:
@@ -413,13 +398,13 @@ func main() {
 			finishProfiles()
 			os.Exit(2)
 		}
-		if rescales() < 1 {
+		if job.Rescales() < 1 {
 			fmt.Fprintln(os.Stderr, "ds2-live: FAIL: the live job performed no redeployment")
 			finishProfiles()
 			os.Exit(2)
 		}
 		fmt.Printf("OK: %d decision(s) applied and acked, %d live redeployment(s)\n",
-			trace.Decisions, rescales())
+			trace.Decisions, job.Rescales())
 	}
 	if *requireMetrics != "" {
 		want := strings.Split(*requireMetrics, ",")

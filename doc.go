@@ -130,11 +130,11 @@
 //		[]string{"127.0.0.1:7400", "127.0.0.1:7401"}, ds2.LiveJobConfig{})
 //	defer cluster.Close()
 //
-//	// The cluster implements the same engine seam as a LiveJob, so
+//	// A cluster is a LiveJob whose instances run on the workers, so
 //	// the Controller — or a ds2d attachment — drives it unchanged;
 //	// rescales drain all workers, migrate keyed state between
 //	// processes over the framed transport, and restart.
-//	ctrl, _ := ds2.NewController(ds2.NewLiveEngineRuntime(cluster), autoscaler, ccfg)
+//	ctrl, _ := ds2.NewController(ds2.NewLiveRuntime(cluster), autoscaler, ccfg)
 //
 // Every process must build the identical pipeline (same workload
 // flags), and a distributed pipeline needs codecs everywhere: a

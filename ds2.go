@@ -56,9 +56,6 @@ type InstanceID = metrics.InstanceID
 // WindowMetrics holds one instance's counters over one window.
 type WindowMetrics = metrics.WindowMetrics
 
-// Rates bundles the true/observed processing/output rates (Eq. 1–4).
-type Rates = metrics.Rates
-
 // OperatorRates is the per-operator aggregate of Eq. 5–6.
 type OperatorRates = metrics.OperatorRates
 
@@ -97,11 +94,6 @@ func NewMetricsRepository(limit int) *MetricsRepository {
 	return metrics.NewRepository(limit)
 }
 
-// AggregateOperator folds instance windows into per-operator rates.
-func AggregateOperator(windows []WindowMetrics) (OperatorRates, error) {
-	return metrics.AggregateOperator(windows)
-}
-
 // BuildSnapshot aggregates per-instance windows plus source target
 // rates into the policy's input.
 func BuildSnapshot(t float64, windows []WindowMetrics, sourceRates map[string]float64) (Snapshot, error) {
@@ -122,27 +114,8 @@ func MergeByInstance(windows []WindowMetrics) ([]WindowMetrics, error) {
 // into one page.
 type ObsRegistry = obs.Registry
 
-// ObsLabel is one metric label pair.
-type ObsLabel = obs.Label
-
-// ObsHistogramOpts tunes a log-scale fixed-bucket histogram.
-type ObsHistogramOpts = obs.HistogramOpts
-
 // NewObsRegistry creates an empty metric registry.
 func NewObsRegistry() *ObsRegistry { return obs.NewRegistry() }
-
-// ObsL builds one label pair.
-func ObsL(name, value string) ObsLabel { return obs.L(name, value) }
-
-// RegisterManagerDrops exposes a MetricsManager's dropped-event count
-// (stale or malformed instrumentation events, otherwise only reachable
-// programmatically) as a counter on the registry, so silent data loss
-// in a §4.1 metrics pipeline is visible to scrapers.
-func RegisterManagerDrops(reg *ObsRegistry, m *MetricsManager, labels ...ObsLabel) {
-	reg.CounterFunc("ds2_manager_dropped_events_total",
-		"Instrumentation events the MetricsManager discarded as stale or malformed.",
-		func() float64 { return float64(m.Dropped()) }, labels...)
-}
 
 // --- The DS2 policy and scaling manager (internal/core) ----------------
 
@@ -176,10 +149,6 @@ const (
 	AggMedian = core.AggMedian
 )
 
-// ErrInsufficientData reports that true rates are undefined for some
-// operator so no decision can be made this interval.
-var ErrInsufficientData = core.ErrInsufficientData
-
 // NewPolicy creates a DS2 policy for a frozen graph.
 func NewPolicy(g *Graph, cfg PolicyConfig) (*Policy, error) {
 	return core.NewPolicy(g, cfg)
@@ -194,10 +163,6 @@ func NewScalingManager(p *Policy, initial Parallelism, cfg ScalingManagerConfig)
 // TotalWorkers converts a per-operator decision into the global worker
 // count of execution models like Timely's (§4.3).
 func TotalWorkers(d Decision) int { return core.TotalWorkers(d) }
-
-// ConvergenceTrace records the configurations a controller walked
-// through.
-type ConvergenceTrace = core.ConvergenceTrace
 
 // --- The streaming-engine simulator (internal/engine) ------------------
 
@@ -304,15 +269,6 @@ func NewSimulatorRuntime(sim *Simulator, settle bool) *SimulatorRuntime {
 // DS2Autoscaler adapts a ScalingManager to the Autoscaler interface.
 func DS2Autoscaler(m *ScalingManager) Autoscaler { return controlloop.DS2Autoscaler(m) }
 
-// HoldAutoscaler returns an Autoscaler that never rescales — the
-// "no controller" baseline.
-func HoldAutoscaler() Autoscaler { return controlloop.Hold() }
-
-// LatencyQuantile computes a weighted latency quantile.
-func LatencyQuantile(samples []LatencySample, q float64) float64 {
-	return engine.LatencyQuantile(samples, q)
-}
-
 // --- The scaling service (internal/service, cmd/ds2d) -------------------
 
 // ScalingServer is the ds2d scaling service: a registry of remote
@@ -351,9 +307,6 @@ type JobDhalionConfig = service.DhalionConfig
 // JobQueueingConfig tunes a registered job's queueing controller.
 type JobQueueingConfig = service.QueueingConfig
 
-// JobStatus is one registered job's observable state.
-type JobStatus = service.JobStatus
-
 // JobState is a job's lifecycle state (running, finished, stopped,
 // failed).
 type JobState = service.JobState
@@ -371,22 +324,9 @@ const (
 // signals, covering a span of job time.
 type MetricsReport = service.Report
 
-// ScalingCommand is a scaling action in flight between the service
-// and the engine: polled via the action endpoint, acked by sequence
-// number once the redeployment completes.
-type ScalingCommand = service.ActionEnvelope
-
 // SimulatedJob runs the streaming-engine simulator as a remote job
 // under a scaling service — the engine side of Fig. 5 over HTTP.
 type SimulatedJob = service.SimulatedJob
-
-// RemoteJobRuntime implements the control loop's Runtime across the
-// network boundary (the server side of the service).
-type RemoteJobRuntime = service.RemoteRuntime
-
-// ErrRuntimeStopped reports that a job under control was shut down
-// cleanly rather than failed.
-var ErrRuntimeStopped = controlloop.ErrStopped
 
 // ErrReportBacklogged reports that a job's ingestion buffer is full;
 // the reporter should back off and retry (HTTP 429 on the wire).
@@ -410,12 +350,6 @@ func NewScalingClient(baseURL string, httpClient *http.Client) *ScalingClient {
 // busy (Heron-style).
 func NewSimulatedJob(c *ScalingClient, sim *Simulator, spec JobSpec, settle bool) *SimulatedJob {
 	return service.NewSimulatedJob(c, sim, spec, settle)
-}
-
-// SimulatorReport converts one simulator interval into a
-// MetricsReport — the ingestion format of the scaling service.
-func SimulatorReport(st IntervalStats, busy bool) MetricsReport {
-	return service.ReportFromStats(st, busy)
 }
 
 // EpochQuantile computes an epoch-latency quantile.
@@ -476,27 +410,22 @@ type LiveStringCodec = streamrt.StringCodec
 // state.
 type LiveWindowSpec = streamrt.WindowSpec
 
-// LiveWindowState is a windowed operator's per-key state: open pane
-// aggregates plus the firing watermark. Stop returns it for residual
-// inspection.
-type LiveWindowState = streamrt.WindowState
-
-// LiveJob is one deployed, running pipeline.
+// LiveJob is one deployed, running pipeline and the coordinator of its
+// rescales and savepoints, whether its instances run in this process
+// (NewLiveJob) or across worker processes (NewLiveCluster).
 type LiveJob = streamrt.Job
 
 // LiveJobConfig tunes a running LiveJob (queue bounds, backpressure
 // threshold, jitter tolerance, latency sampling).
 type LiveJobConfig = streamrt.Config
 
-// LiveRuntime adapts a LiveJob to the Controller (controlloop.Runtime)
-// and to the scaling service's engine side (AttachedEngine) at once.
+// LiveRuntime adapts a LiveEngine to the Controller
+// (controlloop.Runtime) and to the scaling service's engine side
+// (AttachedEngine) at once.
 type LiveRuntime = streamrt.Runtime
 
 // LiveInterval is one observation window of a live job.
 type LiveInterval = streamrt.Interval
-
-// ErrLiveJobStopped reports an operation on a stopped live job.
-var ErrLiveJobStopped = streamrt.ErrStopped
 
 // NewLivePipeline returns an empty live-pipeline builder.
 func NewLivePipeline() *LivePipelineBuilder { return streamrt.NewPipeline() }
@@ -507,24 +436,19 @@ func NewLiveJob(p *LivePipeline, initial Parallelism, cfg LiveJobConfig) (*LiveJ
 	return streamrt.NewJob(p, initial, cfg)
 }
 
-// NewLiveRuntime wraps a running live job for use with a Controller
-// (or as the engine side of a scaling-service attachment).
-func NewLiveRuntime(j *LiveJob) *LiveRuntime { return streamrt.NewRuntime(j) }
+// NewLiveRuntime wraps a running live job — single-process or
+// distributed — for use with a Controller (or as the engine side of a
+// scaling-service attachment).
+func NewLiveRuntime(e LiveEngine) *LiveRuntime { return streamrt.NewEngineRuntime(e) }
 
 // AttachLiveJob registers a live job with a ds2d scaling service and
 // returns the engine-side driver (report/poll/ack until the service
 // finishes the decision loop).
-func AttachLiveJob(c *ScalingClient, j *LiveJob, spec JobSpec) *AttachedJob {
-	return streamrt.Attach(c, j, spec)
+func AttachLiveJob(c *ScalingClient, e LiveEngine, spec JobSpec) *AttachedJob {
+	return streamrt.AttachEngine(c, e, spec)
 }
 
 // --- Distributed live runtime (multi-process workers) --------------------
-
-// LiveAppendEncoder is the optional Codec extension the batched
-// exchange prefers: encode straight into a shared buffer, no
-// per-record allocation. Over the network transport it is the hot
-// path — records are appended directly into the socket frame.
-type LiveAppendEncoder = streamrt.AppendEncoder
 
 // LiveStateCodec serializes keyed operator state so rescale snapshots
 // can cross process boundaries. Every keyed operator in a distributed
@@ -536,19 +460,15 @@ type LiveStateCodec = streamrt.StateCodec
 // whatever operator instances the cluster coordinator places on it.
 type LiveWorker = streamrt.Worker
 
-// LiveCluster coordinates a pipeline deployed across worker
-// processes. It implements LiveEngine, so the Controller and ds2d
-// drive it exactly like a single-process LiveJob.
-type LiveCluster = streamrt.Cluster
+// LiveCluster is a LiveJob whose instances run on worker processes:
+// the same type, named for what NewLiveCluster returns. Call Close
+// after Stop to release its control connections.
+type LiveCluster = LiveJob
 
 // LiveEngine is the seam the control loop drives: pace and cut
 // observation windows, redeploy, report the deployed configuration.
-// Both *LiveJob and *LiveCluster implement it.
+// *LiveJob implements it.
 type LiveEngine = streamrt.Engine
-
-// LiveLinkStats is one worker-to-worker link's cumulative traffic
-// counters (bytes, frames, credit stalls per direction).
-type LiveLinkStats = streamrt.LinkStats
 
 // NewLiveWorker creates a worker process with the given cluster index
 // serving the named pipelines. A non-nil registry exports the
@@ -563,24 +483,6 @@ func NewLiveCluster(p *LivePipeline, workload string, initial Parallelism, addrs
 	return streamrt.NewCluster(p, workload, initial, addrs, cfg)
 }
 
-// PlanLivePlacement maps operator instances to worker processes the
-// way the cluster coordinator does: instance k to worker k mod W.
-func PlanLivePlacement(par Parallelism, workers int) map[string][]int {
-	return streamrt.PlanPlacement(par, workers)
-}
-
-// NewLiveEngineRuntime wraps any live engine — in particular a
-// *LiveCluster — for the Controller or a ds2d attachment.
-func NewLiveEngineRuntime(e LiveEngine) *LiveRuntime {
-	return streamrt.NewEngineRuntime(e)
-}
-
-// AttachLiveEngine registers any live engine with a ds2d scaling
-// service — the multi-process counterpart of AttachLiveJob.
-func AttachLiveEngine(c *ScalingClient, eng LiveEngine, spec JobSpec) *AttachedJob {
-	return streamrt.AttachEngine(c, eng, spec)
-}
-
 // AttachedEngine is the engine side of Fig. 5 for any locally running
 // job (a LiveRuntime, or a custom integration).
 type AttachedEngine = service.AttachedEngine
@@ -593,66 +495,19 @@ func NewAttachedJob(c *ScalingClient, eng AttachedEngine, spec JobSpec) *Attache
 	return service.NewAttachedJob(c, eng, spec)
 }
 
-// --- Typed pipelines & durable checkpoints (internal/streamrt) -----------
-
-// LiveTypedBuilder accumulates typed sources, operators and edges;
-// Compile type-checks the whole graph (edge compatibility, codec
-// completeness on distributed deployments, window/key rules) and
-// lowers it to a runnable LivePipeline.
-type LiveTypedBuilder = streamrt.TypedBuilder
-
-// LiveTypedEmit pushes typed records downstream from a typed Process
-// or Fire function.
-type LiveTypedEmit[Out any] = streamrt.TypedEmit[Out]
-
-// LiveTypedSource is the typed counterpart of LiveSourceSpec.
-type LiveTypedSource[V any] = streamrt.TypedSource[V]
-
-// LiveTypedOperator is the typed counterpart of LiveOperatorSpec: it
-// consumes In, emits Out, and (when Keyed) keeps per-key state S.
-type LiveTypedOperator[In, Out, S any] = streamrt.TypedOperator[In, Out, S]
-
-// LiveTypedWindow is the typed counterpart of LiveWindowSpec.
-type LiveTypedWindow[S, Out any] = streamrt.TypedWindow[S, Out]
-
-// NewLiveTypedPipeline returns an empty typed pipeline builder.
-func NewLiveTypedPipeline() *LiveTypedBuilder { return streamrt.NewTypedPipeline() }
-
-// AddLiveTypedSource registers a typed source with a typed builder.
-func AddLiveTypedSource[V any](tb *LiveTypedBuilder, name string, spec LiveTypedSource[V]) *LiveTypedBuilder {
-	return streamrt.AddTypedSource(tb, name, spec)
-}
-
-// AddLiveTypedOperator registers a typed operator with a typed builder.
-func AddLiveTypedOperator[In, Out, S any](tb *LiveTypedBuilder, name string, spec LiveTypedOperator[In, Out, S]) *LiveTypedBuilder {
-	return streamrt.AddTypedOperator(tb, name, spec)
-}
+// --- Durable checkpoints (internal/streamrt) ------------------------------
 
 // LiveCheckpointStore persists encoded savepoints by name; Save must
 // publish atomically with respect to Load.
 type LiveCheckpointStore = streamrt.CheckpointStore
 
-// LiveMemoryStore is an in-process checkpoint store (tests, rescues).
-type LiveMemoryStore = streamrt.MemoryStore
-
 // LiveDirStore is a directory-backed checkpoint store using the
 // write-fsync-rename atomic-publish idiom.
 type LiveDirStore = streamrt.DirStore
 
-// LiveSavepointer is the savepoint surface *LiveJob and *LiveCluster
-// share: drain, persist to the store under name, restart.
-type LiveSavepointer = streamrt.Savepointer
-
-// SavepointEngine is the optional AttachedEngine extension for engines
-// that can cut durable checkpoints on the service's request.
-type SavepointEngine = service.SavepointEngine
-
 // SavepointRecord is the scaling service's record of one completed
 // savepoint request.
 type SavepointRecord = service.SavepointRecord
-
-// NewLiveMemoryStore returns an empty in-memory checkpoint store.
-func NewLiveMemoryStore() *LiveMemoryStore { return streamrt.NewMemoryStore() }
 
 // NewLiveDirStore creates dir if needed and returns a store over it.
 func NewLiveDirStore(dir string) (*LiveDirStore, error) { return streamrt.NewDirStore(dir) }
@@ -699,12 +554,6 @@ func LiveWordCountOptimal(cfg LiveWordCountConfig, rate float64) Parallelism {
 	return wordcount.LiveOptimal(cfg, rate)
 }
 
-// LiveWordCountExpectedCounts replays the deterministic sentence
-// stream offline — the oracle for state-preservation checks.
-func LiveWordCountExpectedCounts(cfg LiveWordCountConfig, n int64) map[string]int {
-	return wordcount.LiveExpectedCounts(cfg, n)
-}
-
 // --- Live Nexmark (internal/nexmark) -------------------------------------
 
 // LiveNexmarkConfig parameterizes one live Nexmark query: rates (with
@@ -716,10 +565,6 @@ type LiveNexmarkConfig = nexmark.LiveQueryConfig
 // pipeline with its control metadata (initial/optimal configurations,
 // main operator).
 type LiveNexmarkWorkload = nexmark.LiveWorkload
-
-// LiveNexmarkQueryNames lists the queries ported to the live runtime
-// (q1, q2, q3, q5, q8).
-func LiveNexmarkQueryNames() []string { return nexmark.LiveQueryNames() }
 
 // LiveNexmarkQuery builds the named Nexmark query as a really-
 // executing pipeline on the live runtime.

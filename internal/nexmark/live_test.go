@@ -338,7 +338,7 @@ func TestLiveNexmarkConvergence(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer job1.Stop()
-	ctrl, err := controlloop.New(streamrt.NewRuntime(job1), ds2For(t, w1),
+	ctrl, err := controlloop.New(streamrt.NewEngineRuntime(job1), ds2For(t, w1),
 		controlloop.Config{Interval: interval, MaxIntervals: intervals})
 	if err != nil {
 		t.Fatal(err)
@@ -403,7 +403,7 @@ func TestLiveNexmarkConvergence(t *testing.T) {
 			edges = append(edges, [2]string{op.Name, g.Operator(d).Name})
 		}
 	}
-	attached := streamrt.Attach(client, job2, service.JobSpec{
+	attached := streamrt.AttachEngine(client, job2, service.JobSpec{
 		Name:         "live-nexmark-q1",
 		Operators:    ops,
 		Edges:        edges,

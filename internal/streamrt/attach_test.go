@@ -83,7 +83,7 @@ func TestLiveJobDS2DParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer job1.Stop()
-	ctrl, err := controlloop.New(streamrt.NewRuntime(job1), parityManager(t, p1.Graph(), initial),
+	ctrl, err := controlloop.New(streamrt.NewEngineRuntime(job1), parityManager(t, p1.Graph(), initial),
 		controlloop.Config{Interval: interval, MaxIntervals: intervals})
 	if err != nil {
 		t.Fatal(err)
@@ -121,7 +121,7 @@ func TestLiveJobDS2DParity(t *testing.T) {
 			ActivationIntervals: parityManagerConfig.ActivationIntervals,
 		},
 	}
-	attached := streamrt.Attach(client, job2, spec)
+	attached := streamrt.AttachEngine(client, job2, spec)
 	trRemote, err := attached.Run()
 	if err != nil {
 		t.Fatalf("attached run: %v\n%s", err, trRemote)
@@ -181,7 +181,7 @@ func TestLiveJobShortIntervalStress(t *testing.T) {
 	}
 	defer job.Stop()
 
-	ctrl, err := controlloop.New(streamrt.NewRuntime(job), parityManager(t, p.Graph(), optimal),
+	ctrl, err := controlloop.New(streamrt.NewEngineRuntime(job), parityManager(t, p.Graph(), optimal),
 		controlloop.Config{Interval: interval, MaxIntervals: intervals})
 	if err != nil {
 		t.Fatal(err)
@@ -224,7 +224,7 @@ func TestAttachedJobStopsCleanly(t *testing.T) {
 		IntervalSec:  0.1,
 		MaxIntervals: 1000,
 	}
-	attached := streamrt.Attach(client, job, spec)
+	attached := streamrt.AttachEngine(client, job, spec)
 	done := make(chan error, 1)
 	go func() {
 		_, err := attached.Run()

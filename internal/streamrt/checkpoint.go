@@ -11,8 +11,6 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"ds2/internal/dataflow"
 	"ds2/internal/obs"
@@ -22,7 +20,7 @@ import (
 // drained keyed state plus the source sequence counters — made
 // durable: encoded with the operators' StateCodecs into one versioned,
 // CRC-guarded binary blob and handed to a CheckpointStore. Restoring
-// deploys a fresh Job/Cluster from that blob; because the sources are
+// deploys a fresh Job from that blob; because the sources are
 // deterministic generators and the counters are persisted, the
 // restored job resumes the sequence space exactly where the savepoint
 // cut it — no record replayed, none skipped — at whatever operator
@@ -390,18 +388,6 @@ func decodeSavepoint(data []byte) (*savepointData, error) {
 // between snapshot and restart.
 const phasePersist = "persist"
 
-// beginSavepointTrace starts the n'th savepoint's trace on the same
-// ring the rescale traces live in, so GET /jobs/{id}/rescales shows
-// savepoint timelines alongside reconfigurations.
-func (o *jobObs) beginSavepointTrace(n int) *rescaleTrace {
-	if o == nil {
-		return nil
-	}
-	rt := &rescaleTrace{ro: o.rescale, t: obs.NewTrace(fmt.Sprintf("savepoint-%d", n), "savepoint")}
-	o.rescale.ring.Append(rt.t)
-	return rt
-}
-
 // savepointHist resolves the savepoint duration histogram (nil when
 // telemetry is off). Registered lazily — the family appears on
 // /metrics once the job has actually taken a savepoint.
@@ -426,88 +412,23 @@ func checkSavepointable(pipe *Pipeline) error {
 	return nil
 }
 
-// Savepoint drains the job, snapshots and encodes its keyed state and
-// source sequence counters, persists the blob under name, and
-// restarts the job at its current parallelism — the rescale cycle
-// with a persist phase spliced in, traced the same way (the timeline
-// appears on the rescale trace ring as "savepoint-N") and observed
-// into streamrt_savepoint_seconds. The restart happens even when the
-// store write fails: a failed persist returns the error but never
-// leaves the job drained.
-func (j *Job) Savepoint(store CheckpointStore, name string) error {
-	if store == nil {
-		return errors.New("streamrt: nil checkpoint store")
+// checkRestoreShape verifies a decoded savepoint fits what it is being
+// restored into. Operator parallelism is free to differ from the cut —
+// state repartitions through the ordinary deploy path. The worker count
+// is not: source sequence striping is per worker process, so every
+// source must keep the number of hosting workers its counters were
+// recorded for. The pipeline must match too: every source has a
+// persisted counter, and nothing in the file references a source or
+// operator the pipeline does not have. A nil addrs is the local
+// placement, one worker.
+func checkRestoreShape(pipe *Pipeline, sp *savepointData, workload string, initial dataflow.Parallelism, addrs []string) error {
+	if addrs != nil && sp.Workload != workload {
+		return fmt.Errorf("streamrt: savepoint holds workload %q, not %q", sp.Workload, workload)
 	}
-	if err := checkSavepointable(j.pipe); err != nil {
-		return err
+	workers := max(len(addrs), 1)
+	if sp.Workers != workers {
+		return fmt.Errorf("streamrt: savepoint was cut over %d workers; restoring over %d would re-stripe source sequences (use NewClusterFromSavepoint over %d workers)", sp.Workers, workers, sp.Workers)
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.stopped {
-		return ErrStopped
-	}
-	j.savepoints++
-	tr := j.obs.beginSavepointTrace(j.savepoints)
-	t0 := time.Now()
-	var dep *deployment
-	tr.phase(phaseDrain, func(uint64) { dep = j.stopLocked() })
-	var states map[string]map[string]any
-	var enc map[string]map[string][]byte
-	var err error
-	tr.phase(phaseSnapshot, func(uint64) {
-		states = j.snapshotStates(dep)
-		enc, err = encodeStates(j.pipe, states)
-	})
-	if err == nil {
-		tr.phase(phasePersist, func(uint64) {
-			sp := &savepointData{
-				Workers:  1,
-				SeqBlock: j.cfg.SourceSeqBlock,
-				Elapsed:  j.Now(),
-				Seqs:     make(map[string][]int64, len(j.seqs)),
-				States:   enc,
-			}
-			for src, p := range j.seqs {
-				sp.Seqs[src] = []int64{atomic.LoadInt64(p)}
-			}
-			err = store.Save(name, encodeSavepoint(sp))
-		})
-	}
-	tr.phase(phaseRestart, func(uint64) { j.deployLocked(states) })
-	j.winStart = j.Now()
-	if h := j.obs.savepointHist(); h != nil {
-		h.Observe(time.Since(t0).Seconds())
-	}
-	if tr != nil {
-		restartEnd := tr.now()
-		first := j.dep.first
-		go func() {
-			at, ok := first.wait(firstRecordWait)
-			tr.finish(restartEnd, at, ok)
-		}()
-	}
-	return err
-}
-
-// restoreStates decodes persisted per-key state through the pipeline's
-// StateCodecs. User codecs may panic on bytes they never wrote (a
-// savepoint from an older state layout passes the CRC but not the
-// codec); the recover turns that into a restore error instead of
-// taking the process down.
-func restoreStates(pipe *Pipeline, enc map[string]map[string][]byte) (states map[string]map[string]any, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			states, err = nil, fmt.Errorf("streamrt: savepoint: decoding operator state: %v", r)
-		}
-	}()
-	return decodeStates(pipe, enc)
-}
-
-// checkRestoreShape verifies a decoded savepoint fits the pipeline it
-// is being restored into: every pipeline source has a persisted
-// counter, and nothing in the file references a source or operator the
-// pipeline does not have.
-func checkRestoreShape(pipe *Pipeline, sp *savepointData) error {
 	for _, src := range sortedKeys(pipe.sources) {
 		if _, ok := sp.Seqs[src]; !ok {
 			return fmt.Errorf("streamrt: savepoint: no sequence counter for source %q; savepoint is from a different pipeline", src)
@@ -523,6 +444,12 @@ func checkRestoreShape(pipe *Pipeline, sp *savepointData) error {
 			return fmt.Errorf("streamrt: savepoint: state for unknown operator %q", op)
 		}
 	}
+	assign := PlanPlacement(initial, workers)
+	for _, src := range sortedKeys(pipe.sources) {
+		if hosts := hostingWorkers(assign[src]); len(hosts) != len(sp.Seqs[src]) {
+			return fmt.Errorf("streamrt: restore changes source %q from %d to %d hosting workers; sequence stripes would not line up", src, len(sp.Seqs[src]), len(hosts))
+		}
+	}
 	return nil
 }
 
@@ -533,203 +460,18 @@ func checkRestoreShape(pipe *Pipeline, sp *savepointData) error {
 // time continues from the persisted elapsed time so rate schedules
 // pick up where they stopped.
 func NewJobFromSavepoint(p *Pipeline, initial dataflow.Parallelism, cfg Config, store CheckpointStore, name string) (*Job, error) {
-	if p == nil {
-		return nil, errors.New("streamrt: nil pipeline")
-	}
 	if store == nil {
 		return nil, errors.New("streamrt: nil checkpoint store")
 	}
-	if err := initial.Validate(p.graph); err != nil {
-		return nil, err
-	}
-	data, err := store.Load(name)
-	if err != nil {
-		return nil, fmt.Errorf("streamrt: loading savepoint %q: %w", name, err)
-	}
-	sp, err := decodeSavepoint(data)
-	if err != nil {
-		return nil, err
-	}
-	if sp.Workers != 1 {
-		return nil, fmt.Errorf("streamrt: savepoint was cut over %d worker processes; restore it with NewClusterFromSavepoint", sp.Workers)
-	}
-	if err := checkRestoreShape(p, sp); err != nil {
-		return nil, err
-	}
-	states, err := restoreStates(p, sp.States)
-	if err != nil {
-		return nil, err
-	}
-	j := &Job{
-		pipe:     p,
-		cfg:      cfg.withDefaults(),
-		epoch:    time.Now().Add(-time.Duration(sp.Elapsed * float64(time.Second))),
-		cur:      initial.Clone(),
-		seqs:     make(map[string]*int64),
-		winStart: sp.Elapsed,
-	}
-	// The block size participates in nothing single-process (seqNW ==
-	// 1), but keep it so a later distributed hand-off of the config
-	// stays consistent with the file.
-	j.cfg.SourceSeqBlock = sp.SeqBlock
-	for src := range p.sources {
-		c := sp.Seqs[src][0]
-		j.seqs[src] = &c
-	}
-	if j.cfg.Metrics != nil {
-		j.obs = newJobObs(j.cfg.Metrics, j.pipe, j.Rescales)
-	}
-	j.mu.Lock()
-	j.deployLocked(states)
-	j.mu.Unlock()
-	return j, nil
-}
-
-// clusterSeqs assembles the per-rank source counters of a just-drained
-// cluster generation: rank r of a source is the r'th (sorted) worker
-// hosting it under the generation's placement, and its counter is that
-// worker's drained local count.
-func clusterSeqs(pipe *Pipeline, par dataflow.Parallelism, workers int, resps []drainResp) map[string][]int64 {
-	assign := PlanPlacement(par, workers)
-	out := make(map[string][]int64, len(pipe.sources))
-	for src := range pipe.sources {
-		hosts := hostingWorkers(assign[src])
-		counters := make([]int64, len(hosts))
-		for rank, w := range hosts {
-			counters[rank] = resps[w].Seqs[src]
-		}
-		out[src] = counters
-	}
-	return out
-}
-
-// Savepoint drains the cluster, merges the workers' encoded state and
-// sequence counters, persists the blob under name, and redeploys the
-// current parallelism — Cluster.Rescale with a persist phase, traced
-// and observed like the single-process Job.Savepoint. As there, a
-// failed store write returns the error after the cluster is back up.
-func (c *Cluster) Savepoint(store CheckpointStore, name string) error {
-	if store == nil {
-		return errors.New("streamrt: nil checkpoint store")
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.stopped {
-		return ErrStopped
-	}
-	c.savepoints++
-	tr := c.obs.beginSavepointTrace(c.savepoints)
-	t0 := time.Now()
-	var resps []drainResp
-	var err error
-	tr.phase(phaseDrain, func(parent uint64) { resps, err = c.drainWorkersLocked(tr, parent) })
-	if err != nil {
-		return err
-	}
-	var states map[string]map[string][]byte
-	var perr error
-	tr.phase(phaseSnapshot, func(uint64) { states = mergeEncStates(resps) })
-	tr.phase(phasePersist, func(uint64) {
-		sp := &savepointData{
-			Workload: c.workload,
-			Workers:  len(c.ctrls),
-			SeqBlock: c.cfg.SourceSeqBlock,
-			Elapsed:  c.Now(),
-			Seqs:     clusterSeqs(c.pipe, c.cur, len(c.ctrls), resps),
-			States:   states,
-		}
-		perr = store.Save(name, encodeSavepoint(sp))
-	})
-	if err := c.deployLocked(c.cur, states, nil, tr); err != nil {
-		return err
-	}
-	c.rescalesDone(tr)
-	if h := c.obs.savepointHist(); h != nil {
-		h.Observe(time.Since(t0).Seconds())
-	}
-	return perr
-}
-
-// rescalesDone is the shared tail of a cluster redeploy: restart the
-// observation window and resolve the new generation's first record
-// into the trace off the lock. Callers hold c.mu.
-func (c *Cluster) rescalesDone(tr *rescaleTrace) {
-	c.winStart = c.Now()
-	if tr != nil {
-		restartEnd := tr.now()
-		gen := c.gen
-		go c.resolveFirstRecord(tr, restartEnd, gen)
-	}
+	return start(p, "", initial, nil, cfg, store, name)
 }
 
 // NewClusterFromSavepoint deploys a fresh distributed cluster from a
-// savepoint. The worker count must match the savepoint's — source
-// sequence striping is per worker process, so a different count would
-// re-stripe the sequence space and replay or skip records. Operator
-// parallelism is free to differ (state repartitions through the
-// routing tables), as long as each source keeps the same number of
-// hosting workers; the striping block size is taken from the file.
+// savepoint, over as many workers as the savepoint was cut over (see
+// checkRestoreShape); the striping block size is taken from the file.
 func NewClusterFromSavepoint(pipe *Pipeline, workload string, initial dataflow.Parallelism, addrs []string, cfg Config, store CheckpointStore, name string) (*Cluster, error) {
-	if pipe == nil {
-		return nil, errors.New("streamrt: nil pipeline")
-	}
 	if store == nil {
 		return nil, errors.New("streamrt: nil checkpoint store")
 	}
-	if err := initial.Validate(pipe.graph); err != nil {
-		return nil, err
-	}
-	if err := validateDistributed(pipe, initial, len(addrs)); err != nil {
-		return nil, err
-	}
-	data, err := store.Load(name)
-	if err != nil {
-		return nil, fmt.Errorf("streamrt: loading savepoint %q: %w", name, err)
-	}
-	sp, err := decodeSavepoint(data)
-	if err != nil {
-		return nil, err
-	}
-	if sp.Workload != workload {
-		return nil, fmt.Errorf("streamrt: savepoint holds workload %q, not %q", sp.Workload, workload)
-	}
-	if sp.Workers != len(addrs) {
-		return nil, fmt.Errorf("streamrt: savepoint was cut over %d workers; restoring over %d would re-stripe source sequences", sp.Workers, len(addrs))
-	}
-	if err := checkRestoreShape(pipe, sp); err != nil {
-		return nil, err
-	}
-	assign := PlanPlacement(initial, len(addrs))
-	for _, src := range sortedKeys(pipe.sources) {
-		if hosts := hostingWorkers(assign[src]); len(hosts) != len(sp.Seqs[src]) {
-			return nil, fmt.Errorf("streamrt: restore changes source %q from %d to %d hosting workers; sequence stripes would not line up", src, len(sp.Seqs[src]), len(hosts))
-		}
-	}
-	c := &Cluster{
-		pipe:     pipe,
-		workload: workload,
-		cfg:      cfg.withDefaults(),
-		addrs:    addrs,
-		cur:      initial.Clone(),
-		linkSeen: make(map[string]*linkMirror),
-	}
-	c.cfg.SourceSeqBlock = sp.SeqBlock
-	c.epoch = time.Now().Add(-time.Duration(sp.Elapsed * float64(time.Second)))
-	c.winStart = sp.Elapsed
-	if c.cfg.Metrics != nil {
-		c.obs = newJobObs(c.cfg.Metrics, pipe, c.Rescales)
-	}
-	for i, addr := range addrs {
-		cc, err := dialCtrl(i, addr)
-		if err != nil {
-			c.closeCtrls()
-			return nil, err
-		}
-		c.ctrls = append(c.ctrls, cc)
-	}
-	if err := c.deployLocked(initial, sp.States, sp.Seqs, nil); err != nil {
-		c.closeCtrls()
-		return nil, err
-	}
-	return c, nil
+	return start(pipe, workload, initial, append([]string{}, addrs...), cfg, store, name)
 }

@@ -14,18 +14,18 @@ import (
 	"ds2/internal/obs"
 )
 
-// Distributed streamrt: a Cluster (the coordinator, living in the
-// controller process) drives N Worker processes, each hosting a subset
-// of the pipeline's operator instances. Everything rides the framed
-// transport (frame.go, transport.go): batches as DATA frames between
-// workers, flow-control CREDIT frames back, DONE frames for the
-// cross-process close cascade, and a JSON control protocol from the
-// coordinator. The Cluster mirrors the single-process Job API
-// (NextInterval / Collect / Rescale / Stop / Wait), builds intervals
-// with the exact same code path (buildInterval), and routes keys from
-// the exact same tables — so DS2 decisions, convergence behaviour and
-// sink results are identical whether a pipeline runs in one process or
-// many.
+// Distributed streamrt: the remote placement. A Job built by NewCluster
+// (the coordinator, living in the controller process) drives N Worker
+// processes, each running a subset of the pipeline's operator instances
+// on a host. Everything rides the framed transport (frame.go,
+// transport.go): batches as DATA frames between workers, flow-control
+// CREDIT frames back, DONE frames for the cross-process close cascade,
+// and a JSON control protocol from the coordinator, whose client side
+// (remote) and server side (Worker.handleControl) are both in this
+// file. The coordinator, the interval build and the routing tables are
+// the single-process job's — so DS2 decisions, convergence behaviour
+// and sink results are identical whether a pipeline runs in one process
+// or many.
 
 // Control request kinds.
 const (
@@ -42,7 +42,7 @@ const (
 )
 
 // distContext is one worker process's view of one deployment
-// generation, threaded through Job.deployLocked.
+// generation, threaded through host.deployLocked.
 type distContext struct {
 	worker  int
 	workers int
@@ -53,45 +53,6 @@ type distContext struct {
 	peers   []*link                   // outbound data link per worker index (nil for self)
 	start   chan struct{}             // closed by the coordinator's START
 	started bool
-}
-
-// wireConfig is Config in wire form, shipped with every deploy so all
-// workers batch, flush, pace and stripe identically.
-type wireConfig struct {
-	ChannelCapacity       int                  `json:"channel_capacity"`
-	BatchSize             int                  `json:"batch_size"`
-	FlushIntervalNanos    int64                `json:"flush_interval_nanos"`
-	PartitionWeights      map[string][]float64 `json:"partition_weights,omitempty"`
-	BackpressureThreshold float64              `json:"backpressure_threshold"`
-	JitterTolerance       float64              `json:"jitter_tolerance"`
-	LatencySampleEvery    int                  `json:"latency_sample_every"`
-	SourceSeqBlock        int64                `json:"source_seq_block"`
-}
-
-func toWireConfig(c Config) wireConfig {
-	return wireConfig{
-		ChannelCapacity:       c.ChannelCapacity,
-		BatchSize:             c.BatchSize,
-		FlushIntervalNanos:    int64(c.FlushInterval),
-		PartitionWeights:      c.PartitionWeights,
-		BackpressureThreshold: c.BackpressureThreshold,
-		JitterTolerance:       c.JitterTolerance,
-		LatencySampleEvery:    c.LatencySampleEvery,
-		SourceSeqBlock:        c.SourceSeqBlock,
-	}
-}
-
-func (w wireConfig) config() Config {
-	return Config{
-		ChannelCapacity:       w.ChannelCapacity,
-		BatchSize:             w.BatchSize,
-		FlushInterval:         time.Duration(w.FlushIntervalNanos),
-		PartitionWeights:      w.PartitionWeights,
-		BackpressureThreshold: w.BackpressureThreshold,
-		JitterTolerance:       w.JitterTolerance,
-		LatencySampleEvery:    w.LatencySampleEvery,
-		SourceSeqBlock:        w.SourceSeqBlock,
-	}
 }
 
 // traceCtx propagates a rescale trace's identity with a control
@@ -127,12 +88,13 @@ type deployReq struct {
 	Tables      map[string]map[string]int    `json:"tables,omitempty"`
 	States      map[string]map[string][]byte `json:"states,omitempty"`
 	// Seqs, when present, overwrites this worker's per-source local
-	// sequence counters before the generation starts — the
-	// restore-from-savepoint path. Absent on ordinary deploys and
-	// rescales, where the counters persist in the worker process.
+	// sequence counters before the generation starts. A restore from a
+	// savepoint is what that matters for; after a drain it writes back
+	// the values the worker process already holds, and the first deploy
+	// sends none.
 	Seqs    map[string]int64 `json:"seqs,omitempty"`
 	Elapsed float64          `json:"elapsed"` // coordinator job time, aligning worker epochs
-	Config  wireConfig       `json:"config"`
+	Config  Config           `json:"config"`
 	Trace   traceCtx         `json:"trace,omitempty"`
 }
 
@@ -225,60 +187,15 @@ func PlanPlacement(par dataflow.Parallelism, workers int) map[string][]int {
 	return out
 }
 
-// encodeStates serializes drained keyed state for the wire.
-func encodeStates(pipe *Pipeline, states map[string]map[string]any) (map[string]map[string][]byte, error) {
-	if len(states) == 0 {
-		return nil, nil
-	}
-	out := make(map[string]map[string][]byte, len(states))
-	for op, kv := range states {
-		spec := pipe.ops[op]
-		if spec == nil {
-			return nil, fmt.Errorf("streamrt: state for unknown operator %q", op)
-		}
-		enc := make(map[string][]byte, len(kv))
-		for k, v := range kv {
-			b, err := encodeOpState(spec, v)
-			if err != nil {
-				return nil, fmt.Errorf("streamrt: encoding %s[%q]: %w", op, k, err)
-			}
-			enc[k] = b
-		}
-		out[op] = enc
-	}
-	return out, nil
-}
-
-// decodeStates is the inverse of encodeStates.
-func decodeStates(pipe *Pipeline, states map[string]map[string][]byte) (map[string]map[string]any, error) {
-	if len(states) == 0 {
-		return nil, nil
-	}
-	out := make(map[string]map[string]any, len(states))
-	for op, kv := range states {
-		spec := pipe.ops[op]
-		if spec == nil {
-			return nil, fmt.Errorf("streamrt: state for unknown operator %q", op)
-		}
-		dec := make(map[string]any, len(kv))
-		for k, b := range kv {
-			v, err := decodeOpState(spec, b)
-			if err != nil {
-				return nil, fmt.Errorf("streamrt: decoding %s[%q]: %w", op, k, err)
-			}
-			dec[k] = v
-		}
-		out[op] = dec
-	}
-	return out, nil
-}
-
 // Worker hosts one process's share of distributed deployments: it
 // listens for the coordinator's control connection and its peers' data
-// links, and builds a (placement-filtered) Job per deploy. One Worker
-// serves any number of successive generations and jobs; the per-source
-// sequence counters persist across generations of the same workload, so
-// rescales never replay or skip a record.
+// links, and runs each generation's share on a host filtered by the
+// coordinator's assignment — the server side of the remote placement,
+// answering each control request with the host method the local
+// placement calls directly. One Worker serves any number of successive
+// generations and jobs; the per-source sequence counters persist across
+// generations of the same workload, so rescales never replay or skip a
+// record.
 type Worker struct {
 	index int
 	pipes map[string]*Pipeline
@@ -288,8 +205,8 @@ type Worker struct {
 	mu       sync.Mutex
 	workload string
 	seqs     map[string]*int64
-	job      *Job
-	dc       *distContext
+	host     *host   // the live generation; nil between drain and deploy
+	winStart float64 // job time of the last collect, for the worker's own gauges
 }
 
 // NewWorker creates a worker with the given index (its position in the
@@ -387,28 +304,22 @@ func (w *Worker) deploy(body []byte) ([]byte, error) {
 	if req.Worker != w.index {
 		return nil, fmt.Errorf("streamrt: deploy addressed to worker %d, this is worker %d", req.Worker, w.index)
 	}
-	states, err := decodeStates(pipe, req.States)
-	if err != nil {
+	snap := &snapshot{enc: req.States}
+	if _, err := snap.values(pipe); err != nil {
 		return nil, err
 	}
 	decoded := time.Since(h0)
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.job != nil {
+	if w.host != nil {
 		return nil, errors.New("streamrt: deploy while a generation is live (drain first)")
 	}
-	if w.seqs == nil || w.workload != req.Workload {
-		w.workload = req.Workload
-		w.seqs = make(map[string]*int64)
-		for name := range pipe.sources {
-			w.seqs[name] = new(int64)
-		}
-	}
 	// Restore-on-deploy: a coordinator restoring from a savepoint ships
-	// the persisted counters; install them before anything emits.
+	// the persisted counters; this process is rank 0 of its own host.
+	snap.seqs = make(map[string][]int64, len(req.Seqs))
 	for name, v := range req.Seqs {
-		if p := w.seqs[name]; p != nil {
-			atomic.StoreInt64(p, v)
+		if _, ok := pipe.sources[name]; ok {
+			snap.seqs[name] = []int64{v}
 		}
 	}
 	peers := make([]*link, req.Workers)
@@ -432,12 +343,27 @@ func (w *Worker) deploy(body []byte) ([]byte, error) {
 		peers:   peers,
 		start:   make(chan struct{}),
 	}
-	cfg := req.Config.config()
+	cfg := req.Config.withDefaults()
 	cfg.Metrics = w.reg
+	var o *jobObs
+	if w.reg != nil {
+		// The coordinator counts rescales; a worker's page reads zero.
+		o = newJobObs(w.reg, pipe, func() int { return 0 })
+	}
 	epoch := time.Now().Add(-time.Duration(req.Elapsed * float64(time.Second)))
 	built0 := time.Since(h0)
-	w.job = newWorkerJob(pipe, par, cfg, dc, w.seqs, epoch, states)
-	w.dc = dc
+	// The counters outlive the host, across generations of the same
+	// workload; another workload starts from fresh ones.
+	seqs := w.seqs
+	if w.workload != req.Workload {
+		seqs = nil
+	}
+	h := newHost(pipe, cfg, epoch, o, dc, seqs)
+	if err := h.deploy(req.Gen, par, snap, nil); err != nil {
+		return nil, err
+	}
+	w.host, w.winStart = h, req.Elapsed
+	w.workload, w.seqs = req.Workload, h.seqs
 	resp := deployResp{}
 	if req.Trace.ID != "" {
 		resp.Spans = []wireSpan{
@@ -456,50 +382,50 @@ func (w *Worker) start(body []byte) ([]byte, error) {
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.dc == nil || w.dc.gen != req.Gen {
+	if w.host == nil || w.host.dist.gen != req.Gen {
 		return nil, fmt.Errorf("streamrt: start for generation %d, none deployed", req.Gen)
 	}
-	if !w.dc.started {
-		w.dc.started = true
-		close(w.dc.start)
+	if dc := w.host.dist; !dc.started {
+		dc.started = true
+		close(dc.start)
 	}
 	return nil, nil
 }
 
 // drain stops this worker's share of the current generation — the
 // coordinator broadcasts drains, so the cross-process close cascade
-// completes everywhere — and returns its keyed state, encoded. A
-// traced request additionally gets the teardown/encode phase spans.
+// completes everywhere — and returns its keyed state, encoded, with the
+// local sequence counters: this worker's exact resume points, which a
+// savepointing coordinator persists. A traced request additionally
+// gets the teardown/encode phase spans. A worker with nothing deployed
+// answers with nothing.
 func (w *Worker) drain(body []byte) ([]byte, error) {
 	var req drainReq
-	if len(body) > 0 {
-		// Tolerate empty and legacy bodies: a drain without trace
-		// context is still a drain.
-		_ = json.Unmarshal(body, &req)
+	if err := json.Unmarshal(body, &req); err != nil {
+		return nil, fmt.Errorf("streamrt: bad drain request: %w", err)
 	}
 	h0 := time.Now()
 	w.mu.Lock()
-	j := w.job
+	h := w.host
 	w.mu.Unlock()
 	var resp drainResp
-	if j != nil {
-		states := j.drain()
-		drained := time.Since(h0)
-		w.mu.Lock()
-		w.job = nil
-		w.dc = nil
-		// The drained counters are this worker's exact resume points;
-		// a savepointing coordinator persists them.
-		resp.Seqs = make(map[string]int64, len(w.seqs))
-		for name, p := range w.seqs {
-			resp.Seqs[name] = atomic.LoadInt64(p)
-		}
-		w.mu.Unlock()
-		enc, err := encodeStates(j.pipe, states)
+	if h != nil {
+		snap, err := h.drain(nil, 0)
 		if err != nil {
 			return nil, err
 		}
-		resp.States = enc
+		snap.merge()
+		drained := time.Since(h0)
+		w.mu.Lock()
+		w.host = nil
+		w.mu.Unlock()
+		if resp.States, err = snap.bytes(h.pipe); err != nil {
+			return nil, err
+		}
+		resp.Seqs = make(map[string]int64, len(snap.seqs))
+		for name, ranks := range snap.seqs {
+			resp.Seqs[name] = ranks[0]
+		}
 		if req.Trace.ID != "" {
 			resp.Spans = []wireSpan{
 				{Name: "drain/teardown", Start: 0, End: int64(drained)},
@@ -520,14 +446,11 @@ func (w *Worker) firstRecord(body []byte) ([]byte, error) {
 	}
 	resp := firstRecResp{At: -1}
 	w.mu.Lock()
-	j, dc := w.job, w.dc
+	h := w.host
 	w.mu.Unlock()
-	if j != nil && dc != nil && dc.gen == req.Gen {
-		j.mu.Lock()
-		dep := j.dep
-		j.mu.Unlock()
-		if dep != nil {
-			resp.At = dep.first.value()
+	if h != nil {
+		if f := h.firstRec(req.Gen); f != nil {
+			resp.At = f.value()
 		}
 	}
 	return json.Marshal(resp)
@@ -540,27 +463,24 @@ func (w *Worker) firstRecord(body []byte) ([]byte, error) {
 // rates, not just the hot-path counters.
 func (w *Worker) collect() ([]byte, error) {
 	w.mu.Lock()
-	j := w.job
+	h := w.host
 	w.mu.Unlock()
 	resp := collectResp{Links: w.tr.linkSnapshots()}
-	if j != nil {
-		var start, end float64
-		localPar := make(dataflow.Parallelism)
-		j.mu.Lock()
-		if j.dep != nil {
-			resp.Accs = j.takeAccsLocked()
-			start, end = j.winStart, j.Now()
-			j.winStart = end
-			for op, list := range j.dep.insts {
-				localPar[op] = len(list)
+	if h != nil {
+		resp.Accs, _ = h.collect() // a host's collect cannot fail
+		w.mu.Lock()
+		start, end := w.winStart, h.now()
+		w.winStart = end
+		w.mu.Unlock()
+		if h.obs != nil && len(resp.Accs) > 0 && end > start {
+			localPar := make(dataflow.Parallelism)
+			for _, a := range resp.Accs {
+				localPar[a.Op]++
 			}
-		}
-		j.mu.Unlock()
-		if j.obs != nil && len(resp.Accs) > 0 && end > start {
 			// Best-effort: the coordinator's interval build is the one
 			// that drives decisions; this one only refreshes gauges.
-			if iv, err := buildInterval(j.pipe, j.cfg, resp.Accs, start, end, localPar); err == nil {
-				j.obs.observeInterval(iv)
+			if iv, err := buildInterval(h.pipe, h.cfg, resp.Accs, start, end, localPar); err == nil {
+				h.obs.observeInterval(iv)
 			}
 		}
 	}
@@ -572,11 +492,11 @@ func (w *Worker) collect() ([]byte, error) {
 // opposed to a drain-for-rescale).
 func (w *Worker) wait() ([]byte, error) {
 	w.mu.Lock()
-	j := w.job
+	h := w.host
 	w.mu.Unlock()
 	resp := waitResp{}
-	if j != nil {
-		resp.Natural = j.waitCurrent()
+	if h != nil {
+		resp.Natural, _ = h.wait() // a host's wait cannot fail
 	}
 	return json.Marshal(resp)
 }
@@ -676,121 +596,86 @@ func (c *ctrlClient) rpc(kind byte, req, resp any) error {
 
 func (c *ctrlClient) close() { c.l.close(nil) }
 
-// linkMirror holds the last collected snapshot of one link's counters,
-// read by the coordinator registry's CounterFuncs.
-type linkMirror struct {
-	mu sync.Mutex
-	v  LinkStats
-}
-
-func (m *linkMirror) get() LinkStats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.v
-}
-
-func registerLinkMirror(reg *obs.Registry, label string, m *linkMirror) {
+// registerLinkMirror exports one link's last collected counters (read
+// through get at every scrape) on the coordinator's registry.
+func registerLinkMirror(reg *obs.Registry, label string, get func() LinkStats) {
 	reg.CounterFunc("streamrt_link_bytes_total",
 		"Bytes moved over a worker-to-worker exchange link, by direction.",
-		func() float64 { return float64(m.get().TxBytes) },
+		func() float64 { return float64(get().TxBytes) },
 		obs.L("link", label), obs.L("dir", "tx"))
 	reg.CounterFunc("streamrt_link_bytes_total",
 		"Bytes moved over a worker-to-worker exchange link, by direction.",
-		func() float64 { return float64(m.get().RxBytes) },
+		func() float64 { return float64(get().RxBytes) },
 		obs.L("link", label), obs.L("dir", "rx"))
 	reg.CounterFunc("streamrt_link_frames_total",
 		"Frames moved over a worker-to-worker exchange link, by direction.",
-		func() float64 { return float64(m.get().TxFrames) },
+		func() float64 { return float64(get().TxFrames) },
 		obs.L("link", label), obs.L("dir", "tx"))
 	reg.CounterFunc("streamrt_link_frames_total",
 		"Frames moved over a worker-to-worker exchange link, by direction.",
-		func() float64 { return float64(m.get().RxFrames) },
+		func() float64 { return float64(get().RxFrames) },
 		obs.L("link", label), obs.L("dir", "rx"))
 	reg.CounterFunc("streamrt_link_stalls_total",
 		"Remote batch sends that blocked waiting for flow-control credit.",
-		func() float64 { return float64(m.get().Stalls) },
+		func() float64 { return float64(get().Stalls) },
 		obs.L("link", label))
 }
 
-// Cluster is the coordinator of a distributed deployment: the
-// drop-in-for-Job engine the control loop drives. Deploys are
+// remote is the placement of a distributed deployment: a network proxy
+// of the calls a local job makes on its host directly. Deploys are
 // two-phase (every worker installs its receive table, then all sources
-// start), rescales are drain → snapshot → repartition → redeploy with
-// state crossing processes through the framed transport, and interval
-// collection fans out to the workers and rebuilds through the exact
-// single-process code path.
-type Cluster struct {
+// start), state crosses processes as StateCodec bytes through the
+// framed transport, and every call fans out to all workers. deploy,
+// drain and collect run under the coordinator's lock; wait and
+// awaitFirstRecord only touch the immutable connection list.
+type remote struct {
 	pipe     *Pipeline
 	workload string
 	cfg      Config
 	epoch    time.Time
-	obs      *jobObs
 	ctrls    []*ctrlClient
 	addrs    []string
-
-	mu         sync.Mutex
-	cur        dataflow.Parallelism
-	gen        uint32
-	winStart   float64
-	rescales   int
-	savepoints int
-	stopped    bool
-	final      map[string]map[string]any
+	assign   map[string][]int // the live generation's operator -> instance -> worker
 
 	linkMu   sync.Mutex
-	linkSeen map[string]*linkMirror
+	linkSeen map[string]LinkStats // label -> last collected counters
 }
 
-// NewCluster deploys pipe over the workers at addrs (each running a
-// Worker serving the named workload) and starts it.
-func NewCluster(pipe *Pipeline, workload string, initial dataflow.Parallelism, addrs []string, cfg Config) (*Cluster, error) {
-	if pipe == nil {
-		return nil, errors.New("streamrt: nil pipeline")
-	}
-	if err := initial.Validate(pipe.graph); err != nil {
+// dialRemote checks that pipe can be deployed at initial over the
+// workers at addrs and opens a control connection to each.
+func dialRemote(pipe *Pipeline, workload string, cfg Config, epoch time.Time, addrs []string, initial dataflow.Parallelism) (*remote, error) {
+	r := &remote{pipe: pipe, workload: workload, cfg: cfg, epoch: epoch, addrs: addrs, linkSeen: make(map[string]LinkStats)}
+	if err := r.validate(initial); err != nil {
 		return nil, err
-	}
-	if err := validateDistributed(pipe, initial, len(addrs)); err != nil {
-		return nil, err
-	}
-	c := &Cluster{
-		pipe:     pipe,
-		workload: workload,
-		cfg:      cfg.withDefaults(),
-		epoch:    time.Now(),
-		addrs:    addrs,
-		cur:      initial.Clone(),
-		linkSeen: make(map[string]*linkMirror),
-	}
-	if c.cfg.Metrics != nil {
-		c.obs = newJobObs(c.cfg.Metrics, pipe, c.Rescales)
 	}
 	for i, addr := range addrs {
 		cc, err := dialCtrl(i, addr)
 		if err != nil {
-			c.closeCtrls()
+			r.close()
 			return nil, err
 		}
-		c.ctrls = append(c.ctrls, cc)
+		r.ctrls = append(r.ctrls, cc)
 	}
-	if err := c.deployLocked(initial, nil, nil, nil); err != nil {
-		c.closeCtrls()
-		return nil, err
-	}
-	return c, nil
+	return r, nil
 }
 
-func (c *Cluster) closeCtrls() {
-	for _, cc := range c.ctrls {
+func (r *remote) workers() int { return len(r.addrs) }
+
+func (r *remote) validate(par dataflow.Parallelism) error {
+	return validateDistributed(r.pipe, par, len(r.addrs))
+}
+
+func (r *remote) close() {
+	for _, cc := range r.ctrls {
 		cc.close()
 	}
 }
 
 // each fans f out to every worker and joins the errors.
-func (c *Cluster) each(f func(cc *ctrlClient) error) error {
-	errs := make([]error, len(c.ctrls))
+func (r *remote) each(f func(cc *ctrlClient) error) error {
+	errs := make([]error, len(r.ctrls))
 	var wg sync.WaitGroup
-	for i, cc := range c.ctrls {
+	for i, cc := range r.ctrls {
 		wg.Add(1)
 		go func(i int, cc *ctrlClient) {
 			defer wg.Done()
@@ -801,24 +686,25 @@ func (c *Cluster) each(f func(cc *ctrlClient) error) error {
 	return errors.Join(errs...)
 }
 
-// deployLocked pushes one new generation: placement, routing tables
-// (built over the merged key universe — identical on every worker),
+// deploy pushes one new generation: placement, routing tables (built
+// over the merged key universe — identical on every worker),
 // per-worker state slices, then the two-phase deploy/start barrier.
-// seqs, when non-nil, carries per-rank source counters to restore
-// (the from-savepoint path); each hosting worker receives its rank's
-// counter. tr, when non-nil, times the router_rebuild/transfer/restart
-// phases with per-worker child spans (nil on the initial deploy — only
-// rescales are traced). Callers hold c.mu (or own c exclusively).
-func (c *Cluster) deployLocked(par dataflow.Parallelism, encStates map[string]map[string][]byte, seqs map[string][]int64, tr *rescaleTrace) error {
-	c.gen++
-	workers := len(c.ctrls)
-	var assign map[string][]int
+// snap.seqs, on a restore, carries per-rank source counters; each
+// hosting worker receives its rank's counter. tr, when non-nil, times
+// the router_rebuild/transfer/restart phases with per-worker child
+// spans (nil on the initial deploy — only reconfigurations are traced).
+func (r *remote) deploy(gen uint32, par dataflow.Parallelism, snap *snapshot, tr *rescaleTrace) error {
+	encStates, err := snap.bytes(r.pipe)
+	if err != nil {
+		return err
+	}
+	workers := len(r.ctrls)
+	assign := PlanPlacement(par, workers)
 	tables := make(map[string]map[string]int)
 	perWorker := make([]map[string]map[string][]byte, workers)
 	tr.phase(phaseRouterRebuild, func(uint64) {
-		assign = PlanPlacement(par, workers)
 		routers := make(map[string]*router)
-		for name, spec := range c.pipe.ops {
+		for name, spec := range r.pipe.ops {
 			if !spec.Keyed {
 				continue
 			}
@@ -826,16 +712,16 @@ func (c *Cluster) deployLocked(par dataflow.Parallelism, encStates map[string]ma
 			for k := range encStates[name] {
 				known[k] = nil
 			}
-			r := buildRouter(known, par[name], c.cfg.PartitionWeights[name])
-			routers[name] = r
-			if r.table != nil {
-				tables[name] = r.table
+			rt := buildRouter(known, par[name], r.cfg.PartitionWeights[name])
+			routers[name] = rt
+			if rt.table != nil {
+				tables[name] = rt.table
 			}
 		}
 		for op, kv := range encStates {
-			r := routers[op]
+			rt := routers[op]
 			for k, b := range kv {
-				w := assign[op][r.owner(k)]
+				w := assign[op][rt.owner(k)]
 				if perWorker[w] == nil {
 					perWorker[w] = make(map[string]map[string][]byte)
 				}
@@ -846,11 +732,11 @@ func (c *Cluster) deployLocked(par dataflow.Parallelism, encStates map[string]ma
 			}
 		}
 	})
-	// Per-worker restore counters: rank r of a source maps to the r'th
+	// Per-worker restore counters: rank i of a source maps to the i'th
 	// sorted hosting worker under the new placement.
 	perWorkerSeqs := make([]map[string]int64, workers)
-	for src, counters := range seqs {
-		for rank, w := range hostingWorkers(PlanPlacement(par, workers)[src]) {
+	for src, counters := range snap.seqs {
+		for rank, w := range hostingWorkers(assign[src]) {
 			if rank >= len(counters) {
 				break // shape was validated at restore; belt and braces
 			}
@@ -860,23 +746,22 @@ func (c *Cluster) deployLocked(par dataflow.Parallelism, encStates map[string]ma
 			perWorkerSeqs[w][src] = counters[rank]
 		}
 	}
-	elapsed := c.Now()
-	var err error
+	elapsed := time.Since(r.epoch).Seconds()
 	tr.phase(phaseTransfer, func(parent uint64) {
-		err = c.each(func(cc *ctrlClient) error {
+		err = r.each(func(cc *ctrlClient) error {
 			req := deployReq{
-				Workload:    c.workload,
-				Gen:         c.gen,
+				Workload:    r.workload,
+				Gen:         gen,
 				Worker:      cc.worker,
 				Workers:     workers,
-				Peers:       c.addrs,
+				Peers:       r.addrs,
 				Parallelism: par,
 				Assign:      assign,
 				Tables:      tables,
 				States:      perWorker[cc.worker],
 				Seqs:        perWorkerSeqs[cc.worker],
 				Elapsed:     elapsed,
-				Config:      toWireConfig(c.cfg),
+				Config:      r.cfg,
 			}
 			if tr != nil {
 				req.Trace = traceCtx{ID: tr.t.ID(), Span: parent}
@@ -894,9 +779,9 @@ func (c *Cluster) deployLocked(par dataflow.Parallelism, encStates map[string]ma
 		return err
 	}
 	tr.phase(phaseRestart, func(parent uint64) {
-		err = c.each(func(cc *ctrlClient) error {
+		err = r.each(func(cc *ctrlClient) error {
 			s0 := tr.now()
-			if err := cc.rpc(ctrlStart, startReq{Gen: c.gen}, nil); err != nil {
+			if err := cc.rpc(ctrlStart, startReq{Gen: gen}, nil); err != nil {
 				return err
 			}
 			tr.child(fmt.Sprintf("restart/w%d", cc.worker), cc.worker, parent, s0, tr.now(), nil)
@@ -906,16 +791,19 @@ func (c *Cluster) deployLocked(par dataflow.Parallelism, encStates map[string]ma
 	if err != nil {
 		return err
 	}
-	c.cur = par.Clone()
+	r.assign = assign
 	return nil
 }
 
-// drainWorkersLocked drains every worker, recording one child span per
-// worker RPC under parent (plus the worker-shipped handler spans), and
-// returns the per-worker responses. Callers hold c.mu.
-func (c *Cluster) drainWorkersLocked(tr *rescaleTrace, parent uint64) ([]drainResp, error) {
-	resps := make([]drainResp, len(c.ctrls))
-	err := c.each(func(cc *ctrlClient) error {
+// drain drains every worker, recording one child span per worker RPC
+// under parent (plus the worker-shipped handler spans). The snapshot
+// gets one encoded part per worker and the per-rank source counters:
+// rank i of a source is the i'th (sorted) worker hosting it under the
+// drained generation's placement, and its counter is that worker's
+// drained local count.
+func (r *remote) drain(tr *rescaleTrace, parent uint64) (*snapshot, error) {
+	resps := make([]drainResp, len(r.ctrls))
+	err := r.each(func(cc *ctrlClient) error {
 		req := drainReq{}
 		if tr != nil {
 			req.Trace = traceCtx{ID: tr.t.ID(), Span: parent}
@@ -927,84 +815,31 @@ func (c *Cluster) drainWorkersLocked(tr *rescaleTrace, parent uint64) ([]drainRe
 		tr.child(fmt.Sprintf("drain/w%d", cc.worker), cc.worker, parent, s0, tr.now(), resps[cc.worker].Spans)
 		return nil
 	})
-	return resps, err
-}
-
-// mergeEncStates merges per-worker state snapshots (disjoint key sets —
-// each key's state lives with its owning instance).
-func mergeEncStates(resps []drainResp) map[string]map[string][]byte {
-	merged := make(map[string]map[string][]byte)
-	for _, r := range resps {
-		for op, kv := range r.States {
-			if merged[op] == nil {
-				merged[op] = make(map[string][]byte)
-			}
-			for k, b := range kv {
-				merged[op][k] = b
-			}
-		}
-	}
-	return merged
-}
-
-// drainAllLocked drains every worker and merges their state snapshots.
-// Callers hold c.mu.
-func (c *Cluster) drainAllLocked() (map[string]map[string][]byte, error) {
-	resps, err := c.drainWorkersLocked(nil, 0)
 	if err != nil {
 		return nil, err
 	}
-	return mergeEncStates(resps), nil
-}
-
-// Now returns the cluster's job time in seconds (worker epochs are
-// aligned to it at every deploy).
-func (c *Cluster) Now() float64 { return time.Since(c.epoch).Seconds() }
-
-// WindowStart returns the job time the open observation window started.
-func (c *Cluster) WindowStart() float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.winStart
-}
-
-// Parallelism returns the deployed configuration.
-func (c *Cluster) Parallelism() dataflow.Parallelism {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.cur.Clone()
-}
-
-// Rescales returns how many redeployments the cluster has performed.
-func (c *Cluster) Rescales() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.rescales
-}
-
-// Stopped reports whether the cluster's job was stopped.
-func (c *Cluster) Stopped() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stopped
-}
-
-// Collect cuts the open observation window across every worker and
-// builds the Interval exactly as a single-process Job would from the
-// union of the workers' accumulators.
-func (c *Cluster) Collect() (Interval, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.stopped {
-		return Interval{}, ErrStopped
+	snap := &snapshot{
+		encParts: make([]map[string]map[string][]byte, len(resps)),
+		seqs:     make(map[string][]int64, len(r.pipe.sources)),
 	}
-	end := c.Now()
-	start := c.winStart
-	par := c.cur.Clone()
+	for w := range resps {
+		snap.encParts[w] = resps[w].States
+	}
+	for src := range r.pipe.sources {
+		for _, w := range hostingWorkers(r.assign[src]) {
+			snap.seqs[src] = append(snap.seqs[src], resps[w].Seqs[src])
+		}
+	}
+	return snap, nil
+}
+
+// collect takes every worker's accumulators and mirrors their link
+// counters.
+func (r *remote) collect() ([]wireAcc, error) {
 	var mu sync.Mutex
 	var accs []wireAcc
 	var links []LinkStats
-	err := c.each(func(cc *ctrlClient) error {
+	err := r.each(func(cc *ctrlClient) error {
 		var resp collectResp
 		if err := cc.rpc(ctrlCollect, struct{}{}, &resp); err != nil {
 			return err
@@ -1016,27 +851,19 @@ func (c *Cluster) Collect() (Interval, error) {
 		return nil
 	})
 	if err != nil {
-		return Interval{}, err
+		return nil, err
 	}
-	c.winStart = end
-	c.mirrorLinks(links)
-	iv, err := buildInterval(c.pipe, c.cfg, accs, start, end, par)
-	if err != nil {
-		return Interval{}, err
-	}
-	if c.obs != nil && len(accs) > 0 {
-		c.obs.observeInterval(iv)
-	}
-	return iv, nil
+	r.mirrorLinks(links)
+	return accs, nil
 }
 
 // mirrorLinks folds the workers' link counters into the coordinator's
 // registry. The same label appears on both ends of a connection (the
 // dialer counts tx, the acceptor rx), so summing per label yields the
 // link's complete traffic.
-func (c *Cluster) mirrorLinks(links []LinkStats) {
-	c.linkMu.Lock()
-	defer c.linkMu.Unlock()
+func (r *remote) mirrorLinks(links []LinkStats) {
+	r.linkMu.Lock()
+	defer r.linkMu.Unlock()
 	agg := make(map[string]LinkStats, len(links))
 	for _, s := range links {
 		a := agg[s.Link]
@@ -1049,216 +876,82 @@ func (c *Cluster) mirrorLinks(links []LinkStats) {
 		agg[s.Link] = a
 	}
 	for label, s := range agg {
-		m := c.linkSeen[label]
-		if m == nil {
-			m = &linkMirror{}
-			c.linkSeen[label] = m
-			if c.cfg.Metrics != nil {
-				registerLinkMirror(c.cfg.Metrics, label, m)
-			}
+		if _, seen := r.linkSeen[label]; !seen && r.cfg.Metrics != nil {
+			registerLinkMirror(r.cfg.Metrics, label, func() LinkStats {
+				r.linkMu.Lock()
+				defer r.linkMu.Unlock()
+				return r.linkSeen[label]
+			})
 		}
-		m.mu.Lock()
-		m.v = s
-		m.mu.Unlock()
+		r.linkSeen[label] = s
 	}
 }
 
-// LinkTotals returns the last collected per-link counters, aggregated
+// linkTotals returns the last collected per-link counters, aggregated
 // across both endpoints of every connection.
-func (c *Cluster) LinkTotals() []LinkStats {
-	c.linkMu.Lock()
-	defer c.linkMu.Unlock()
-	out := make([]LinkStats, 0, len(c.linkSeen))
-	for _, m := range c.linkSeen {
-		out = append(out, m.get())
+func (r *remote) linkTotals() []LinkStats {
+	r.linkMu.Lock()
+	defer r.linkMu.Unlock()
+	out := make([]LinkStats, 0, len(r.linkSeen))
+	for _, s := range r.linkSeen {
+		out = append(out, s)
 	}
 	return out
 }
 
-// NextInterval blocks until the open window covers d seconds of job
-// time, then cuts and returns it.
-func (c *Cluster) NextInterval(d float64) (Interval, error) {
-	for {
-		c.mu.Lock()
-		stopped := c.stopped
-		remain := c.winStart + d - c.Now()
-		c.mu.Unlock()
-		if stopped {
-			return Interval{}, ErrStopped
+// wait blocks until every worker's share of the current generation has
+// exited; natural only if it was on all of them.
+func (r *remote) wait() (bool, error) {
+	var notNatural atomic.Bool
+	err := r.each(func(cc *ctrlClient) error {
+		var resp waitResp
+		if err := cc.rpc(ctrlWait, struct{}{}, &resp); err != nil {
+			return err
 		}
-		if remain <= 0 {
-			return c.Collect()
+		if !resp.Natural {
+			notNatural.Store(true)
 		}
-		const maxSleep = 50 * time.Millisecond
-		if remain > maxSleep.Seconds() {
-			time.Sleep(maxSleep)
-		} else {
-			time.Sleep(time.Duration(remain * float64(time.Second)))
-		}
-	}
+		return nil
+	})
+	return err == nil && !notNatural.Load(), err
 }
 
-// Rescale redeploys the cluster at a new parallelism: drain everywhere
-// (the cross-process close cascade flushes every in-flight record),
-// snapshot and merge keyed state, repartition it under the new routing
-// tables, and push the next generation — state moving between worker
-// processes through the framed transport. Settle semantics: the open
-// observation window restarts at the new deployment.
-func (c *Cluster) Rescale(newP dataflow.Parallelism) error {
-	if err := newP.Validate(c.pipe.graph); err != nil {
-		return err
-	}
-	if err := validateDistributed(c.pipe, newP, len(c.ctrls)); err != nil {
-		return err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.stopped {
-		return ErrStopped
-	}
-	tr := c.obs.beginRescaleTrace(c.rescales + 1)
-	var resps []drainResp
-	var err error
-	tr.phase(phaseDrain, func(parent uint64) {
-		resps, err = c.drainWorkersLocked(tr, parent)
-	})
-	if err != nil {
-		return err
-	}
-	var states map[string]map[string][]byte
-	tr.phase(phaseSnapshot, func(uint64) {
-		states = mergeEncStates(resps)
-	})
-	if err := c.deployLocked(newP, states, nil, tr); err != nil {
-		return err
-	}
-	c.rescales++
-	// The cluster-wide first record lands on some worker; rescalesDone
-	// polls them off the lock so the rescale returns now.
-	c.rescalesDone(tr)
-	return nil
-}
-
-// resolveFirstRecord polls the workers for the first record processed
-// by generation gen and completes the rescale trace with it. Once any
-// worker has noted a time, workers still pending can only note later
-// ones, so the minimum over the first round with a hit is the
-// cluster-wide first record. Gives up (leaving the trace incomplete)
-// after firstRecordWait, on a control error, or when gen is obsolete.
-func (c *Cluster) resolveFirstRecord(tr *rescaleTrace, restartEnd int64, gen uint32) {
-	deadline := time.Now().Add(firstRecordWait)
+// awaitFirstRecord polls the workers for the first record processed by
+// generation gen. Once any worker has noted a time, workers still
+// pending can only note later ones, so the minimum over the first round
+// with a hit is the cluster-wide first record. Gives up after timeout,
+// on a control error, or when a worker reports the generation gone
+// (drains are broadcast, so it is gone everywhere).
+func (r *remote) awaitFirstRecord(gen uint32, timeout time.Duration) (int64, bool) {
+	deadline := time.Now().Add(timeout)
 	for time.Now().Before(deadline) {
-		c.mu.Lock()
-		stale := c.stopped || c.gen != gen
-		c.mu.Unlock()
-		if stale {
-			return
-		}
 		var mu sync.Mutex
-		best := int64(-1)
-		err := c.each(func(cc *ctrlClient) error {
+		best, gone := int64(0), false
+		err := r.each(func(cc *ctrlClient) error {
 			var resp firstRecResp
 			if err := cc.rpc(ctrlFirstRec, firstRecReq{Gen: gen}, &resp); err != nil {
 				return err
 			}
-			if resp.At > 0 {
-				mu.Lock()
-				if best < 0 || resp.At < best {
-					best = resp.At
-				}
-				mu.Unlock()
+			mu.Lock()
+			switch {
+			case resp.At < 0:
+				gone = true
+			case resp.At > 0 && (best == 0 || resp.At < best):
+				best = resp.At
 			}
+			mu.Unlock()
 			return nil
 		})
 		if err != nil {
-			return
+			return 0, false
 		}
 		if best > 0 {
-			tr.finish(restartEnd, best, true)
-			return
+			return best, true
+		}
+		if gone {
+			return 0, false
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
-	tr.finish(restartEnd, 0, false)
-}
-
-// RescaleTraces returns the retained rescale span timelines,
-// oldest-first. Nil without metrics.
-func (c *Cluster) RescaleTraces() []obs.TraceView {
-	if c.obs == nil {
-		return nil
-	}
-	return c.obs.rescale.ring.Views()
-}
-
-// Stop drains the cluster and returns the final keyed state of every
-// stateful operator, decoded — the distributed analogue of Job.Stop.
-// Idempotent. The control and data connections stay up until Close.
-func (c *Cluster) Stop() map[string]map[string]any {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.stopped {
-		return c.final
-	}
-	c.stopped = true
-	enc, err := c.drainAllLocked()
-	if err == nil {
-		c.final, _ = decodeStates(c.pipe, enc)
-	}
-	if c.final == nil {
-		c.final = make(map[string]map[string]any)
-	}
-	// Job.Stop returns a (possibly empty) map per stateful operator.
-	for name, spec := range c.pipe.ops {
-		if spec.Keyed && c.final[name] == nil {
-			c.final[name] = make(map[string]any)
-		}
-	}
-	return c.final
-}
-
-// Close releases the coordinator's control connections. Call after
-// Stop.
-func (c *Cluster) Close() { c.closeCtrls() }
-
-// Wait blocks until every bounded source is exhausted and the pipeline
-// drained on every worker, or the cluster is stopped. Rescales are
-// transparent, as with Job.Wait.
-func (c *Cluster) Wait() {
-	for {
-		c.mu.Lock()
-		if c.stopped {
-			c.mu.Unlock()
-			return
-		}
-		gen := c.gen
-		c.mu.Unlock()
-		natural := true
-		var mu sync.Mutex
-		err := c.each(func(cc *ctrlClient) error {
-			var resp waitResp
-			if err := cc.rpc(ctrlWait, struct{}{}, &resp); err != nil {
-				return err
-			}
-			if !resp.Natural {
-				mu.Lock()
-				natural = false
-				mu.Unlock()
-			}
-			return nil
-		})
-		if err != nil || natural {
-			return
-		}
-		// Not natural: a drain happened. If it was a rescale, c.mu is
-		// held until the next generation is live, so by the time we can
-		// read c.gen again it has moved; an unchanged gen means Stop.
-		c.mu.Lock()
-		same := c.gen == gen
-		stopped := c.stopped
-		c.mu.Unlock()
-		if stopped || same {
-			return
-		}
-	}
+	return 0, false
 }

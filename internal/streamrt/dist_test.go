@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"ds2/internal/controlloop"
 	"ds2/internal/dataflow"
 	"ds2/internal/streamrt"
 )
@@ -189,72 +188,5 @@ func TestClusterRescaleMigratesState(t *testing.T) {
 	got := cluster.Stop()
 	if want := expectedCounts(limit); !reflect.DeepEqual(got["count"], want) {
 		t.Fatalf("post-rescale counts diverged from the replay oracle:\n got: %v\nwant: %v", got["count"], want)
-	}
-}
-
-// TestDS2ConvergesOnClusterWithinThreeIntervals is the distributed twin
-// of the single-process convergence pin: the same wordcountish job with
-// its instances spread over two worker processes, driven by the same
-// Controller through the Engine seam, must converge to the same
-// provisioning within three policy intervals of the rate step.
-func TestDS2ConvergesOnClusterWithinThreeIntervals(t *testing.T) {
-	const (
-		interval  = 0.2
-		stepAt    = 0.8
-		rateLow   = 100.0
-		rateHigh  = 400.0
-		intervals = 14
-	)
-	rate := func(tm float64) float64 {
-		if tm >= stepAt {
-			return rateHigh
-		}
-		return rateLow
-	}
-	pipe := distWordcountish(t, rate, 0, 4*time.Millisecond, 1200*time.Microsecond)
-	initial := dataflow.Parallelism{"src": 1, "split": 1, "count": 1}
-	addrs := startWorkers(t, 2, map[string]*streamrt.Pipeline{"wc": pipe})
-	cluster, err := streamrt.NewCluster(pipe, "wc", initial, addrs, streamrt.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cluster.Close()
-	defer cluster.Stop()
-
-	ctrl, err := controlloop.New(streamrt.NewEngineRuntime(cluster),
-		liveManager(t, pipe.Graph(), initial),
-		controlloop.Config{Interval: interval, MaxIntervals: intervals})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := ctrl.Run()
-	if err != nil {
-		t.Fatalf("controller: %v\n%s", err, tr)
-	}
-
-	want := dataflow.Parallelism{"src": 1, "split": 2, "count": 3}
-	if !tr.Final.Equal(want) {
-		t.Fatalf("final = %s, want %s\n%s", tr.Final, want, tr)
-	}
-
-	firstStep, lastAction := -1, -1
-	for i, iv := range tr.Intervals {
-		if firstStep < 0 && iv.Target > rateLow*1.5 {
-			firstStep = i
-		}
-		if iv.Action != "" {
-			lastAction = i
-		}
-	}
-	if firstStep < 0 {
-		t.Fatalf("step change never observed\n%s", tr)
-	}
-	if lastAction < 0 || lastAction > firstStep+2 {
-		t.Fatalf("last action at interval %d, want within 3 intervals of step at %d\n%s",
-			lastAction, firstStep, tr)
-	}
-	// The converged deployment spans both workers.
-	if total := want.Total(); total < 2 {
-		t.Fatalf("converged total %d cannot span two workers", total)
 	}
 }

@@ -14,6 +14,16 @@
 // key into keyed operators, round-robin otherwise — so a full queue
 // blocks the sender: backpressure is emergent, not modeled.
 //
+// Three roles, one type each. The Job is the only coordinator: it owns
+// the deployed configuration, the observation window and the one
+// reconfiguration cycle. It reaches its instances through a placement,
+// of which there are two: local (NewJob — this process, channel links,
+// state handed over as Go values) and remote (NewCluster — Worker
+// processes over the framed TCP transport, state as StateCodec bytes).
+// Either way the instances run on a host, the goroutine-per-instance
+// engine; a Worker runs its share on one too, so a single-process job
+// is a cluster whose only worker is local. Cluster is an alias of Job.
+//
 // # Building pipelines
 //
 // Pipelines are built with the typed builder: generic source and
@@ -44,26 +54,10 @@
 //	p, err := tb.AddEdge("src", "split").AddEdge("split", "count").Compile()
 //
 // Compile lowers the typed specs onto the untyped
-// SourceSpec/OperatorSpec representation that job.go/dist.go execute
-// — the runtime and its zero-allocation exchange are untouched, and
-// the untyped NewPipeline builder remains available as an escape
-// hatch (joins with heterogeneous inputs use In = any the same way).
-//
-// # Savepoints
-//
-// Job.Savepoint and Cluster.Savepoint drain the dataflow, encode its
-// keyed state and source sequence counters into a versioned,
-// CRC-guarded binary blob (see checkpoint.go for the format), persist
-// it under a name in a CheckpointStore (DirStore publishes
-// atomically via write-fsync-rename), and restart — the rescale
-// cycle with a persist phase spliced in, traced on the same ring and
-// observed into streamrt_savepoint_seconds. NewJobFromSavepoint and
-// NewClusterFromSavepoint deploy a fresh job from such a blob:
-// operator parallelism may differ from the cut (state repartitions
-// through the ordinary deploy path) and sources resume their
-// sequence space exactly where it stopped, so a bounded stream
-// savepointed, killed, and restored produces byte-identical final
-// state to an uninterrupted run.
+// SourceSpec/OperatorSpec representation that the host executes — the
+// runtime and its zero-allocation exchange are untouched, and the
+// untyped NewPipeline builder remains available as an escape hatch
+// (joins with heterogeneous inputs use In = any the same way).
 //
 // # Instrumentation (§3)
 //
@@ -85,25 +79,43 @@
 // interval via metrics.WindowFromDurations, which absorbs the timer
 // jitter of records straddling a window cut.
 //
-// # Rescaling
+// # Rescaling and savepoints
 //
 // Job.Rescale performs the savepoint-and-restore cycle of §4.1: stop
 // the sources, drain the pipeline (channels close in cascade once all
 // upstream instances exit, so every in-flight record is processed),
 // snapshot the keyed state of every stateful instance, repartition it
-// by hash under the new parallelism, and restart fresh instances. The
-// pause pollutes the running observation window, so Rescale discards
-// it, exactly like the settling EngineRuntime resets its metrics on
+// under the new parallelism, and restart fresh instances. The pause
+// pollutes the running observation window, so Rescale discards it,
+// exactly like the settling EngineRuntime resets its metrics on
 // restart. Source sequence counters survive the cycle, so every
 // generated record is processed exactly once across rescales.
 //
+// Job.Savepoint is the same cycle at the current parallelism with a
+// persist phase spliced in: the snapshot and the sequence counters are
+// encoded into a versioned, CRC-guarded binary blob (see checkpoint.go
+// for the format) and stored under a name in a CheckpointStore
+// (DirStore publishes atomically via write-fsync-rename). The job
+// restarts even when the store write fails. NewJobFromSavepoint and
+// NewClusterFromSavepoint deploy a fresh job from such a blob:
+// operator parallelism may differ from the cut, the worker count may
+// not (source sequences are striped per worker), and sources resume
+// exactly where they stopped, so a bounded stream savepointed, killed,
+// and restored produces byte-identical final state to an
+// uninterrupted run.
+//
+// A placement failure during the cycle (or in Wait) is sticky: the
+// first error is recorded, every later NextInterval, Collect, Rescale
+// and Savepoint returns it, Wait returns, and Err reports it — also
+// after Stop, which then returns no partial state.
+//
 // # Driving it
 //
-// Runtime adapts a Job to controlloop.Runtime, so the standard
-// Controller and every policy (DS2, Dhalion, queueing, hold) drive a
-// live job unchanged — Advance paces on the wall clock instead of
-// virtual time. The same Runtime implements service.AttachedEngine, so
-// Attach registers the job with a ds2d scaling service through the
-// ordinary ingestion/poll/ack API: to the server, a live job and a
-// simulated one are indistinguishable.
+// Runtime (NewEngineRuntime) adapts a Job to controlloop.Runtime, so
+// the standard Controller and every policy (DS2, Dhalion, queueing,
+// hold) drive a live job unchanged — Advance paces on the wall clock
+// instead of virtual time. The same Runtime implements
+// service.AttachedEngine, so AttachEngine registers the job with a
+// ds2d scaling service through the ordinary ingestion/poll/ack API: to
+// the server, a live job and a simulated one are indistinguishable.
 package streamrt

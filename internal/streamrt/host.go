@@ -1,0 +1,465 @@
+package streamrt
+
+import (
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"ds2/internal/dataflow"
+)
+
+// host runs operator instances in this process: goroutine-per-instance
+// workers exchanging batches over bounded channels. It is the local
+// placement of a single-process Job, and what a Worker runs its share
+// of a distributed deployment on — there with a distContext, which
+// filters the instance set by the coordinator's assignment, sends
+// remote edges through the transport and stripes the source sequence
+// space. Every dist branch in deployLocked is a nil check.
+type host struct {
+	pipe  *Pipeline
+	cfg   Config
+	epoch time.Time // job time zero; job time = time.Since(epoch)
+	// obs holds the pre-resolved metric handles when Config.Metrics is
+	// set; nil disables all telemetry.
+	obs  *jobObs
+	dist *distContext
+
+	// batches recycles exchange batches host-wide: receivers return
+	// every batch they finish, so the steady-state exchange allocates
+	// nothing per record.
+	batches sync.Pool
+
+	mu   sync.Mutex
+	gen  uint32
+	dep  *deployment       // nil between a drain and the next deploy
+	seqs map[string]*int64 // per-source sequence counters, shared across generations
+}
+
+// newHost returns a host with nothing deployed. seqs, when nil, starts
+// every source's counter at zero; a Worker passes its own so they
+// outlive the host.
+func newHost(pipe *Pipeline, cfg Config, epoch time.Time, o *jobObs, dc *distContext, seqs map[string]*int64) *host {
+	if seqs == nil {
+		seqs = make(map[string]*int64, len(pipe.sources))
+		for name := range pipe.sources {
+			seqs[name] = new(int64)
+		}
+	}
+	return &host{pipe: pipe, cfg: cfg, epoch: epoch, obs: o, dist: dc, seqs: seqs}
+}
+
+// now returns the current job time in seconds.
+func (h *host) now() float64 { return time.Since(h.epoch).Seconds() }
+
+// getBatch takes an empty batch from the pool (or allocates one sized
+// for BatchSize records).
+func (h *host) getBatch() *batch {
+	if b, ok := h.batches.Get().(*batch); ok {
+		return b
+	}
+	return &batch{
+		msgs: make([]message, 0, h.cfg.BatchSize),
+		buf:  make([]byte, 0, h.cfg.BatchSize*32),
+	}
+}
+
+// putBatch resets and recycles a processed batch. Message values are
+// cleared so the pool does not pin records alive. A batch that arrived
+// over a transport link returns one flow-control credit to its sender:
+// recycling is the cross-process analogue of freeing a channel slot.
+func (h *host) putBatch(b *batch) {
+	if b.from.link != nil {
+		b.from.link.sendCredit(creditMsg{gen: b.from.gen, op: b.from.op, inst: b.from.inst, credits: 1})
+		b.from = recvOrigin{}
+	}
+	clear(b.msgs)
+	b.msgs = b.msgs[:0]
+	b.buf = b.buf[:0]
+	h.batches.Put(b)
+}
+
+// deployment is one generation of running instances; a rescale tears
+// one down and builds the next.
+type deployment struct {
+	stopSources chan struct{}
+	wg          sync.WaitGroup // every instance goroutine
+	insts       map[string][]*instance
+	// first resolves when the deployment processes its first record —
+	// the end of a rescale's downtime window. Always allocated (one
+	// channel per deploy); cancelled at teardown so waiters never leak.
+	first *firstRecord
+}
+
+// deployLocked builds channels and instances for generation gen at par
+// and starts every worker. states carries repartitionable keyed state
+// from the previous deployment (nil on first start). Callers hold h.mu.
+func (h *host) deployLocked(gen uint32, par dataflow.Parallelism, states map[string]map[string]any) {
+	g := h.pipe.graph
+	dep := &deployment{
+		stopSources: make(chan struct{}),
+		insts:       make(map[string][]*instance, g.NumOperators()),
+		first:       newFirstRecord(),
+	}
+
+	// Input queues and close-cascade bookkeeping: each non-source
+	// operator's channels close once all of its upstream instances
+	// have exited, so records drain fully before downstream workers
+	// stop.
+	chans := make(map[string][]chan *batch, g.NumOperators())
+	inWGs := make(map[string]*sync.WaitGroup, g.NumOperators())
+	// One router per keyed operator per deployment, shared between the
+	// exchange and state repartitioning, so a key's records and its
+	// state can never disagree on the owning instance. The routing
+	// table stripes the known key universe (the rescale snapshot's
+	// keys) evenly — or by Config.PartitionWeights — over the
+	// instances; unseen keys use rendezvous hashing.
+	routers := make(map[string]*router)
+	dc := h.dist
+	hosted := func(op string, k int) bool { return dc == nil || dc.assign[op][k] == dc.worker }
+	// In a distributed deployment a receiver's channel also buffers the
+	// remote senders' credit windows: the transport read loop must be
+	// able to deliver every in-flight remote batch without blocking, so
+	// a slow consumer stalls its senders through the credit gate, never
+	// the shared read loop.
+	capacity := h.cfg.ChannelCapacity
+	if dc != nil {
+		capacity += remoteWindow(&h.cfg) * (dc.workers - 1)
+	}
+	// Per downstream operator, the sender-side remote machinery: credit
+	// gates toward remotely hosted instances and the links that carry
+	// the close cascade's DONE frames.
+	remotes := make(map[string][]*remoteDest)
+	doneTo := make(map[string][]*link)
+	for i := 0; i < g.NumOperators(); i++ {
+		op := g.Operator(i)
+		if op.Role == dataflow.RoleSource {
+			continue
+		}
+		if spec := h.pipe.ops[op.Name]; spec.Keyed {
+			if dc != nil {
+				// The routing table is the coordinator's, identical on
+				// every worker — a table rebuilt from this worker's
+				// partial state would route keys differently per
+				// process.
+				routers[op.Name] = routerFromTable(dc.tables[op.Name], par[op.Name])
+			} else {
+				routers[op.Name] = buildRouter(states[op.Name], par[op.Name], h.cfg.PartitionWeights[op.Name])
+			}
+		}
+		cs := make([]chan *batch, par[op.Name])
+		anyLocal := false
+		for k := range cs {
+			if hosted(op.Name, k) {
+				cs[k] = make(chan *batch, capacity)
+				anyLocal = true
+			}
+		}
+		chans[op.Name] = cs
+		if dc != nil {
+			rds := make([]*remoteDest, par[op.Name])
+			seenPeer := make(map[int]bool)
+			for k := range rds {
+				w := dc.assign[op.Name][k]
+				if w == dc.worker {
+					continue
+				}
+				tokens := make(chan struct{}, remoteWindow(&h.cfg))
+				for t := 0; t < cap(tokens); t++ {
+					tokens <- struct{}{}
+				}
+				rds[k] = &remoteDest{link: dc.peers[w], opID: uint16(i), inst: uint16(k), tokens: tokens}
+				if !seenPeer[w] {
+					seenPeer[w] = true
+					doneTo[op.Name] = append(doneTo[op.Name], dc.peers[w])
+				}
+			}
+			remotes[op.Name] = rds
+		}
+		if !anyLocal {
+			continue // close cascade and input wiring live where the instances do
+		}
+		up := 0
+		for _, u := range g.Upstream(i) {
+			up += par[g.Operator(u).Name]
+		}
+		wg := new(sync.WaitGroup)
+		wg.Add(up)
+		inWGs[op.Name] = wg
+		go func(wg *sync.WaitGroup, cs []chan *batch) {
+			wg.Wait()
+			for _, c := range cs {
+				if c != nil {
+					close(c)
+				}
+			}
+		}(wg, cs)
+	}
+
+	for i := 0; i < g.NumOperators(); i++ {
+		op := g.Operator(i)
+		p := par[op.Name]
+		var outs []outEdge
+		for _, d := range g.Downstream(i) {
+			down := g.Operator(d)
+			spec := h.pipe.ops[down.Name]
+			ae, _ := spec.Codec.(AppendEncoder)
+			oe := outEdge{
+				op:        down.Name,
+				keyed:     spec.Keyed,
+				codec:     spec.Codec,
+				appendEnc: ae,
+				router:    routers[down.Name],
+				chans:     chans[down.Name],
+				done:      inWGs[down.Name],
+			}
+			if dc != nil {
+				oe.opID = uint16(d)
+				oe.gen = dc.gen
+				oe.remote = remotes[down.Name]
+				oe.doneLinks = doneTo[down.Name]
+			}
+			outs = append(outs, oe)
+		}
+		for k := 0; k < p; k++ {
+			if !hosted(op.Name, k) {
+				continue
+			}
+			// Each instance gets its own edge copies: the per-edge
+			// round-robin cursor and the pending output batches are
+			// worker-goroutine state; the cursor is seeded with the
+			// instance index to spread streams across senders.
+			myOuts := append([]outEdge(nil), outs...)
+			for e := range myOuts {
+				myOuts[e].rr = k
+				myOuts[e].pend = make([]*batch, len(myOuts[e].chans))
+			}
+			in := &instance{
+				host:  h,
+				op:    op.Name,
+				idx:   k,
+				sink:  op.Role == dataflow.RoleSink,
+				outs:  myOuts,
+				first: dep.first,
+			}
+			if in.sink && h.obs != nil {
+				in.latHist = h.obs.latHist(op.Name)
+			}
+			in.local.downWait = make([]time.Duration, len(myOuts))
+			if op.Role == dataflow.RoleSource {
+				in.src = h.pipe.sources[op.Name]
+				in.seq = h.seqs[op.Name]
+				in.nsrc = p
+				in.seqNW = 1
+				in.srcLimit = in.src.Limit
+				if dc != nil {
+					// Sequence blocks are striped over the workers that
+					// actually host an instance of this source — a
+					// worker with no instances would own blocks nobody
+					// ever emits.
+					hosts := hostingWorkers(dc.assign[op.Name])
+					rank := 0
+					for i, w := range hosts {
+						if w == dc.worker {
+							rank = i
+						}
+					}
+					in.seqNW = len(hosts)
+					in.seqWorker = rank
+					in.seqBlock = h.cfg.SourceSeqBlock
+					in.srcLimit = localSeqLimit(in.src.Limit, rank, len(hosts), h.cfg.SourceSeqBlock)
+					in.startGate = dc.start
+				}
+			} else {
+				in.spec = h.pipe.ops[op.Name]
+				in.in = chans[op.Name][k]
+				if in.spec.Keyed {
+					in.state = partitionState(states[op.Name], routers[op.Name], k)
+				}
+			}
+			dep.insts[op.Name] = append(dep.insts[op.Name], in)
+		}
+	}
+
+	if dc != nil {
+		// Publish the receive table before any instance runs: DATA,
+		// DONE and CREDIT frames for this generation may arrive the
+		// moment the coordinator releases the start gates, and the
+		// transport's read loops resolve everything through this one
+		// atomic pointer.
+		numOps := g.NumOperators()
+		rt := &recvTable{
+			gen:     dc.gen,
+			host:    h,
+			chans:   make([][]chan *batch, numOps),
+			wgs:     make([]*sync.WaitGroup, numOps),
+			credits: make([][]chan struct{}, numOps),
+		}
+		for i := 0; i < numOps; i++ {
+			name := g.Operator(i).Name
+			rt.chans[i] = chans[name]
+			rt.wgs[i] = inWGs[name]
+			if rds := remotes[name]; rds != nil {
+				pools := make([]chan struct{}, len(rds))
+				for k, rd := range rds {
+					if rd != nil {
+						pools[k] = rd.tokens
+					}
+				}
+				rt.credits[i] = pools
+			}
+		}
+		dc.tr.recv.Store(rt)
+	}
+
+	for _, list := range dep.insts {
+		for _, in := range list {
+			dep.wg.Add(1)
+			go func(in *instance) {
+				defer dep.wg.Done()
+				switch {
+				case in.src != nil:
+					in.runSource(dep.stopSources)
+				case in.spec.Window != nil:
+					in.runWindowed()
+				default:
+					in.runOperator()
+				}
+			}(in)
+		}
+	}
+	h.gen, h.dep = gen, dep
+}
+
+// partitionState selects the keys instance idx owns under the
+// deployment's router.
+func partitionState(all map[string]any, rt *router, idx int) map[string]any {
+	out := make(map[string]any)
+	for k, v := range all {
+		if rt.owner(k) == idx {
+			out[k] = v
+		}
+	}
+	return out
+}
+
+func (h *host) workers() int { return 1 }
+
+func (h *host) validate(dataflow.Parallelism) error { return nil }
+
+// deploy implements placement: state arrives as values (decoded here
+// only when it came from a savepoint file or over the wire) and the one
+// trace phase is "restart".
+func (h *host) deploy(gen uint32, par dataflow.Parallelism, snap *snapshot, tr *rescaleTrace) error {
+	states, err := snap.values(h.pipe)
+	if err != nil {
+		return err
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for src, ranks := range snap.seqs {
+		atomic.StoreInt64(h.seqs[src], ranks[0])
+	}
+	tr.phase(phaseRestart, func(uint64) { h.deployLocked(gen, par, states) })
+	return nil
+}
+
+// drain implements placement: stop the sources and wait for the close
+// cascade to process every in-flight record. The quiesced instances'
+// state maps go into the snapshot one part each — their goroutines have
+// exited, so the maps are safe to read — with this process's sequence
+// counters as rank 0.
+func (h *host) drain(*rescaleTrace, uint64) (*snapshot, error) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	snap := &snapshot{valParts: []map[string]map[string]any{}, seqs: make(map[string][]int64, len(h.seqs))}
+	if dep := h.dep; dep != nil {
+		dep.first.cancel()
+		close(dep.stopSources)
+		dep.wg.Wait()
+		h.dep = nil
+		for name, list := range dep.insts {
+			if spec := h.pipe.ops[name]; spec == nil || !spec.Keyed {
+				continue
+			}
+			for _, in := range list {
+				snap.valParts = append(snap.valParts, map[string]map[string]any{name: in.state})
+			}
+		}
+	}
+	for src, p := range h.seqs {
+		snap.seqs[src] = []int64{atomic.LoadInt64(p)}
+	}
+	return snap, nil
+}
+
+// collect implements placement: every deployed instance's accumulator
+// in wire form, reset so the next window starts now.
+func (h *host) collect() ([]wireAcc, error) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.dep == nil {
+		return nil, nil
+	}
+	var out []wireAcc
+	for name, list := range h.dep.insts {
+		_, isSrc := h.pipe.sources[name]
+		for _, in := range list {
+			s := in.acc.take()
+			wa := wireAcc{
+				Op:    name,
+				Idx:   in.idx,
+				IsSrc: isSrc,
+				DurNanos: [5]int64{
+					int64(s.dur.Deserialization), int64(s.dur.Processing), int64(s.dur.Serialization),
+					int64(s.dur.WaitingInput), int64(s.dur.WaitingOutput),
+				},
+				Processed: s.processed,
+				Pushed:    s.pushed,
+				Lats:      s.lats,
+			}
+			for e := range in.outs {
+				wa.DownOps = append(wa.DownOps, in.outs[e].op)
+			}
+			for _, w := range s.downWait {
+				wa.DownWaitNanos = append(wa.DownWaitNanos, int64(w))
+			}
+			out = append(out, wa)
+		}
+	}
+	return out, nil
+}
+
+// wait implements placement.
+func (h *host) wait() (bool, error) {
+	h.mu.Lock()
+	dep := h.dep
+	h.mu.Unlock()
+	if dep == nil {
+		return false, nil
+	}
+	dep.wg.Wait()
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.dep == dep, nil
+}
+
+// firstRec returns generation gen's first-record resolver, nil when
+// that generation is not the one deployed.
+func (h *host) firstRec(gen uint32) *firstRecord {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.dep == nil || h.gen != gen {
+		return nil
+	}
+	return h.dep.first
+}
+
+func (h *host) awaitFirstRecord(gen uint32, timeout time.Duration) (int64, bool) {
+	f := h.firstRec(gen)
+	if f == nil {
+		return 0, false
+	}
+	return f.wait(timeout)
+}
+
+func (h *host) close() {}

@@ -16,23 +16,25 @@ import (
 // to controlloop.ErrStopped so hosts see a clean shutdown.
 var ErrStopped = errors.New("streamrt: job stopped")
 
-// Config tunes a running Job.
+// Config tunes a running Job. The JSON form is what a distributed
+// deploy ships, so all workers batch, flush, pace and stripe
+// identically; Metrics stays behind — each worker exports its own.
 type Config struct {
 	// ChannelCapacity bounds every instance's input queue, counted in
 	// batches (the exchange moves batches of up to BatchSize records).
 	// Smaller queues mean tighter backpressure and faster drains on
 	// rescale; values < 1 default to 16.
-	ChannelCapacity int
+	ChannelCapacity int `json:"channel_capacity"`
 	// BatchSize caps how many records one exchange batch carries. A
 	// sender flushes a partial batch when it reaches this size, when
 	// FlushInterval has passed, when it goes idle or sleeps for pacing,
 	// and at exit. Values < 1 default to 256.
-	BatchSize int
+	BatchSize int `json:"batch_size"`
 	// FlushInterval bounds how long a record may sit in a partial batch
 	// (and how long instrumentation batches its clock splits), so
 	// low-rate jobs keep per-record latency. Values <= 0 default to
 	// 2ms.
-	FlushInterval time.Duration
+	FlushInterval time.Duration `json:"flush_interval_nanos"`
 	// PartitionWeights optionally skews the deployment-time routing
 	// table of a keyed operator (by name): instance i of operator op
 	// receives a share of the known key universe proportional to
@@ -40,19 +42,19 @@ type Config struct {
 	// operator's parallelism, or with non-positive weights, are ignored
 	// (equal shares). Keys outside the known universe fall back to
 	// rendezvous hashing regardless.
-	PartitionWeights map[string][]float64
+	PartitionWeights map[string][]float64 `json:"partition_weights,omitempty"`
 	// BackpressureThreshold is the fraction of a window some upstream
 	// instance must spend blocked pushing into an operator before that
 	// operator is flagged backpressured (the Dhalion signal,
 	// attributed to the congested receiver as on the simulator).
 	// Values <= 0 default to 0.1.
-	BackpressureThreshold float64
+	BackpressureThreshold float64 `json:"backpressure_threshold"`
 	// JitterTolerance is passed to metrics.WindowFromDurations; <= 0
 	// selects metrics.DefaultJitterTolerance.
-	JitterTolerance float64
+	JitterTolerance float64 `json:"jitter_tolerance"`
 	// LatencySampleEvery makes sinks record every Nth record's
 	// source-to-sink latency (weight N). Values < 1 default to 1.
-	LatencySampleEvery int
+	LatencySampleEvery int `json:"latency_sample_every"`
 	// SourceSeqBlock is the block size of the distributed source
 	// sequence striping: each worker process of a distributed job owns
 	// every SourceSeqBlock-long run of global sequence numbers whose
@@ -60,14 +62,14 @@ type Config struct {
 	// jointly emit exactly the single-process sequence set with no
 	// cross-process coordination. Irrelevant to single-process jobs.
 	// Values < 1 default to 8192.
-	SourceSeqBlock int64
+	SourceSeqBlock int64 `json:"source_seq_block"`
 	// Metrics optionally exports the job's runtime telemetry — the §3
 	// per-operator time splits, true/observed rates, batching and
 	// backpressure counters, and a sampled record-latency histogram —
 	// into an obs.Registry (typically shared with a /metrics exporter).
 	// Nil disables telemetry; the hot path then pays one nil check per
 	// batch and nothing per record.
-	Metrics *obs.Registry
+	Metrics *obs.Registry `json:"-"`
 }
 
 func (c Config) withDefaults() Config {
@@ -92,132 +94,104 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Job is one deployed, running pipeline: goroutine-per-instance
-// workers exchanging records over bounded channels. NewJob starts it;
-// it runs until Stop (or until every bounded source is exhausted).
+// Job is one deployed, running pipeline and the only coordinator in the
+// package: it owns the deployed configuration, the observation window
+// and the one reconfiguration cycle, and reaches the running instances
+// through a placement — this process (NewJob) or Worker processes over
+// the framed transport (NewCluster). It runs until Stop, or until every
+// bounded source is exhausted.
 type Job struct {
-	pipe  *Pipeline
-	cfg   Config
-	epoch time.Time // job time zero; job time = time.Since(epoch)
-	// obs holds the pre-resolved metric handles when Config.Metrics is
-	// set; nil disables all telemetry.
-	obs *jobObs
-	// dist is set when this Job hosts one worker's share of a
-	// distributed deployment (see dist.go): instances whose placement
-	// is elsewhere are skipped, remote edges go through the transport,
-	// and sources stripe the sequence space. Nil for ordinary
-	// single-process jobs — every dist branch below is a nil check.
-	dist *distContext
-
-	// batches recycles exchange batches job-wide: receivers return
-	// every batch they finish, so the steady-state exchange allocates
-	// nothing per record.
-	batches sync.Pool
+	pipe     *Pipeline
+	workload string // the name the workers serve pipe under; "" when local
+	cfg      Config
+	epoch    time.Time // job time zero; job time = time.Since(epoch)
+	obs      *jobObs   // nil when Config.Metrics is unset
+	pl       placement
 
 	mu         sync.Mutex
 	cur        dataflow.Parallelism
-	dep        *deployment
-	seqs       map[string]*int64 // per-source sequence counters, shared across rescales
-	winStart   float64           // job time of the last window cut
+	gen        uint32  // deployment generation, bumped by every deploy
+	winStart   float64 // job time of the last window cut
 	rescales   int
 	savepoints int
 	stopped    bool
-	final      map[string]map[string]any
+	// err is the first placement failure in drain, deploy or wait. It is
+	// sticky: some instances may be down and drained state may be lost,
+	// so nothing is collected, rescaled or savepointed afterwards.
+	err   error
+	final map[string]map[string]any
 }
 
-// getBatch takes an empty batch from the pool (or allocates one sized
-// for BatchSize records).
-func (j *Job) getBatch() *batch {
-	if b, ok := j.batches.Get().(*batch); ok {
-		return b
-	}
-	return &batch{
-		msgs: make([]message, 0, j.cfg.BatchSize),
-		buf:  make([]byte, 0, j.cfg.BatchSize*32),
-	}
-}
+// Cluster is a Job placed on Worker processes. The coordinator is the
+// same; only NewCluster and NewClusterFromSavepoint produce one.
+type Cluster = Job
 
-// putBatch resets and recycles a processed batch. Message values are
-// cleared so the pool does not pin records alive. A batch that arrived
-// over a transport link returns one flow-control credit to its sender:
-// recycling is the cross-process analogue of freeing a channel slot.
-func (j *Job) putBatch(b *batch) {
-	if b.from.link != nil {
-		b.from.link.sendCredit(creditMsg{gen: b.from.gen, op: b.from.op, inst: b.from.inst, credits: 1})
-		b.from = recvOrigin{}
-	}
-	clear(b.msgs)
-	b.msgs = b.msgs[:0]
-	b.buf = b.buf[:0]
-	j.batches.Put(b)
-}
-
-// deployment is one generation of running instances; a rescale tears
-// one down and builds the next.
-type deployment struct {
-	stopSources chan struct{}
-	wg          sync.WaitGroup // every instance goroutine
-	insts       map[string][]*instance
-	// first resolves when the deployment processes its first record —
-	// the end of a rescale's downtime window. Always allocated (one
-	// channel per deploy); cancelled at teardown so waiters never leak.
-	first *firstRecord
-}
-
-// NewJob validates the initial parallelism, deploys the pipeline and
-// starts every instance.
+// NewJob validates the initial parallelism, deploys the pipeline in
+// this process and starts every instance.
 func NewJob(p *Pipeline, initial dataflow.Parallelism, cfg Config) (*Job, error) {
-	if p == nil {
+	return start(p, "", initial, nil, cfg, nil, "")
+}
+
+// NewCluster deploys pipe over the workers at addrs (each running a
+// Worker serving the named workload) and starts it.
+func NewCluster(pipe *Pipeline, workload string, initial dataflow.Parallelism, addrs []string, cfg Config) (*Cluster, error) {
+	return start(pipe, workload, initial, append([]string{}, addrs...), cfg, nil, "")
+}
+
+// start builds a coordinator and pushes its first generation — from
+// nothing, or, with a store, from the savepoint held under name: load,
+// decode, check it fits this pipeline and worker count, deploy. A nil
+// addrs selects the local placement.
+func start(pipe *Pipeline, workload string, initial dataflow.Parallelism, addrs []string, cfg Config, store CheckpointStore, name string) (*Job, error) {
+	if pipe == nil {
 		return nil, errors.New("streamrt: nil pipeline")
 	}
-	if err := initial.Validate(p.graph); err != nil {
+	if err := initial.Validate(pipe.graph); err != nil {
 		return nil, err
 	}
-	j := &Job{
-		pipe:  p,
-		cfg:   cfg.withDefaults(),
-		epoch: time.Now(),
-		cur:   initial.Clone(),
-		seqs:  make(map[string]*int64),
-	}
-	for name := range p.sources {
-		j.seqs[name] = new(int64)
+	j := &Job{pipe: pipe, workload: workload, cfg: cfg.withDefaults(), epoch: time.Now(), cur: initial.Clone()}
+	snap := new(snapshot) // generation 1 starts empty unless restored
+	if store != nil {
+		data, err := store.Load(name)
+		if err != nil {
+			return nil, fmt.Errorf("streamrt: loading savepoint %q: %w", name, err)
+		}
+		sp, err := decodeSavepoint(data)
+		if err != nil {
+			return nil, err
+		}
+		if err := checkRestoreShape(pipe, sp, workload, initial, addrs); err != nil {
+			return nil, err
+		}
+		// Job time continues from the cut, so rate schedules pick up
+		// where they stopped; the striping block size is the file's.
+		j.cfg.SourceSeqBlock = sp.SeqBlock
+		j.epoch = j.epoch.Add(-time.Duration(sp.Elapsed * float64(time.Second)))
+		j.winStart = sp.Elapsed
+		snap.enc, snap.seqs = sp.States, sp.Seqs
 	}
 	if j.cfg.Metrics != nil {
-		j.obs = newJobObs(j.cfg.Metrics, j.pipe, j.Rescales)
+		j.obs = newJobObs(j.cfg.Metrics, pipe, j.Rescales)
 	}
-	j.mu.Lock()
-	j.deployLocked(nil)
-	j.mu.Unlock()
+	if addrs == nil {
+		j.pl = newHost(pipe, j.cfg, j.epoch, j.obs, nil, nil)
+	} else {
+		r, err := dialRemote(pipe, workload, j.cfg, j.epoch, addrs, initial)
+		if err != nil {
+			return nil, err
+		}
+		j.pl = r
+	}
+	j.gen = 1
+	if err := j.pl.deploy(j.gen, initial, snap, nil); err != nil {
+		j.pl.close()
+		return nil, err
+	}
 	return j, nil
 }
 
-// newWorkerJob deploys one worker process's share of a distributed
-// deployment: a Job whose instance set is filtered by the coordinator's
-// placement, with remote edges riding dc's transport. The epoch and
-// per-source sequence counters are the worker's — they survive across
-// the worker's successive generations, exactly like a single-process
-// Job's survive rescales.
-func newWorkerJob(p *Pipeline, cur dataflow.Parallelism, cfg Config, dc *distContext,
-	seqs map[string]*int64, epoch time.Time, states map[string]map[string]any) *Job {
-	j := &Job{
-		pipe:  p,
-		cfg:   cfg.withDefaults(),
-		epoch: epoch,
-		cur:   cur.Clone(),
-		seqs:  seqs,
-		dist:  dc,
-	}
-	if j.cfg.Metrics != nil {
-		j.obs = newJobObs(j.cfg.Metrics, j.pipe, j.Rescales)
-	}
-	j.mu.Lock()
-	j.deployLocked(states)
-	j.mu.Unlock()
-	return j
-}
-
-// Now returns the current job time in seconds.
+// Now returns the current job time in seconds (worker epochs are
+// aligned to it at every deploy).
 func (j *Job) Now() float64 { return time.Since(j.epoch).Seconds() }
 
 // WindowStart returns the job time the open observation window
@@ -249,302 +223,40 @@ func (j *Job) Stopped() bool {
 	return j.stopped
 }
 
-// deployLocked builds channels and instances for j.cur and starts
-// every worker. states carries repartitionable keyed state from the
-// previous deployment (nil on first start). Callers hold j.mu.
-func (j *Job) deployLocked(states map[string]map[string]any) {
-	g := j.pipe.graph
-	dep := &deployment{
-		stopSources: make(chan struct{}),
-		insts:       make(map[string][]*instance, g.NumOperators()),
-		first:       newFirstRecord(),
-	}
-
-	// Input queues and close-cascade bookkeeping: each non-source
-	// operator's channels close once all of its upstream instances
-	// have exited, so records drain fully before downstream workers
-	// stop.
-	chans := make(map[string][]chan *batch, g.NumOperators())
-	inWGs := make(map[string]*sync.WaitGroup, g.NumOperators())
-	// One router per keyed operator per deployment, shared between the
-	// exchange and state repartitioning, so a key's records and its
-	// state can never disagree on the owning instance. The routing
-	// table stripes the known key universe (the rescale snapshot's
-	// keys) evenly — or by Config.PartitionWeights — over the
-	// instances; unseen keys use rendezvous hashing.
-	routers := make(map[string]*router)
-	dc := j.dist
-	hosted := func(op string, k int) bool { return dc == nil || dc.assign[op][k] == dc.worker }
-	// In a distributed deployment a receiver's channel also buffers the
-	// remote senders' credit windows: the transport read loop must be
-	// able to deliver every in-flight remote batch without blocking, so
-	// a slow consumer stalls its senders through the credit gate, never
-	// the shared read loop.
-	capacity := j.cfg.ChannelCapacity
-	if dc != nil {
-		capacity += remoteWindow(&j.cfg) * (dc.workers - 1)
-	}
-	// Per downstream operator, the sender-side remote machinery: credit
-	// gates toward remotely hosted instances and the links that carry
-	// the close cascade's DONE frames.
-	remotes := make(map[string][]*remoteDest)
-	doneTo := make(map[string][]*link)
-	for i := 0; i < g.NumOperators(); i++ {
-		op := g.Operator(i)
-		if op.Role == dataflow.RoleSource {
-			continue
-		}
-		if spec := j.pipe.ops[op.Name]; spec.Keyed {
-			if dc != nil {
-				// The routing table is the coordinator's, identical on
-				// every worker — a table rebuilt from this worker's
-				// partial state would route keys differently per
-				// process.
-				routers[op.Name] = routerFromTable(dc.tables[op.Name], j.cur[op.Name])
-			} else {
-				routers[op.Name] = buildRouter(states[op.Name], j.cur[op.Name], j.cfg.PartitionWeights[op.Name])
-			}
-		}
-		cs := make([]chan *batch, j.cur[op.Name])
-		anyLocal := false
-		for k := range cs {
-			if hosted(op.Name, k) {
-				cs[k] = make(chan *batch, capacity)
-				anyLocal = true
-			}
-		}
-		chans[op.Name] = cs
-		if dc != nil {
-			rds := make([]*remoteDest, j.cur[op.Name])
-			seenPeer := make(map[int]bool)
-			for k := range rds {
-				w := dc.assign[op.Name][k]
-				if w == dc.worker {
-					continue
-				}
-				tokens := make(chan struct{}, remoteWindow(&j.cfg))
-				for t := 0; t < cap(tokens); t++ {
-					tokens <- struct{}{}
-				}
-				rds[k] = &remoteDest{link: dc.peers[w], opID: uint16(i), inst: uint16(k), tokens: tokens}
-				if !seenPeer[w] {
-					seenPeer[w] = true
-					doneTo[op.Name] = append(doneTo[op.Name], dc.peers[w])
-				}
-			}
-			remotes[op.Name] = rds
-		}
-		if !anyLocal {
-			continue // close cascade and input wiring live where the instances do
-		}
-		up := 0
-		for _, u := range g.Upstream(i) {
-			up += j.cur[g.Operator(u).Name]
-		}
-		wg := new(sync.WaitGroup)
-		wg.Add(up)
-		inWGs[op.Name] = wg
-		go func(wg *sync.WaitGroup, cs []chan *batch) {
-			wg.Wait()
-			for _, c := range cs {
-				if c != nil {
-					close(c)
-				}
-			}
-		}(wg, cs)
-	}
-
-	for i := 0; i < g.NumOperators(); i++ {
-		op := g.Operator(i)
-		p := j.cur[op.Name]
-		var outs []outEdge
-		for _, d := range g.Downstream(i) {
-			down := g.Operator(d)
-			spec := j.pipe.ops[down.Name]
-			ae, _ := spec.Codec.(AppendEncoder)
-			oe := outEdge{
-				op:        down.Name,
-				keyed:     spec.Keyed,
-				codec:     spec.Codec,
-				appendEnc: ae,
-				router:    routers[down.Name],
-				chans:     chans[down.Name],
-				done:      inWGs[down.Name],
-			}
-			if dc != nil {
-				oe.opID = uint16(d)
-				oe.gen = dc.gen
-				oe.remote = remotes[down.Name]
-				oe.doneLinks = doneTo[down.Name]
-			}
-			outs = append(outs, oe)
-		}
-		for k := 0; k < p; k++ {
-			if !hosted(op.Name, k) {
-				continue
-			}
-			// Each instance gets its own edge copies: the per-edge
-			// round-robin cursor and the pending output batches are
-			// worker-goroutine state; the cursor is seeded with the
-			// instance index to spread streams across senders.
-			myOuts := append([]outEdge(nil), outs...)
-			for e := range myOuts {
-				myOuts[e].rr = k
-				myOuts[e].pend = make([]*batch, len(myOuts[e].chans))
-			}
-			in := &instance{
-				job:   j,
-				op:    op.Name,
-				idx:   k,
-				sink:  op.Role == dataflow.RoleSink,
-				outs:  myOuts,
-				first: dep.first,
-			}
-			if in.sink && j.obs != nil {
-				in.latHist = j.obs.latHist(op.Name)
-			}
-			in.local.downWait = make([]time.Duration, len(myOuts))
-			if op.Role == dataflow.RoleSource {
-				in.src = j.pipe.sources[op.Name]
-				in.seq = j.seqs[op.Name]
-				in.nsrc = p
-				in.seqNW = 1
-				in.srcLimit = in.src.Limit
-				if dc != nil {
-					// Sequence blocks are striped over the workers that
-					// actually host an instance of this source — a
-					// worker with no instances would own blocks nobody
-					// ever emits.
-					hosts := hostingWorkers(dc.assign[op.Name])
-					rank := 0
-					for i, w := range hosts {
-						if w == dc.worker {
-							rank = i
-						}
-					}
-					in.seqNW = len(hosts)
-					in.seqWorker = rank
-					in.seqBlock = j.cfg.SourceSeqBlock
-					in.srcLimit = localSeqLimit(in.src.Limit, rank, len(hosts), j.cfg.SourceSeqBlock)
-					in.startGate = dc.start
-				}
-			} else {
-				in.spec = j.pipe.ops[op.Name]
-				in.in = chans[op.Name][k]
-				if in.spec.Keyed {
-					in.state = partitionState(states[op.Name], routers[op.Name], k)
-				}
-			}
-			dep.insts[op.Name] = append(dep.insts[op.Name], in)
-		}
-	}
-
-	if dc != nil {
-		// Publish the receive table before any instance runs: DATA,
-		// DONE and CREDIT frames for this generation may arrive the
-		// moment the coordinator releases the start gates, and the
-		// transport's read loops resolve everything through this one
-		// atomic pointer.
-		numOps := g.NumOperators()
-		rt := &recvTable{
-			gen:     dc.gen,
-			job:     j,
-			chans:   make([][]chan *batch, numOps),
-			wgs:     make([]*sync.WaitGroup, numOps),
-			credits: make([][]chan struct{}, numOps),
-		}
-		for i := 0; i < numOps; i++ {
-			name := g.Operator(i).Name
-			rt.chans[i] = chans[name]
-			rt.wgs[i] = inWGs[name]
-			if rds := remotes[name]; rds != nil {
-				pools := make([]chan struct{}, len(rds))
-				for k, rd := range rds {
-					if rd != nil {
-						pools[k] = rd.tokens
-					}
-				}
-				rt.credits[i] = pools
-			}
-		}
-		dc.tr.recv.Store(rt)
-	}
-
-	for _, list := range dep.insts {
-		for _, in := range list {
-			dep.wg.Add(1)
-			go func(in *instance) {
-				defer dep.wg.Done()
-				switch {
-				case in.src != nil:
-					in.runSource(dep.stopSources)
-				case in.spec.Window != nil:
-					in.runWindowed()
-				default:
-					in.runOperator()
-				}
-			}(in)
-		}
-	}
-	j.dep = dep
+// Err returns the placement failure that took the job down, if any —
+// the error every call has returned since. It is still there after
+// Stop, whose own drain failure it also reports.
+func (j *Job) Err() error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.err
 }
 
-// partitionState selects the keys instance idx owns under the
-// deployment's router.
-func partitionState(all map[string]any, rt *router, idx int) map[string]any {
-	out := make(map[string]any)
-	for k, v := range all {
-		if rt.owner(k) == idx {
-			out[k] = v
-		}
+// downLocked returns why the job can no longer be driven: the sticky
+// placement failure, or ErrStopped. Callers hold j.mu.
+func (j *Job) downLocked() error {
+	if j.err != nil {
+		return j.err
 	}
-	return out
-}
-
-// stopLocked stops the sources and drains the pipeline (the close
-// cascade guarantees every in-flight record is processed), returning
-// the quiesced deployment — the rescale trace's "drain" phase. Callers
-// hold j.mu.
-func (j *Job) stopLocked() *deployment {
-	dep := j.dep
-	dep.first.cancel()
-	close(dep.stopSources)
-	dep.wg.Wait()
-	j.dep = nil
-	return dep
-}
-
-// snapshotStates merges a quiesced deployment's keyed state per
-// stateful operator — the "snapshot" phase. Instance goroutines have
-// exited, so their state maps are safe to read; keys are disjoint
-// across instances by the deployment's router.
-func (j *Job) snapshotStates(dep *deployment) map[string]map[string]any {
-	states := make(map[string]map[string]any)
-	for name, list := range dep.insts {
-		spec := j.pipe.ops[name]
-		if spec == nil || !spec.Keyed {
-			continue
-		}
-		merged := make(map[string]any)
-		for _, in := range list {
-			for k, v := range in.state {
-				merged[k] = v
-			}
-		}
-		states[name] = merged
+	if j.stopped {
+		return ErrStopped
 	}
-	return states
+	return nil
 }
 
-// teardownLocked stops, drains, and snapshots the current deployment.
-// Callers hold j.mu.
-func (j *Job) teardownLocked() map[string]map[string]any {
-	return j.snapshotStates(j.stopLocked())
+// failLocked records err as the job's sticky failure unless an earlier
+// one is already there. Callers hold j.mu.
+func (j *Job) failLocked(err error) error {
+	if j.err == nil {
+		j.err = err
+	}
+	return err
 }
 
 // Rescale redeploys the job at a new parallelism via the paper's
 // savepoint-and-restore shape: drain, snapshot keyed state,
-// repartition it under the new configuration, restart. The pause
+// repartition it under the new configuration, restart — across worker
+// processes the state moves over the framed transport. The pause
 // pollutes the open observation window, so the window is discarded and
 // restarted at the new deployment (settle semantics — the next
 // interval starts clean, as the Flink integration's §4.1 metrics
@@ -553,29 +265,98 @@ func (j *Job) Rescale(newP dataflow.Parallelism) error {
 	if err := newP.Validate(j.pipe.graph); err != nil {
 		return err
 	}
+	if err := j.pl.validate(newP); err != nil {
+		return err
+	}
+	return j.reconfigure(newP, nil, "")
+}
+
+// Savepoint drains the job, snapshots and encodes its keyed state and
+// source sequence counters, persists the blob under name, and
+// restarts the job at its current parallelism — the rescale cycle
+// with a persist phase spliced in, traced the same way (the timeline
+// appears on the rescale trace ring as "savepoint-N") and observed
+// into streamrt_savepoint_seconds. The restart happens even when the
+// store write fails: a failed persist returns the error but never
+// leaves the job drained.
+func (j *Job) Savepoint(store CheckpointStore, name string) error {
+	if store == nil {
+		return errors.New("streamrt: nil checkpoint store")
+	}
+	if err := checkSavepointable(j.pipe); err != nil {
+		return err
+	}
+	return j.reconfigure(nil, store, name)
+}
+
+// reconfigure is the one reconfiguration mechanism (§4.1–4.2): drain,
+// snapshot, persist when a store is given, deploy. newP nil keeps the
+// current parallelism. A placement failure in drain or deploy is
+// sticky (see Job.err); a failed persist is not — the job restarts and
+// the error is returned.
+func (j *Job) reconfigure(newP dataflow.Parallelism, store CheckpointStore, name string) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.stopped {
-		return ErrStopped
+	if err := j.downLocked(); err != nil {
+		return err
 	}
-	tr := j.obs.beginRescaleTrace(j.rescales + 1)
-	var dep *deployment
-	tr.phase(phaseDrain, func(uint64) { dep = j.stopLocked() })
-	var states map[string]map[string]any
-	tr.phase(phaseSnapshot, func(uint64) { states = j.snapshotStates(dep) })
+	kind, n := "rescale", j.rescales+1
+	if store != nil {
+		j.savepoints++
+		kind, n = "savepoint", j.savepoints
+	}
+	tr := j.obs.beginTrace(kind, n)
+	if newP == nil {
+		newP = j.cur
+	}
+	t0 := time.Now()
+	var snap *snapshot
+	var err error
+	tr.phase(phaseDrain, func(parent uint64) { snap, err = j.pl.drain(tr, parent) })
+	if err != nil {
+		return j.failLocked(err)
+	}
+	var enc map[string]map[string][]byte
+	var perr error
+	tr.phase(phaseSnapshot, func(uint64) {
+		snap.merge()
+		if store != nil {
+			enc, perr = snap.bytes(j.pipe)
+		}
+	})
+	if store != nil && perr == nil {
+		tr.phase(phasePersist, func(uint64) {
+			perr = store.Save(name, encodeSavepoint(&savepointData{
+				Workload: j.workload,
+				Workers:  j.pl.workers(),
+				SeqBlock: j.cfg.SourceSeqBlock,
+				Elapsed:  j.Now(),
+				Seqs:     snap.seqs,
+				States:   enc,
+			}))
+		})
+	}
+	j.gen++
+	if err := j.pl.deploy(j.gen, newP, snap, tr); err != nil {
+		return j.failLocked(err)
+	}
 	j.cur = newP.Clone()
-	tr.phase(phaseRestart, func(uint64) { j.deployLocked(states) })
-	j.rescales++
 	j.winStart = j.Now()
+	if store == nil {
+		j.rescales++
+	} else if h := j.obs.savepointHist(); h != nil {
+		h.Observe(time.Since(t0).Seconds())
+	}
 	if tr != nil {
-		restartEnd := tr.now()
-		first := j.dep.first
+		// The first record lands after Rescale has returned; resolve it
+		// into the trace off the lock.
+		restartEnd, gen := tr.now(), j.gen
 		go func() {
-			at, ok := first.wait(firstRecordWait)
+			at, ok := j.pl.awaitFirstRecord(gen, firstRecordWait)
 			tr.finish(restartEnd, at, ok)
 		}()
 	}
-	return nil
+	return perr
 }
 
 // RescaleTraces returns the retained rescale span timelines, oldest
@@ -589,69 +370,82 @@ func (j *Job) RescaleTraces() []obs.TraceView {
 }
 
 // Stop tears the job down and returns the final keyed state of every
-// stateful operator (operator -> key -> state). It is idempotent.
+// stateful operator (operator -> key -> state), decoded. It is
+// idempotent. When the drain fails, or the job had already failed, the
+// state is incomplete and is not returned: the maps are empty and Err
+// says why. A remote placement's connections stay up until Close.
 func (j *Job) Stop() map[string]map[string]any {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.stopped {
 		return j.final
 	}
-	j.final = j.teardownLocked()
 	j.stopped = true
+	// Drain even a failed job: part of it may still be running.
+	var final map[string]map[string]any
+	snap, err := j.pl.drain(nil, 0)
+	if err == nil {
+		snap.merge()
+		final, err = snap.values(j.pipe)
+	}
+	if err != nil {
+		j.failLocked(err)
+	}
+	if j.err != nil || final == nil {
+		final = make(map[string]map[string]any)
+	}
+	for name, spec := range j.pipe.ops {
+		if spec.Keyed && final[name] == nil {
+			final[name] = make(map[string]any)
+		}
+	}
+	j.final = final
 	return j.final
+}
+
+// Close releases a remote placement's control connections. Call after
+// Stop; on a single-process job it does nothing.
+func (j *Job) Close() { j.pl.close() }
+
+// LinkTotals returns the last collected per-link counters of a remote
+// placement, aggregated across both endpoints of every connection. Nil
+// for a single-process job, which has no links.
+func (j *Job) LinkTotals() []LinkStats {
+	if r, ok := j.pl.(*remote); ok {
+		return r.linkTotals()
+	}
+	return nil
 }
 
 // Wait blocks until every instance has exited on its own — i.e. every
 // bounded source hit its Limit and the pipeline drained — or the job
-// was stopped. It does not stop the job; call Stop afterwards to
-// collect final state. Rescales are transparent: a drained-for-rescale
-// deployment does not satisfy Wait, which moves on to the replacement
-// generation.
+// was stopped or failed. It does not stop the job; call Stop afterwards
+// to collect final state. Rescales are transparent: a
+// drained-for-rescale generation does not satisfy Wait, which moves on
+// to its replacement.
 func (j *Job) Wait() {
 	for {
 		j.mu.Lock()
-		dep := j.dep
+		down := j.downLocked() != nil
+		gen := j.gen
 		j.mu.Unlock()
-		if dep == nil {
-			return // stopped
+		if down {
+			return
 		}
-		dep.wg.Wait()
+		natural, err := j.pl.wait()
 		j.mu.Lock()
-		current := j.dep == dep
+		if err != nil {
+			j.failLocked(err)
+		}
+		// Not natural means a drain. A reconfiguration holds j.mu until
+		// the next generation is live, so by now j.gen has moved; an
+		// unchanged gen means Stop.
+		done := err != nil || natural || j.gen == gen
 		j.mu.Unlock()
-		if current {
-			return // exhausted naturally and never replaced
+		if done {
+			return
 		}
 	}
-}
-
-// waitCurrent blocks until the current deployment's instances have all
-// exited and reports whether that deployment was still current when
-// they did — i.e. the sources exhausted naturally rather than being
-// drained for a rescale. Used by the distributed worker's wait RPC.
-func (j *Job) waitCurrent() bool {
-	j.mu.Lock()
-	dep := j.dep
-	j.mu.Unlock()
-	if dep == nil {
-		return false
-	}
-	dep.wg.Wait()
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.dep == dep
-}
-
-// drain stops and drains the current deployment, returning the merged
-// keyed state — the worker-side half of a distributed rescale or stop.
-// Nil if there is nothing deployed.
-func (j *Job) drain() map[string]map[string]any {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.stopped || j.dep == nil {
-		return nil
-	}
-	return j.teardownLocked()
 }
 
 // Interval is everything one observation window produced — the
@@ -672,9 +466,9 @@ type Interval struct {
 
 // wireAcc is one instance's taken accumulator in wire form: a worker of
 // a distributed deployment ships these to the coordinator at collect
-// time, and the single-process Collect goes through the same struct so
-// both runtimes build intervals with byte-identical logic (decision
-// parity between local and distributed runs depends on it).
+// time, and the local placement hands over the same struct, so both
+// build intervals with byte-identical logic (decision parity between
+// local and distributed runs depends on it).
 type wireAcc struct {
 	Op            string                  `json:"op"`
 	Idx           int                     `json:"idx"`
@@ -687,43 +481,10 @@ type wireAcc struct {
 	Lats          []metrics.LatencySample `json:"lats,omitempty"`
 }
 
-// takeAccsLocked takes every deployed instance's accumulator (resetting
-// them — the next window starts now) in wire form. Callers hold j.mu
-// with j.dep non-nil.
-func (j *Job) takeAccsLocked() []wireAcc {
-	var out []wireAcc
-	for name, list := range j.dep.insts {
-		_, isSrc := j.pipe.sources[name]
-		for _, in := range list {
-			s := in.acc.take()
-			wa := wireAcc{
-				Op:    name,
-				Idx:   in.idx,
-				IsSrc: isSrc,
-				DurNanos: [5]int64{
-					int64(s.dur.Deserialization), int64(s.dur.Processing), int64(s.dur.Serialization),
-					int64(s.dur.WaitingInput), int64(s.dur.WaitingOutput),
-				},
-				Processed: s.processed,
-				Pushed:    s.pushed,
-				Lats:      s.lats,
-			}
-			for e := range in.outs {
-				wa.DownOps = append(wa.DownOps, in.outs[e].op)
-			}
-			for _, w := range s.downWait {
-				wa.DownWaitNanos = append(wa.DownWaitNanos, int64(w))
-			}
-			out = append(out, wa)
-		}
-	}
-	return out
-}
-
-// buildInterval turns taken accumulators into an Interval — the shared
-// build phase of the single-process Job.Collect and the distributed
-// Cluster.Collect. It needs no lock: it works on the taken snapshots
-// and the immutable pipeline, plus the user's Rate function.
+// buildInterval turns taken accumulators into an Interval — the build
+// phase of Job.Collect, and of a Worker's own gauge refresh. It needs
+// no lock: it works on the taken snapshots and the immutable pipeline,
+// plus the user's Rate function.
 func buildInterval(pipe *Pipeline, cfg Config, accs []wireAcc, start, end float64, par dataflow.Parallelism) (Interval, error) {
 	iv := Interval{
 		Start:                start,
@@ -807,21 +568,25 @@ func buildInterval(pipe *Pipeline, cfg Config, accs []wireAcc, start, end float6
 // samples). The next window starts at the cut.
 func (j *Job) Collect() (Interval, error) {
 	j.mu.Lock()
-	if j.stopped {
+	if err := j.downLocked(); err != nil {
 		j.mu.Unlock()
-		return Interval{}, ErrStopped
+		return Interval{}, err
 	}
 	end := j.Now()
 	start := j.winStart
 	par := j.cur.Clone()
 	var accs []wireAcc
-	if j.dep != nil && end > start {
+	if end > start {
 		// Take every accumulator and advance the window before building
 		// a single WindowMetrics: a build error then discards the
 		// interval wholesale — all counters reset and winStart advanced
 		// together — instead of losing a random prefix of instances
 		// while the next interval's span still includes this one.
-		accs = j.takeAccsLocked()
+		var err error
+		if accs, err = j.pl.collect(); err != nil {
+			j.mu.Unlock()
+			return Interval{}, err
+		}
 		j.winStart = end
 	}
 	j.mu.Unlock()
@@ -837,15 +602,15 @@ func (j *Job) Collect() (Interval, error) {
 
 // NextInterval blocks until the open window covers d seconds of job
 // time, then cuts and returns it. It returns ErrStopped once the job
-// was stopped.
+// was stopped, and the placement failure once it has failed.
 func (j *Job) NextInterval(d float64) (Interval, error) {
 	for {
 		j.mu.Lock()
-		stopped := j.stopped
+		err := j.downLocked()
 		remain := j.winStart + d - j.Now()
 		j.mu.Unlock()
-		if stopped {
-			return Interval{}, ErrStopped
+		if err != nil {
+			return Interval{}, err
 		}
 		if remain <= 0 {
 			return j.Collect()

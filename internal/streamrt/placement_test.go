@@ -1,0 +1,225 @@
+// Tests for the coordinator/placement seam: a fake placement that
+// fails on demand pins the sticky-failure contract, and a call-counting
+// StateCodec pins that the local placement does no codec round trip.
+package streamrt
+
+import (
+	"errors"
+	"fmt"
+	"reflect"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"ds2/internal/dataflow"
+)
+
+// countingCodec is IntStateCodec counting its calls.
+type countingCodec struct{ enc, dec atomic.Int64 }
+
+func (c *countingCodec) EncodeState(v any) []byte {
+	c.enc.Add(1)
+	return IntStateCodec{}.EncodeState(v)
+}
+
+func (c *countingCodec) DecodeState(b []byte) any {
+	c.dec.Add(1)
+	return IntStateCodec{}.DecodeState(b)
+}
+
+const seamKeys = 48
+
+// seamPipeline is src -> count, keyed over seamKeys keys, bounded when
+// limit > 0.
+func seamPipeline(t *testing.T, limit int64, codec StateCodec) *Pipeline {
+	t.Helper()
+	p, err := NewPipeline().
+		AddSource("src", SourceSpec{
+			Rate:  func(float64) float64 { return 1e12 },
+			Next:  func(seq int64) (string, any) { return fmt.Sprintf("k%02d", seq%seamKeys), nil },
+			Limit: limit,
+		}).
+		AddOperator("count", OperatorSpec{
+			Keyed: true,
+			Process: func(state any, _ string, _ any, _ Emit) any {
+				c, _ := state.(int)
+				return c + 1
+			},
+			State: codec,
+		}).
+		AddEdge("src", "count").
+		Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+func TestLocalPlacementCodecCalls(t *testing.T) {
+	const limit = 20 * seamKeys
+	codec := new(countingCodec)
+	pipe := seamPipeline(t, limit, codec)
+	calls := func() [2]int64 { return [2]int64{codec.enc.Load(), codec.dec.Load()} }
+
+	job, err := NewJob(pipe, dataflow.Parallelism{"src": 1, "count": 2}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	job.Wait() // every key now holds state
+	if err := job.Rescale(dataflow.Parallelism{"src": 1, "count": 3}); err != nil {
+		t.Fatal(err)
+	}
+	if got := calls(); got != [2]int64{0, 0} {
+		t.Fatalf("local Rescale made %v encode/decode calls, want none", got)
+	}
+	store := NewMemoryStore()
+	if err := job.Savepoint(store, "cut"); err != nil {
+		t.Fatal(err)
+	}
+	if got := calls(); got != [2]int64{seamKeys, 0} {
+		t.Fatalf("local Savepoint: %v encode/decode calls, want each of %d keys encoded once and none decoded", got, seamKeys)
+	}
+	job.Stop()
+	if got := calls(); got != [2]int64{seamKeys, 0} {
+		t.Fatalf("local Stop: %v encode/decode calls, want no new ones", got)
+	}
+
+	restored, err := NewJobFromSavepoint(pipe, dataflow.Parallelism{"src": 1, "count": 4}, Config{}, store, "cut")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := calls(); got != [2]int64{seamKeys, seamKeys} {
+		t.Fatalf("restore: %v encode/decode calls, want each of %d keys decoded once and none encoded", got, seamKeys)
+	}
+	restored.Wait()
+	want := make(map[string]any, seamKeys)
+	for k := 0; k < seamKeys; k++ {
+		want[fmt.Sprintf("k%02d", k)] = limit / seamKeys
+	}
+	if got := restored.Stop()["count"]; !reflect.DeepEqual(got, want) {
+		t.Fatalf("restored counts diverged:\n got: %v\nwant: %v", got, want)
+	}
+}
+
+// fakePlacement succeeds at everything except the one call named in
+// failOn, and counts the calls that reach it.
+type fakePlacement struct {
+	failOn string
+	err    error
+
+	mu    sync.Mutex
+	calls map[string]int
+}
+
+func (f *fakePlacement) call(name string) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.calls[name]++
+	if name == f.failOn {
+		return f.err
+	}
+	return nil
+}
+
+func (f *fakePlacement) count(name string) int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.calls[name]
+}
+
+func (f *fakePlacement) workers() int                        { return 2 }
+func (f *fakePlacement) validate(dataflow.Parallelism) error { return nil }
+func (f *fakePlacement) close()                              {}
+func (f *fakePlacement) collect() ([]wireAcc, error)         { return nil, f.call("collect") }
+func (f *fakePlacement) wait() (bool, error)                 { return false, f.call("wait") }
+func (f *fakePlacement) deploy(uint32, dataflow.Parallelism, *snapshot, *rescaleTrace) error {
+	return f.call("deploy")
+}
+func (f *fakePlacement) drain(*rescaleTrace, uint64) (*snapshot, error) {
+	return &snapshot{encParts: []map[string]map[string][]byte{}}, f.call("drain")
+}
+func (f *fakePlacement) awaitFirstRecord(uint32, time.Duration) (int64, bool) { return 0, false }
+
+// within fails the test if fn has not returned after a generous bound:
+// a failed placement must end every call, never park it.
+func within(t *testing.T, what string, fn func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() { defer close(done); fn() }()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("%s hung after the placement failed", what)
+	}
+}
+
+func TestPlacementFailureIsSticky(t *testing.T) {
+	pipe := seamPipeline(t, 0, IntStateCodec{})
+	par := dataflow.Parallelism{"src": 1, "count": 2}
+	for _, failOn := range []string{"drain", "deploy", "wait"} {
+		t.Run(failOn, func(t *testing.T) {
+			boom := fmt.Errorf("streamrt: worker 1: %s refused", failOn)
+			fake := &fakePlacement{failOn: failOn, err: boom, calls: make(map[string]int)}
+			j := &Job{pipe: pipe, cfg: Config{}.withDefaults(), epoch: time.Now(), cur: par.Clone(), gen: 1, pl: fake}
+
+			if failOn == "wait" {
+				within(t, "Wait", j.Wait)
+			} else {
+				within(t, "Rescale", func() {
+					if err := j.Rescale(par); !errors.Is(err, boom) {
+						t.Errorf("Rescale = %v, want the %s failure", err, failOn)
+					}
+				})
+				within(t, "Wait", j.Wait)
+			}
+			if err := j.Err(); !errors.Is(err, boom) {
+				t.Fatalf("Err() = %v, want %v", err, boom)
+			}
+
+			// Everything after reports the first failure without reaching
+			// the placement again.
+			drains, deploys := fake.count("drain"), fake.count("deploy")
+			within(t, "calls after the failure", func() {
+				if err := j.Rescale(par); !errors.Is(err, boom) {
+					t.Errorf("second Rescale = %v, want %v", err, boom)
+				}
+				if err := j.Savepoint(NewMemoryStore(), "cut"); !errors.Is(err, boom) {
+					t.Errorf("Savepoint = %v, want %v", err, boom)
+				}
+				if _, err := j.Collect(); !errors.Is(err, boom) {
+					t.Errorf("Collect = %v, want %v", err, boom)
+				}
+				if _, err := j.NextInterval(0.01); !errors.Is(err, boom) {
+					t.Errorf("NextInterval = %v, want %v", err, boom)
+				}
+			})
+			if fake.count("drain") != drains || fake.count("deploy") != deploys || fake.count("collect") != 0 {
+				t.Fatalf("calls reached the failed placement: %v", fake.calls)
+			}
+
+			// Stop still drains what may be running, returns no partial
+			// state, and leaves the failure readable.
+			var final map[string]map[string]any
+			within(t, "Stop", func() { final = j.Stop() })
+			if want := map[string]map[string]any{"count": {}}; !reflect.DeepEqual(final, want) {
+				t.Fatalf("Stop after failure = %v, want %v", final, want)
+			}
+			if err := j.Err(); !errors.Is(err, boom) {
+				t.Fatalf("Err() after Stop = %v, want %v", err, boom)
+			}
+		})
+	}
+}
+
+func TestWorkerDrainRejectsMalformedBody(t *testing.T) {
+	w := NewWorker(0, nil, nil)
+	for _, body := range []string{"", "{", `{"trace":7}`} {
+		if _, err := w.drain([]byte(body)); err == nil {
+			t.Errorf("drain(%q) accepted a malformed body", body)
+		}
+	}
+	if _, err := w.drain([]byte("{}")); err != nil {
+		t.Errorf("drain of a worker with nothing deployed: %v", err)
+	}
+}

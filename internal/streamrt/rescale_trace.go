@@ -8,10 +8,10 @@ import (
 	"ds2/internal/obs"
 )
 
-// The rescale phase vocabulary. A single-process Job times drain,
-// snapshot, restart and first_record; a Cluster adds router_rebuild,
-// transfer (per-worker state shipment) and per-worker child spans under
-// drain/transfer/restart. Phase names double as the `phase` label of
+// The rescale phase vocabulary. The coordinator times drain, snapshot
+// and first_record; the local placement's deploy is one restart phase,
+// the remote one's adds router_rebuild, transfer (per-worker state
+// shipment) and per-worker child spans under drain/transfer/restart. Phase names double as the `phase` label of
 // streamrt_rescale_phase_seconds.
 const (
 	phaseDrain         = "drain"
@@ -65,14 +65,16 @@ type rescaleTrace struct {
 	t  *obs.Trace
 }
 
-// beginRescaleTrace starts the n'th rescale's trace and publishes it to
-// the ring immediately, so an in-flight rescale is already visible (as
-// an incomplete timeline) to /rescales readers.
-func (o *jobObs) beginRescaleTrace(n int) *rescaleTrace {
+// beginTrace starts the trace of the n'th reconfiguration of its kind
+// ("rescale" or "savepoint" — one ring holds both, so GET
+// /jobs/{id}/rescales shows savepoint timelines alongside rescales)
+// and publishes it to the ring immediately, so an in-flight cycle is
+// already visible (as an incomplete timeline) to /rescales readers.
+func (o *jobObs) beginTrace(kind string, n int) *rescaleTrace {
 	if o == nil {
 		return nil
 	}
-	rt := &rescaleTrace{ro: o.rescale, t: obs.NewTrace(fmt.Sprintf("rescale-%d", n), "rescale")}
+	rt := &rescaleTrace{ro: o.rescale, t: obs.NewTrace(fmt.Sprintf("%s-%d", kind, n), kind)}
 	o.rescale.ring.Append(rt.t)
 	return rt
 }

@@ -17,22 +17,16 @@ import (
 
 // Engine is the part of the live-runtime surface the control adapters
 // need: pace and cut observation windows, redeploy, report the deployed
-// configuration. Both the single-process *Job and the distributed
-// *Cluster implement it, so the Controller and ds2d drive either
-// through the same Runtime.
+// configuration. *Job implements it, whichever placement it runs on;
+// the interface lets a test or a custom integration stand in.
 type Engine interface {
 	NextInterval(d float64) (Interval, error)
 	Rescale(p dataflow.Parallelism) error
 	Parallelism() dataflow.Parallelism
 }
 
-var (
-	_ Engine = (*Job)(nil)
-	_ Engine = (*Cluster)(nil)
-)
-
-// Runtime adapts a live engine (a Job, or a distributed Cluster) to
-// both control surfaces:
+// Runtime adapts a live engine (a Job, single-process or distributed)
+// to both control surfaces:
 //
 //   - controlloop.Runtime, so the standard Controller drives the job
 //     in-process — Advance paces on the wall clock (the job's real
@@ -53,32 +47,17 @@ type Runtime struct {
 	spCount  atomic.Int64
 }
 
-// Savepointer is the savepoint surface the engines share: both *Job
-// and *Cluster drain, persist to the store under name, and restart.
-type Savepointer interface {
-	Savepoint(store CheckpointStore, name string) error
-}
-
-var (
-	_ Savepointer = (*Job)(nil)
-	_ Savepointer = (*Cluster)(nil)
-)
-
-// NewRuntime wraps a running Job.
-func NewRuntime(j *Job) *Runtime { return &Runtime{eng: j} }
-
-// NewEngineRuntime wraps any live engine — in particular a *Cluster,
-// making a multi-process deployment drivable by the Controller and
-// attachable to ds2d exactly like a single-process job.
+// NewEngineRuntime wraps a live engine — a *Job on either placement —
+// making it drivable by the Controller and attachable to ds2d.
 func NewEngineRuntime(e Engine) *Runtime { return &Runtime{eng: e} }
 
-// Engine exposes the wrapped engine.
-func (r *Runtime) Engine() Engine { return r.eng }
-
-// Job exposes the wrapped job (nil when the runtime wraps a Cluster).
-func (r *Runtime) Job() *Job {
-	j, _ := r.eng.(*Job)
-	return j
+// stopErr maps a stopped job onto controlloop.ErrStopped, which the
+// Controller and the attached driver both treat as a clean end.
+func stopErr(err error) error {
+	if errors.Is(err, ErrStopped) {
+		return controlloop.ErrStopped
+	}
+	return err
 }
 
 // Advance blocks until the job has run d more seconds of wall-clock
@@ -86,23 +65,14 @@ func (r *Runtime) Job() *Job {
 func (r *Runtime) Advance(d float64) (controlloop.Observation, error) {
 	iv, err := r.eng.NextInterval(d)
 	if err != nil {
-		if errors.Is(err, ErrStopped) {
-			return controlloop.Observation{}, controlloop.ErrStopped
-		}
-		return controlloop.Observation{}, err
+		return controlloop.Observation{}, stopErr(err)
 	}
 	return iv.Observation(), nil
 }
 
 // Apply deploys the action's configuration via the engine's Rescale.
 func (r *Runtime) Apply(act *core.Action) error {
-	if err := r.eng.Rescale(act.New); err != nil {
-		if errors.Is(err, ErrStopped) {
-			return controlloop.ErrStopped
-		}
-		return err
-	}
-	return nil
+	return stopErr(r.eng.Rescale(act.New))
 }
 
 // Parallelism returns the deployed configuration.
@@ -112,17 +82,14 @@ func (r *Runtime) Parallelism() dataflow.Parallelism { return r.eng.Parallelism(
 // instrumentation in the scaling service's wire format. A stopped job
 // surfaces as controlloop.ErrStopped, which the attached driver treats
 // as a clean end (it still fetches the service-side trace). Engines
-// that trace rescales (Job and Cluster both do) piggyback their
-// retained timelines on every report; the service dedups by trace ID,
-// so resending the full ring is idempotent and delivers completions
-// of timelines first shipped in flight.
+// that trace rescales (a Job does) piggyback their retained timelines
+// on every report; the service dedups by trace ID, so resending the
+// full ring is idempotent and delivers completions of timelines first
+// shipped in flight.
 func (r *Runtime) NextReport(intervalSec float64) (service.Report, error) {
 	iv, err := r.eng.NextInterval(intervalSec)
 	if err != nil {
-		if errors.Is(err, ErrStopped) {
-			return service.Report{}, controlloop.ErrStopped
-		}
-		return service.Report{}, err
+		return service.Report{}, stopErr(err)
 	}
 	rep := iv.Report()
 	if tv, ok := r.eng.(interface{ RescaleTraces() []obs.TraceView }); ok {
@@ -137,10 +104,7 @@ func (r *Runtime) NextReport(intervalSec float64) (service.Report, error) {
 // as controlloop.ErrStopped so the attached driver ends cleanly.
 func (r *Runtime) Rescale(p dataflow.Parallelism) (dataflow.Parallelism, error) {
 	if err := r.eng.Rescale(p); err != nil {
-		if errors.Is(err, ErrStopped) {
-			return nil, controlloop.ErrStopped
-		}
-		return nil, err
+		return nil, stopErr(err)
 	}
 	return r.eng.Parallelism(), nil
 }
@@ -169,11 +133,14 @@ func (r *Runtime) Savepoint() (string, error) {
 		return "", errors.New("streamrt: runtime has no checkpoint store (use SavepointTo)")
 	}
 	name := fmt.Sprintf("%s-%d", r.spPrefix, r.spCount.Add(1))
-	if err := r.eng.(Savepointer).Savepoint(r.spStore, name); err != nil {
-		if errors.Is(err, ErrStopped) {
-			return "", controlloop.ErrStopped
-		}
-		return "", err
+	sp, ok := r.eng.(interface {
+		Savepoint(CheckpointStore, string) error
+	})
+	if !ok {
+		return "", fmt.Errorf("streamrt: engine %T cannot cut savepoints", r.eng)
+	}
+	if err := sp.Savepoint(r.spStore, name); err != nil {
+		return "", stopErr(err)
 	}
 	if ds, ok := r.spStore.(*DirStore); ok {
 		return filepath.Join(ds.Dir(), name), nil
@@ -181,15 +148,9 @@ func (r *Runtime) Savepoint() (string, error) {
 	return name, nil
 }
 
-// Attach registers the job with a ds2d scaling service and returns the
-// engine-side driver: Run plays the report/poll/ack cycle until the
-// service finishes the decision loop.
-func Attach(c *service.Client, job *Job, spec service.JobSpec) *service.AttachedJob {
-	return service.NewAttachedJob(c, NewRuntime(job), spec)
-}
-
-// AttachEngine is Attach for any live engine — notably a distributed
-// *Cluster, which ds2d then drives exactly like a single-process job.
+// AttachEngine registers a live engine with a ds2d scaling service and
+// returns the engine-side driver: Run plays the report/poll/ack cycle
+// until the service finishes the decision loop.
 func AttachEngine(c *service.Client, eng Engine, spec service.JobSpec) *service.AttachedJob {
 	return service.NewAttachedJob(c, NewEngineRuntime(eng), spec)
 }

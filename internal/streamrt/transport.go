@@ -259,7 +259,7 @@ type recvOrigin struct {
 // a lock.
 type recvTable struct {
 	gen     uint32
-	job     *Job
+	host    *host
 	chans   [][]chan *batch   // [opID][globalInstance]; nil when not hosted here
 	wgs     []*sync.WaitGroup // [opID]; nil when op not hosted here
 	credits [][]chan struct{} // [opID][globalInstance]; sender-side token pools
@@ -503,11 +503,11 @@ func (tr *transport) handleData(l *link, payload []byte, intern map[string]strin
 	if int(h.inst) >= len(rt.chans[h.op]) || rt.chans[h.op][h.inst] == nil {
 		return fmt.Errorf("streamrt: data frame for unhosted instance %d/%d", h.op, h.inst)
 	}
-	b := rt.job.getBatch()
+	b := rt.host.getBatch()
 	for i := uint32(0); i < h.count; i++ {
 		key, srcNano, val, rest, err := nextRecord(recs)
 		if err != nil {
-			rt.job.putBatch(b)
+			rt.host.putBatch(b)
 			return err
 		}
 		recs = rest
@@ -528,7 +528,7 @@ func (tr *transport) handleData(l *link, payload []byte, intern map[string]strin
 		b.msgs = append(b.msgs, message{key: ks, encOff: off, encLen: int32(len(val)), src: src})
 	}
 	if len(recs) != 0 {
-		rt.job.putBatch(b)
+		rt.host.putBatch(b)
 		return fmt.Errorf("streamrt: %d trailing bytes after %d records", len(recs), h.count)
 	}
 	b.from = recvOrigin{link: l, gen: h.gen, op: h.op, inst: h.inst}

@@ -116,7 +116,7 @@ func (in *instance) runWindowed() {
 			case <-ticker.C:
 				t1 := time.Now()
 				in.local.dur.WaitingInput += t1.Sub(t0)
-				if cur := paneIndex(in.job.Now(), slide); cur > swept {
+				if cur := paneIndex(in.host.now(), slide); cur > swept {
 					in.sweepTick(cur, t1, emit)
 					swept = cur
 				}
@@ -133,7 +133,7 @@ func (in *instance) runWindowed() {
 		}
 		vals, t1 := in.decodeBatch(b, t1)
 		emitted0 := in.local.dur.Serialization + in.local.dur.WaitingOutput
-		cur := paneIndex(in.job.Now(), slide)
+		cur := paneIndex(in.host.now(), slide)
 		for i := range b.msgs {
 			m := &b.msgs[i]
 			v := m.val
@@ -164,7 +164,7 @@ func (in *instance) runWindowed() {
 		in.local.dur.Processing += proc
 		in.local.processed += int64(len(b.msgs))
 		in.noteFirstRecord(t3)
-		in.job.putBatch(b)
+		in.host.putBatch(b)
 		in.maybeFlushAcc(t3)
 		in.maybeFlushPending(t3)
 	}

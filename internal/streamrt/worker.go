@@ -155,7 +155,7 @@ func (a *acc) merge(l *localAcc) {
 // bounded input channel (non-sources), one instrumentation
 // accumulator.
 type instance struct {
-	job  *Job
+	host *host
 	op   string
 	idx  int
 	sink bool
@@ -288,11 +288,11 @@ func (in *instance) emit(key string, value any) {
 		}
 		b := oe.pend[target]
 		if b == nil {
-			b = in.job.getBatch()
+			b = in.host.getBatch()
 			oe.pend[target] = b
 		}
 		b.msgs = append(b.msgs, message{key: key, val: value, src: in.curSrc})
-		if len(b.msgs) >= in.job.cfg.BatchSize {
+		if len(b.msgs) >= in.host.cfg.BatchSize {
 			in.flushOne(oe, i, target, flushSize)
 		}
 	}
@@ -342,7 +342,7 @@ func (in *instance) flushOne(oe *outEdge, edge, target int, reason flushReason) 
 	blocked := t2.Sub(t1)
 	in.local.dur.WaitingOutput += blocked
 	in.local.downWait[edge] += blocked
-	if o := in.job.obs; o != nil {
+	if o := in.host.obs; o != nil {
 		o.flushed(reason, n, blocked)
 	}
 }
@@ -368,8 +368,8 @@ func (in *instance) flushRemote(oe *outEdge, edge, target int, b *batch, reason 
 	}
 	// A dead link (acquire false) drops the batch: the deployment is
 	// failing and the coordinator will surface the link error.
-	in.job.putBatch(b)
-	if o := in.job.obs; o != nil {
+	in.host.putBatch(b)
+	if o := in.host.obs; o != nil {
 		o.flushed(reason, n, blocked)
 	}
 }
@@ -390,7 +390,7 @@ func (in *instance) flushPending(reason flushReason) {
 // FlushInterval has passed since the last deadline flush, everything
 // pending goes out now. now is a clock reading the caller already took.
 func (in *instance) maybeFlushPending(now time.Time) {
-	if now.Sub(in.lastPend) >= in.job.cfg.FlushInterval {
+	if now.Sub(in.lastPend) >= in.host.cfg.FlushInterval {
 		in.flushPending(flushDeadline)
 		in.lastPend = now
 	}
@@ -481,7 +481,7 @@ func (in *instance) sampleLatencies(b *batch, t3 time.Time, every int64) {
 func (in *instance) runOperator() {
 	defer in.drainExit()
 	spec := in.spec
-	every := int64(in.job.cfg.LatencySampleEvery)
+	every := int64(in.host.cfg.LatencySampleEvery)
 	// Bind the emit callback once: a fresh method value per record
 	// would cost one heap allocation on the exchange hot path.
 	emit := Emit(in.emit)
@@ -522,7 +522,7 @@ func (in *instance) runOperator() {
 		if in.sink {
 			in.sampleLatencies(b, t3, every)
 		}
-		in.job.putBatch(b)
+		in.host.putBatch(b)
 		in.maybeFlushAcc(t3)
 		in.maybeFlushPending(t3)
 	}
@@ -596,7 +596,7 @@ func (in *instance) runSource(stop <-chan struct{}) {
 	if src.Limit > 0 && in.srcLimit == 0 {
 		return // bounded source whose stripe holds none of the first Limit seqs
 	}
-	cfg := &in.job.cfg
+	cfg := &in.host.cfg
 	next := time.Now()
 	for {
 		select {
@@ -604,7 +604,7 @@ func (in *instance) runSource(stop <-chan struct{}) {
 			return
 		default:
 		}
-		rate := src.Rate(in.job.Now())
+		rate := src.Rate(in.host.now())
 		if rate*3600 < float64(in.nsrc) {
 			// Idle (or effectively idle — below one record per hour
 			// per instance): poll for a usable rate. Routing tiny
