@@ -1,9 +1,6 @@
 GO ?= go
-# bench pipes `go test` into benchsnap; pipefail keeps a failed
-# benchmark run from being committed as a valid snapshot.
-SHELL := /bin/bash -o pipefail
 
-.PHONY: build test race bench bench-test bench-smoke bench-gate vet live-smoke dist-smoke savepoint-smoke profile-live
+.PHONY: build test race bench-test bench-smoke vet live-smoke dist-smoke savepoint-smoke profile-live
 
 build:
 	$(GO) build ./...
@@ -19,41 +16,19 @@ test: vet
 race:
 	$(GO) test -race ./...
 
-# Run the benchmark suite and append a BENCH_<n>.json snapshot (date,
-# go version, ns/op, allocs/op, custom metrics) — the repo's perf
-# trajectory. Committed snapshots are the baselines perf PRs are
-# judged against. Override the target file with BENCH_OUT=path.
-BENCH_OUT ?=
-bench:
-	$(GO) test -run XXX -bench . -benchmem . | $(GO) run ./cmd/benchsnap $(if $(BENCH_OUT),-out $(BENCH_OUT))
-
 # benchmarks/ is a nested module: `go build ./... && go test ./...`
-# from the root never compiles it, so a change to the API it imports
-# breaks it unseen. Build it and run all six workloads' oracles at 1/50
-# scale (~22 s).
+# and `go vet ./...` from the root never compile it, so a change to the
+# API it imports breaks it unseen. Vet it, build it and run all six
+# workloads' oracles at 1/50 scale (~22 s). The numbers themselves come
+# from benchmarks/run.sh; `ds2bench --compare` is the regression gate.
 bench-test:
-	cd benchmarks && $(GO) test ./...
+	cd benchmarks && $(GO) vet ./... && $(GO) test ./...
 
-# One iteration of every benchmark — the CI guard that keeps the
-# bench suite compiling and running without paying full measurement
-# time — diffed against the latest committed BENCH_<n>.json so
-# throughput regressions surface in the job log (1x timings are noisy:
-# the deltas are a tripwire, not a gate).
+# One iteration of every paper-figure and micro benchmark in
+# bench_test.go — the CI guard that keeps the reproduction suite
+# compiling and running without paying full measurement time.
 bench-smoke:
-	$(GO) test -run XXX -bench . -benchtime 1x -benchmem . | \
-		$(GO) run ./cmd/benchsnap -compare "$$(ls BENCH_*.json | sort -t_ -k2 -n | tail -1)"
-
-# Full-measurement regression gate on the live hot path: rerun the
-# live Nexmark benchmarks at real benchtime and fail if ns/op grew
-# more than 5% over the latest committed snapshot. This is the check
-# perf-sensitive PRs (and the observability exporter) are held to;
-# bench-smoke's 1x run never trips it (-regress-min-iters exempts
-# single-iteration timings). Override the bar with REGRESS_PCT=n.
-REGRESS_PCT ?= 5
-bench-gate:
-	$(GO) test -run XXX -bench 'BenchmarkLive' -benchmem . | \
-		$(GO) run ./cmd/benchsnap -compare "$$(ls BENCH_*.json | sort -t_ -k2 -n | tail -1)" \
-			-regress $(REGRESS_PCT) -regress-match 'BenchmarkLive'
+	$(GO) test -run XXX -bench . -benchtime 1x -benchmem .
 
 # Profile the live hot path from a flag, not a code edit: run a
 # ds2-live workload with CPU, heap, and mutex-contention profiles

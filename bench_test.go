@@ -468,229 +468,6 @@ func BenchmarkServiceIngest(b *testing.B) {
 	b.ReportMetric(float64(windows)/b.Elapsed().Seconds(), "windows/s")
 }
 
-// BenchmarkLiveExchangeRecord measures the live runtime's per-record
-// overhead with zero user cost: one record generated at the source,
-// hash-exchanged through a stateless splitter and a keyed counter
-// (goroutine hop + bounded channel + codec + wall-clock
-// instrumentation at every stage). Reported metric: records/s
-// end to end.
-func BenchmarkLiveExchangeRecord(b *testing.B) {
-	keys := [256]string{}
-	for i := range keys {
-		keys[i] = "k" + string(rune('a'+i%26)) + string(rune('a'+(i/26)%26))
-	}
-	p, err := ds2.NewLivePipeline().
-		AddSource("src", ds2.LiveSourceSpec{
-			Rate:  func(float64) float64 { return 1e12 }, // always behind schedule: emit flat out
-			Next:  func(seq int64) (string, any) { return "", keys[seq%256] },
-			Limit: int64(b.N),
-		}).
-		AddOperator("split", ds2.LiveOperatorSpec{
-			Process: func(_ any, _ string, v any, emit ds2.LiveEmit) any {
-				s := v.(string)
-				emit(s, s)
-				return nil
-			},
-		}).
-		AddOperator("count", ds2.LiveOperatorSpec{
-			Keyed: true,
-			Process: func(state any, _ string, _ any, _ ds2.LiveEmit) any {
-				c, _ := state.(int)
-				return c + 1
-			},
-			Codec: ds2.LiveStringCodec{},
-		}).
-		AddEdge("src", "split").
-		AddEdge("split", "count").
-		Build()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	// A huge latency-sampling stride keeps the sink's sample buffer
-	// from accumulating O(b.N) entries inside the timed region (the
-	// benchmark never Collects — same discipline as
-	// BenchmarkSimulatorSecond's drain).
-	job, err := ds2.NewLiveJob(p, ds2.Parallelism{"src": 1, "split": 1, "count": 1},
-		ds2.LiveJobConfig{ChannelCapacity: 256, LatencySampleEvery: 1 << 30})
-	if err != nil {
-		b.Fatal(err)
-	}
-	job.Wait()
-	b.StopTimer()
-	job.Stop()
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "records/s")
-}
-
-// BenchmarkLiveNexmark measures the live runtime's per-record overhead
-// through real Nexmark pipelines with zero pacing cost: q1 is the
-// map-filter shape (JSON bid codec + keyed sink), q5 adds the keyed
-// sliding-window path (pane insert, due-window firing, fired-result
-// exchange). Reported metric: source records/s end to end.
-func BenchmarkLiveNexmark(b *testing.B) {
-	for _, query := range []string{"q1", "q5"} {
-		b.Run(query, func(b *testing.B) {
-			zero := map[string]time.Duration{}
-			for _, stage := range []string{"q1-map", "q1-sink", "q5-window", "q5-sink"} {
-				zero[stage] = 0
-			}
-			w, err := ds2.LiveNexmarkQuery(query, ds2.LiveNexmarkConfig{
-				Rate1: 1e12, // always behind schedule: emit flat out
-				Seed:  1,
-				Limit: int64(b.N),
-				Costs: zero,
-				// Small windows so q5 really fires inside the timed
-				// region instead of only buffering panes.
-				WindowSize:  50 * time.Millisecond,
-				WindowSlide: 50 * time.Millisecond,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			job, err := ds2.NewLiveJob(w.Pipeline, w.Initial,
-				ds2.LiveJobConfig{ChannelCapacity: 256, LatencySampleEvery: 1 << 30})
-			if err != nil {
-				b.Fatal(err)
-			}
-			job.Wait()
-			b.StopTimer()
-			job.Stop()
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "records/s")
-		})
-	}
-}
-
-// BenchmarkLiveNexmarkObserved is BenchmarkLiveNexmark/q1 with the
-// metrics exporter attached: every batch flush bumps pre-registered
-// atomic counters and the sink samples one latency observation per
-// 1024 records. The records/s delta against the unobserved q1 run is
-// the exporter's whole-pipeline overhead — the zero-overhead telemetry
-// claim, measured.
-func BenchmarkLiveNexmarkObserved(b *testing.B) {
-	zero := map[string]time.Duration{"q1-map": 0, "q1-sink": 0}
-	reg := ds2.NewObsRegistry()
-	w, err := ds2.LiveNexmarkQuery("q1", ds2.LiveNexmarkConfig{
-		Rate1: 1e12, // always behind schedule: emit flat out
-		Seed:  1,
-		Limit: int64(b.N),
-		Costs: zero,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	job, err := ds2.NewLiveJob(w.Pipeline, w.Initial,
-		ds2.LiveJobConfig{ChannelCapacity: 256, LatencySampleEvery: 1 << 30, Metrics: reg})
-	if err != nil {
-		b.Fatal(err)
-	}
-	job.Wait()
-	b.StopTimer()
-	job.Stop()
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "records/s")
-}
-
-// nilCodec moves zero-byte record values: the remote-exchange
-// benchmark measures transport overhead (framing, batching, credit,
-// sockets), not payload encoding.
-type nilCodec struct{}
-
-func (nilCodec) Encode(any) []byte                     { return nil }
-func (nilCodec) AppendEncode(dst []byte, _ any) []byte { return dst }
-func (nilCodec) Decode([]byte) any                     { return nil }
-
-// BenchmarkRemoteExchangeRecord measures the distributed exchange: two
-// worker processes (in-process Workers over real loopback TCP), a
-// single source on worker 0 round-robinning to two sink instances —
-// one local, one on worker 1 — so exactly half of all records cross
-// the framed transport. Per-record cost covers batch encode-at-flush,
-// length-prefixed framing, socket writes with coalescing, receive-side
-// batch rebuild, and credit returns. Reported metrics: end-to-end
-// records/s, and records/s over the remote link (b.N/2 records).
-func BenchmarkRemoteExchangeRecord(b *testing.B) {
-	p, err := ds2.NewLivePipeline().
-		AddSource("src", ds2.LiveSourceSpec{
-			Rate:  func(float64) float64 { return 1e12 }, // always behind schedule: emit flat out
-			Next:  func(seq int64) (string, any) { return "", nil },
-			Limit: int64(b.N),
-		}).
-		AddOperator("sink", ds2.LiveOperatorSpec{
-			Process: func(any, string, any, ds2.LiveEmit) any { return nil },
-			Codec:   nilCodec{},
-		}).
-		AddEdge("src", "sink").
-		Build()
-	if err != nil {
-		b.Fatal(err)
-	}
-	addrs := make([]string, 2)
-	for i := range addrs {
-		w := ds2.NewLiveWorker(i, map[string]*ds2.LivePipeline{"bench": p}, nil)
-		addr, err := w.Listen("127.0.0.1:0")
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer w.Close()
-		addrs[i] = addr
-	}
-	b.ResetTimer()
-	cluster, err := ds2.NewLiveCluster(p, "bench", ds2.Parallelism{"src": 1, "sink": 2}, addrs,
-		ds2.LiveJobConfig{ChannelCapacity: 256, LatencySampleEvery: 1 << 30})
-	if err != nil {
-		b.Fatal(err)
-	}
-	cluster.Wait()
-	b.StopTimer()
-	cluster.Stop()
-	cluster.Close()
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "records/s")
-	b.ReportMetric(float64(b.N)/2/b.Elapsed().Seconds(), "link-records/s")
-}
-
-// BenchmarkRemoteNexmarkQ1 is BenchmarkLiveNexmark/q1 deployed over
-// two worker processes: the bid stream crosses the framed transport
-// into the remote q1-map instance and the converted results cross
-// again into the keyed sinks. On a multi-core host the aggregate
-// should exceed the single-process q1 run; on a single-CPU host both
-// processes share one core and the wire overhead is pure cost — the
-// records/s metric is the honest measurement either way.
-func BenchmarkRemoteNexmarkQ1(b *testing.B) {
-	zero := map[string]time.Duration{"q1-map": 0, "q1-sink": 0}
-	w, err := ds2.LiveNexmarkQuery("q1", ds2.LiveNexmarkConfig{
-		Rate1:       1e12, // always behind schedule: emit flat out
-		Seed:        1,
-		Limit:       int64(b.N),
-		Costs:       zero,
-		Distributed: true,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	addrs := make([]string, 2)
-	for i := range addrs {
-		wk := ds2.NewLiveWorker(i, map[string]*ds2.LivePipeline{"q1": w.Pipeline}, nil)
-		addr, err := wk.Listen("127.0.0.1:0")
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer wk.Close()
-		addrs[i] = addr
-	}
-	b.ResetTimer()
-	cluster, err := ds2.NewLiveCluster(w.Pipeline, "q1",
-		ds2.Parallelism{"bids": 1, "q1-map": 2, "q1-sink": 2}, addrs,
-		ds2.LiveJobConfig{ChannelCapacity: 256, LatencySampleEvery: 1 << 30})
-	if err != nil {
-		b.Fatal(err)
-	}
-	cluster.Wait()
-	b.StopTimer()
-	cluster.Stop()
-	cluster.Close()
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "records/s")
-}
-
 // BenchmarkWallClockWindow measures building one validated
 // WindowMetrics from wall-clock durations — the per-instance
 // per-interval cost of the live collection path.

@@ -102,16 +102,13 @@
 //	attached := ds2.AttachLiveJob(client, job, spec)
 //	trace, _ = attached.Run()
 //
-// Custom pipelines use NewLivePipeline (AddSource/AddOperator/AddEdge/
-// Build) with arbitrary user functions and keyed state; a keyed
-// operator with a LiveWindowSpec becomes windowed (processing-time
-// tumbling or sliding panes that survive rescales). The Nexmark
-// queries run live too — LiveNexmarkQuery("q5", ds2.LiveNexmarkConfig{...})
-// returns a ready workload with its analytic optimum. `go run
-// ./examples/livewordcount` shows DS2 converging on a running job in
-// one decision; `go run ./examples/livenexmark` does the same for the
-// windowed Q5 hot-items query; `go run ./cmd/ds2-live -serve-inproc
-// [-workload q5]` drives the full live cycle against an embedded ds2d.
+// The Nexmark queries run live too — LiveNexmarkQuery("q5",
+// ds2.LiveNexmarkConfig{...}) returns a ready workload with its
+// analytic optimum. `go run ./examples/livewordcount` shows DS2
+// converging on a running job in one decision; `go run
+// ./examples/livenexmark` does the same for the windowed Q5 hot-items
+// query; `go run ./cmd/ds2-live -serve-inproc [-workload q5]` drives
+// the full live cycle against an embedded ds2d.
 //
 // # The distributed runtime
 //
@@ -137,10 +134,9 @@
 //	ctrl, _ := ds2.NewController(ds2.NewLiveRuntime(cluster), autoscaler, ccfg)
 //
 // Every process must build the identical pipeline (same workload
-// flags), and a distributed pipeline needs codecs everywhere: a
-// LiveCodec on every non-source operator and a LiveStateCodec on
-// every keyed one (LiveNexmarkConfig.Distributed wires these in for
-// q1/q5). `ds2-live -workers 2 -workload q5` spawns the workers
+// flags), and a distributed pipeline needs codecs everywhere: a value
+// codec on every non-source operator and a state codec on every keyed
+// one (LiveNexmarkConfig.Distributed wires these in for q1/q5). `ds2-live -workers 2 -workload q5` spawns the workers
 // itself and runs the whole cycle in one command (`make dist-smoke`).
 //
 // See DESIGN.md for the system inventory, EXPERIMENTS.md for the

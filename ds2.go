@@ -202,7 +202,7 @@ type IntervalStats = engine.IntervalStats
 type LatencySample = engine.LatencySample
 
 // EpochLatency is a completed-epoch latency (Timely mode).
-type EpochLatency = engine.EpochLatency
+type EpochLatency = metrics.EpochLatency
 
 // NewSimulator builds a simulator for the graph.
 func NewSimulator(g *Graph, specs map[string]OperatorSpec, srcs map[string]SourceSpec,
@@ -217,7 +217,7 @@ func ConstantRate(r float64) RateFn { return engine.ConstantRate(r) }
 func StepRate(t0, before, after float64) RateFn { return engine.StepRate(t0, before, after) }
 
 // SimulatorSnapshot aggregates interval stats into the policy's input.
-func SimulatorSnapshot(st IntervalStats) (Snapshot, error) { return engine.Snapshot(st) }
+func SimulatorSnapshot(st IntervalStats) (Snapshot, error) { return st.Snapshot() }
 
 // --- The unified control loop (internal/controlloop) --------------------
 
@@ -381,54 +381,22 @@ func WallClockWindow(id InstanceID, window time.Duration, d WallClockDurations,
 // keyed exchange — instrumented with wall-clock measurements.
 type LivePipeline = streamrt.Pipeline
 
-// LivePipelineBuilder accumulates sources, operators and edges.
-type LivePipelineBuilder = streamrt.Builder
-
-// LiveSourceSpec is one executable source: a deterministic generator
-// paced at a target rate.
-type LiveSourceSpec = streamrt.SourceSpec
-
-// LiveOperatorSpec is one executable operator: a user function, an
-// optional per-record cost, optional keyed state, an optional codec.
-type LiveOperatorSpec = streamrt.OperatorSpec
-
-// LiveEmit pushes one record downstream from inside a Process
-// function.
-type LiveEmit = streamrt.Emit
-
-// LiveCodec encodes record values for a keyed exchange, making the
-// serialization/deserialization split observable.
-type LiveCodec = streamrt.Codec
-
-// LiveStringCodec passes string values through []byte.
-type LiveStringCodec = streamrt.StringCodec
-
-// LiveWindowSpec makes a keyed live operator windowed: records
-// accumulate into per-key processing-time panes (tumbling, or sliding
-// with a Combine fold) and due windows fire on the worker loop. Window
-// state snapshots and repartitions across rescales like any keyed
-// state.
-type LiveWindowSpec = streamrt.WindowSpec
-
 // LiveJob is one deployed, running pipeline and the coordinator of its
 // rescales and savepoints, whether its instances run in this process
 // (NewLiveJob) or across worker processes (NewLiveCluster).
 type LiveJob = streamrt.Job
 
-// LiveJobConfig tunes a running LiveJob (queue bounds, backpressure
-// threshold, jitter tolerance, latency sampling).
+// LiveJobConfig tunes a running LiveJob (queue bounds, batching,
+// latency sampling).
 type LiveJobConfig = streamrt.Config
 
-// LiveRuntime adapts a LiveEngine to the Controller
-// (controlloop.Runtime) and to the scaling service's engine side
-// (AttachedEngine) at once.
+// LiveRuntime adapts a LiveEngine to Runtime, the one seam both the
+// in-process Controller and an AttachedJob (the scaling service's
+// engine side) drive.
 type LiveRuntime = streamrt.Runtime
 
 // LiveInterval is one observation window of a live job.
 type LiveInterval = streamrt.Interval
-
-// NewLivePipeline returns an empty live-pipeline builder.
-func NewLivePipeline() *LivePipelineBuilder { return streamrt.NewPipeline() }
 
 // NewLiveJob deploys a pipeline at the given parallelism and starts
 // every instance.
@@ -449,11 +417,6 @@ func AttachLiveJob(c *ScalingClient, e LiveEngine, spec JobSpec) *AttachedJob {
 }
 
 // --- Distributed live runtime (multi-process workers) --------------------
-
-// LiveStateCodec serializes keyed operator state so rescale snapshots
-// can cross process boundaries. Every keyed operator in a distributed
-// deployment needs one.
-type LiveStateCodec = streamrt.StateCodec
 
 // LiveWorker is one worker process of a distributed live deployment:
 // it serves named pipelines over the framed TCP transport and hosts
@@ -483,16 +446,16 @@ func NewLiveCluster(p *LivePipeline, workload string, initial Parallelism, addrs
 	return streamrt.NewCluster(p, workload, initial, addrs, cfg)
 }
 
-// AttachedEngine is the engine side of Fig. 5 for any locally running
-// job (a LiveRuntime, or a custom integration).
-type AttachedEngine = service.AttachedEngine
-
-// AttachedJob drives an AttachedEngine against a scaling service.
+// AttachedJob drives a locally running job against a scaling service:
+// it reports what the Runtime's Advance returned, applies the polled
+// action and acks the deployed parallelism.
 type AttachedJob = service.AttachedJob
 
-// NewAttachedJob wires any engine to a scaling service client.
-func NewAttachedJob(c *ScalingClient, eng AttachedEngine, spec JobSpec) *AttachedJob {
-	return service.NewAttachedJob(c, eng, spec)
+// NewAttachedJob wires any Runtime — a LiveRuntime, a simulator
+// runtime, or a custom integration implementing the same three
+// methods — to a scaling service client.
+func NewAttachedJob(c *ScalingClient, rt Runtime, spec JobSpec) *AttachedJob {
+	return service.NewAttachedJob(c, rt, spec)
 }
 
 // --- Durable checkpoints (internal/streamrt) ------------------------------

@@ -8,9 +8,9 @@
 //
 //   - Runtime is the system under control. It advances (virtual or
 //     real) time one policy interval and reports an Observation — the
-//     instrumentation snapshot DS2 consumes plus the coarse external
-//     signals (backpressure, queue occupancy) rule-based controllers
-//     like Dhalion consume. The simulator implements it via
+//     instrumentation windows DS2 consumes plus the coarse external
+//     signals (backpressure) rule-based controllers like Dhalion
+//     consume. The simulator implements it via
 //     EngineRuntime; a real-engine backend would implement the same
 //     three methods against savepoints and a metrics repository.
 //
@@ -37,71 +37,15 @@ import (
 
 	"ds2/internal/core"
 	"ds2/internal/dataflow"
-	"ds2/internal/engine"
 	"ds2/internal/metrics"
 )
 
 // Observation is everything a Runtime reports for one policy interval:
-// the aggregated instrumentation snapshot (the DS2 policy's input) and
-// the externally visible signals rule-based policies read.
-type Observation struct {
-	// Start and End delimit the interval in seconds.
-	Start, End float64
-	// Busy reports that the job is mid-redeployment at interval end;
-	// the Controller records the interval but consults no autoscaler.
-	Busy bool
-	// SnapshotFn lazily builds the per-operator aggregate of the
-	// interval's instrumentation windows — the DS2 policy's input.
-	// Runtimes supply a memoized builder so snapshot-blind autoscalers
-	// (Dhalion, Hold) never pay the aggregation; nil while Busy or when
-	// the runtime has no instrumentation.
-	SnapshotFn func() (metrics.Snapshot, error)
-	// TargetRates is the target rate per source at interval end.
-	TargetRates map[string]float64
-	// SourceObserved is the achieved output rate per source over the
-	// interval — what an external monitor sees.
-	SourceObserved map[string]float64
-	// Backpressured lists operators signaling backpressure, and
-	// BackpressureFraction the fraction of the interval each spent
-	// signaling (the Dhalion inputs).
-	Backpressured        []string
-	BackpressureFraction map[string]float64
-	// Parallelism and Workers snapshot the deployment the interval ran
-	// under.
-	Parallelism dataflow.Parallelism
-	Workers     int
-	// Latencies are weighted per-record latency samples taken at sinks;
-	// EpochLatencies are completed-epoch latencies (Timely mode).
-	Latencies      []metrics.LatencySample
-	EpochLatencies []engine.EpochLatency
-}
-
-// Snapshot builds (memoized, via SnapshotFn) the aggregated policy
-// input. It returns a zero snapshot when the runtime supplied none.
-func (o Observation) Snapshot() (metrics.Snapshot, error) {
-	if o.SnapshotFn == nil {
-		return metrics.Snapshot{}, nil
-	}
-	return o.SnapshotFn()
-}
-
-// TargetRate sums the target rates of all sources.
-func (o Observation) TargetRate() float64 {
-	sum := 0.0
-	for _, r := range o.TargetRates {
-		sum += r
-	}
-	return sum
-}
-
-// AchievedRate sums the observed output rates of all sources.
-func (o Observation) AchievedRate() float64 {
-	sum := 0.0
-	for _, r := range o.SourceObserved {
-		sum += r
-	}
-	return sum
-}
+// the per-instance instrumentation windows (the DS2 policy's input,
+// via Snapshot) and the externally visible signals rule-based policies
+// read. It is the one record a job sends its controller, declared in
+// internal/metrics.
+type Observation = metrics.Observation
 
 // ErrStopped is returned by a Runtime's Advance when the job under
 // control was shut down (deregistered, connection closed) rather than
@@ -419,7 +363,7 @@ func LatencyQuantiles(samples []metrics.LatencySample) Quantiles {
 
 // EpochQuantiles summarizes completed-epoch latencies (Timely mode)
 // with a single copy-and-sort.
-func EpochQuantiles(eps []engine.EpochLatency) Quantiles {
+func EpochQuantiles(eps []metrics.EpochLatency) Quantiles {
 	if len(eps) == 0 {
 		return Quantiles{}
 	}

@@ -1,12 +1,9 @@
 package controlloop
 
 import (
-	"sync"
-
 	"ds2/internal/core"
 	"ds2/internal/dataflow"
 	"ds2/internal/engine"
-	"ds2/internal/metrics"
 )
 
 // EngineRuntime adapts the streaming-engine simulator to the Runtime
@@ -36,33 +33,10 @@ func NewEngineRuntime(e *engine.Engine, settle bool) *EngineRuntime {
 // Engine exposes the wrapped simulator.
 func (r *EngineRuntime) Engine() *engine.Engine { return r.eng }
 
-// Advance runs the simulator for d virtual seconds and collects the
-// interval's observation. The instrumentation snapshot is supplied as
-// a memoized lazy builder: snapshot-blind autoscalers (Dhalion, Hold)
-// never pay the per-instance window aggregation, and a paused job —
-// whose windows are meaningless and which no autoscaler will be
-// consulted about — supplies none at all.
+// Advance runs the simulator for d virtual seconds and returns what
+// it collected; a paused job's interval comes back Busy.
 func (r *EngineRuntime) Advance(d float64) (Observation, error) {
-	st := r.eng.RunInterval(d)
-	obs := Observation{
-		Start:                st.Start,
-		End:                  st.End,
-		Busy:                 r.eng.Paused(),
-		TargetRates:          st.TargetRates,
-		SourceObserved:       st.SourceObserved,
-		Backpressured:        st.Backpressured,
-		BackpressureFraction: st.BackpressureFraction,
-		Parallelism:          st.Parallelism,
-		Workers:              st.Workers,
-		Latencies:            st.Latencies,
-		EpochLatencies:       st.EpochLatencies,
-	}
-	if !obs.Busy {
-		obs.SnapshotFn = sync.OnceValues(func() (metrics.Snapshot, error) {
-			return engine.Snapshot(st)
-		})
-	}
-	return obs, nil
+	return r.eng.RunInterval(d), nil
 }
 
 // Apply schedules the action's configuration on the simulator and,

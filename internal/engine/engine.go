@@ -347,11 +347,9 @@ type Engine struct {
 }
 
 // EpochLatency records when a 1-epoch batch of source data finished
-// flowing through the dataflow (ModeTimely).
-type EpochLatency struct {
-	Epoch   int64   `json:"epoch"`
-	Latency float64 `json:"latency"` // completion − epoch end; >= 0
-}
+// flowing through the dataflow (ModeTimely); like LatencySample it
+// lives in internal/metrics.
+type EpochLatency = metrics.EpochLatency
 
 // New builds an engine for the graph. specs must cover every non-source
 // operator and srcs every source. initial must validate against g; in

@@ -3,42 +3,14 @@ package engine
 import (
 	"sort"
 
-	"ds2/internal/dataflow"
 	"ds2/internal/metrics"
 )
 
-// IntervalStats carries everything observed since the previous Collect:
-// the per-instance instrumentation windows DS2 consumes, the externally
-// observed source rates, backpressure signals, latency samples and
-// (Timely) epoch completions.
-type IntervalStats struct {
-	Start, End float64
-	// Windows are the per-instance instrumentation windows (§4.1).
-	Windows []metrics.WindowMetrics
-	// SourceObserved is the achieved output rate per source over the
-	// interval — what an external monitor sees.
-	SourceObserved map[string]float64
-	// TargetRates is the target rate per source at interval end.
-	TargetRates map[string]float64
-	// Backpressured lists operators whose input queues crossed the
-	// backpressure threshold (signal consumed by Dhalion-style
-	// policies; meaningless in Timely mode).
-	Backpressured []string
-	// BackpressureFraction is the fraction of the interval each
-	// operator spent signaling backpressure.
-	BackpressureFraction map[string]float64
-	// MaxOccupancy is each operator's worst input-queue occupancy in
-	// [0, 1] at collection time.
-	MaxOccupancy map[string]float64
-	// Latencies are weighted per-record latency samples taken at
-	// sinks during the interval.
-	Latencies []LatencySample
-	// EpochLatencies are completed-epoch latencies (Timely mode).
-	EpochLatencies []EpochLatency
-	// Parallelism and Workers snapshot the deployment.
-	Parallelism dataflow.Parallelism
-	Workers     int
-}
+// IntervalStats is what Collect returns: everything observed since the
+// previous Collect, in the one record every job hands its controller.
+// Busy reports that the job was paused for redeployment at collection
+// time.
+type IntervalStats = metrics.Observation
 
 // Collect closes the current observation interval: it materializes
 // per-instance windows from the counters, resets them, and returns the
@@ -48,9 +20,9 @@ func (e *Engine) Collect() IntervalStats {
 	out := IntervalStats{
 		Start:                e.intervalStart,
 		End:                  e.now,
+		Busy:                 e.paused,
 		SourceObserved:       make(map[string]float64),
 		TargetRates:          e.TargetRates(),
-		MaxOccupancy:         make(map[string]float64),
 		BackpressureFraction: make(map[string]float64),
 		Parallelism:          e.Parallelism(),
 		Workers:              e.workers,
@@ -83,7 +55,6 @@ func (e *Engine) Collect() IntervalStats {
 			inst.waitIn, inst.waitOut, inst.serExtra = 0, 0, 0
 		}
 		if !s.isSource {
-			out.MaxOccupancy[s.name] = occ
 			out.BackpressureFraction[s.name] = clamp(s.bpTime/d, 0, 1)
 			s.bpTime = 0
 			if occ >= e.cfg.BackpressureThreshold {
@@ -154,9 +125,7 @@ func (e *Engine) RunInterval(d float64) IntervalStats {
 // Timely mode the current parallelism passed to the policy should be
 // the per-worker view (every operator at parallelism == workers);
 // stats windows already reflect that split.
-func Snapshot(st IntervalStats) (metrics.Snapshot, error) {
-	return metrics.BuildSnapshot(st.End, st.Windows, st.TargetRates)
-}
+func Snapshot(st IntervalStats) (metrics.Snapshot, error) { return st.Snapshot() }
 
 // LatencyQuantile computes the q-quantile (0..1) of weighted latency
 // samples. It returns 0 when there are no samples.

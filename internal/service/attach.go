@@ -6,46 +6,32 @@ import (
 	"time"
 
 	"ds2/internal/controlloop"
-	"ds2/internal/dataflow"
 )
 
-// AttachedEngine is the engine side of Fig. 5 for a locally running
-// job of any kind: something that can report one policy interval of
-// instrumentation and execute a rescale. internal/streamrt's Runtime
-// implements it for the live dataflow runtime; a real Flink/Heron
-// integration would implement it against savepoints and the engine's
-// metrics.
-//
-// The contract assumes settling redeployments: Rescale returns once
-// the restart is complete with the configuration actually deployed,
-// and the next NextReport covers a clean post-restart window. Engines
-// with slow, non-settling restarts should instead report Busy spans
-// through the Report they return.
-type AttachedEngine interface {
-	// NextReport blocks for one policy interval of job time and
-	// returns its instrumentation report. It returns an error when the
-	// job is gone.
-	NextReport(intervalSec float64) (Report, error)
-	// Rescale deploys the configuration (savepoint -> restore) and
-	// returns what was actually deployed.
-	Rescale(p dataflow.Parallelism) (dataflow.Parallelism, error)
-}
-
-// SavepointEngine is the optional AttachedEngine extension for engines
-// that can cut durable checkpoints. Savepoint drains the job, persists
-// its state and source positions, restarts it, and returns where the
-// savepoint landed (a file path or store-specific name). The attached
-// driver calls it when the service parks a savepoint request; engines
-// without it settle such requests with an error instead of stalling
-// them forever.
+// SavepointEngine is the optional extension of an attached Runtime for
+// engines that can cut durable checkpoints. Savepoint drains the job,
+// persists its state and source positions, restarts it, and returns
+// where the savepoint landed (a file path or store-specific name). The
+// attached driver calls it when the service parks a savepoint request;
+// engines without it settle such requests with an error instead of
+// stalling them forever.
 type SavepointEngine interface {
 	Savepoint() (path string, err error)
 }
 
-// AttachedJob registers a local engine with a ds2d scaling service and
-// plays the report/poll/ack cycle against it — the generalization of
-// SimulatedJob to any AttachedEngine. To the server, an attached live
-// job and a simulated one are indistinguishable.
+// AttachedJob registers a locally running job with a ds2d scaling
+// service and plays the engine side of Fig. 5 against it: report what
+// Advance returned, poll for a scaling command, Apply it, ack the
+// deployed Parallelism. The job is any controlloop.Runtime — the same
+// three methods an in-process Controller drives — so the simulator
+// (controlloop.EngineRuntime), the live runtime (internal/streamrt's
+// Runtime) and a real Flink/Heron integration attach the same way, and
+// to the server they are indistinguishable.
+//
+// The driver assumes settling redeployments: Apply returns once the
+// restart is complete and the next Advance covers a clean post-restart
+// window. An engine with slow, non-settling restarts reports Busy
+// observations instead (SimulatedJob's Heron mode).
 type AttachedJob struct {
 	// PollWait bounds each action long-poll (default 10 s).
 	PollWait time.Duration
@@ -55,22 +41,28 @@ type AttachedJob struct {
 	ID string
 
 	client *Client
-	eng    AttachedEngine
+	rt     controlloop.Runtime
 	spec   JobSpec
 }
 
-// NewAttachedJob wires an engine to a scaling service client.
-func NewAttachedJob(c *Client, eng AttachedEngine, spec JobSpec) *AttachedJob {
-	return &AttachedJob{client: c, eng: eng, spec: spec}
+// NewAttachedJob wires a runtime to a scaling service client.
+func NewAttachedJob(c *Client, rt controlloop.Runtime, spec JobSpec) *AttachedJob {
+	return &AttachedJob{client: c, rt: rt, spec: spec}
+}
+
+// pollWaitOr returns d, or the drivers' default long-poll bound when d
+// is unset.
+func pollWaitOr(d time.Duration) time.Duration {
+	if d <= 0 {
+		return 10 * time.Second
+	}
+	return d
 }
 
 // Run registers the job and drives it until the service finishes the
 // decision loop, returning the service-side trace.
 func (a *AttachedJob) Run() (controlloop.Trace, error) {
-	pollWait := a.PollWait
-	if pollWait <= 0 {
-		pollWait = 10 * time.Second
-	}
+	pollWait := pollWaitOr(a.PollWait)
 	id := a.ID
 	if id == "" {
 		var err error
@@ -84,7 +76,7 @@ func (a *AttachedJob) Run() (controlloop.Trace, error) {
 	// Bounded defensively: the service finishes after MaxIntervals
 	// reports at the latest.
 	for cycle := 0; cycle < a.spec.MaxIntervals+16; cycle++ {
-		rep, err := a.eng.NextReport(a.spec.IntervalSec)
+		rep, err := a.rt.Advance(a.spec.IntervalSec)
 		if err != nil {
 			if errors.Is(err, controlloop.ErrStopped) {
 				// The engine side went away cleanly (e.g. the live job
@@ -109,14 +101,13 @@ func (a *AttachedJob) Run() (controlloop.Trace, error) {
 		}
 		if act := dec.Action; act != nil && act.Seq != lastSeq {
 			lastSeq = act.Seq
-			applied, err := a.eng.Rescale(act.New)
-			if err != nil {
+			if err := a.rt.Apply(act.action()); err != nil {
 				if errors.Is(err, controlloop.ErrStopped) {
 					break // same clean end as on the report path
 				}
 				return controlloop.Trace{}, fmt.Errorf("service: applying action %d: %w", act.Seq, err)
 			}
-			if err := a.client.Ack(id, act.Seq, applied); err != nil {
+			if err := a.client.Ack(id, act.Seq, a.rt.Parallelism()); err != nil {
 				return controlloop.Trace{}, err
 			}
 		}
@@ -124,7 +115,7 @@ func (a *AttachedJob) Run() (controlloop.Trace, error) {
 			lastSpSeq = seq
 			var path string
 			spErr := errors.New("service: engine does not support savepoints")
-			if se, ok := a.eng.(SavepointEngine); ok {
+			if se, ok := a.rt.(SavepointEngine); ok {
 				path, spErr = se.Savepoint()
 				if spErr != nil && errors.Is(spErr, controlloop.ErrStopped) {
 					break // clean end, like the report and rescale paths

@@ -10,53 +10,20 @@ import (
 	"ds2/internal/controlloop"
 	"ds2/internal/core"
 	"ds2/internal/dataflow"
-	"ds2/internal/engine"
 	"ds2/internal/metrics"
-	"ds2/internal/obs"
 )
 
 // Report is one instrumentation delivery from a running job instance
-// (or its metrics sidecar) to the scaling service: the per-instance
-// windows of §4.1 plus the coarse external signals rule-based
-// controllers consume, covering the job-time span [Start, End).
-// Reports may be finer-grained than the policy interval; the service
-// merges them until one interval's worth of coverage has arrived.
-type Report struct {
-	Start float64 `json:"start"`
-	End   float64 `json:"end"`
-	// Busy marks a span the job spent (at least partly) redeploying;
-	// its windows are polluted and no decision will consume them.
-	Busy bool `json:"busy,omitempty"`
-	// Windows are the per-instance instrumentation windows.
-	Windows []metrics.WindowMetrics `json:"windows,omitempty"`
-	// TargetRates is the target rate per source at End.
-	TargetRates map[string]float64 `json:"target_rates,omitempty"`
-	// SourceObserved is the achieved output rate per source.
-	SourceObserved map[string]float64 `json:"source_observed,omitempty"`
-	// Backpressured and BackpressureFraction are the Dhalion signals.
-	Backpressured        []string           `json:"backpressured,omitempty"`
-	BackpressureFraction map[string]float64 `json:"backpressure_fraction,omitempty"`
-	// Parallelism and Workers snapshot the deployment the span ran
-	// under.
-	Parallelism dataflow.Parallelism `json:"parallelism,omitempty"`
-	Workers     int                  `json:"workers,omitempty"`
-	// Latencies and EpochLatencies feed the trace's quantile columns.
-	Latencies      []metrics.LatencySample `json:"latencies,omitempty"`
-	EpochLatencies []engine.EpochLatency   `json:"epoch_latencies,omitempty"`
-	// Rescales carries the engine's retained rescale span timelines,
-	// oldest first. The service merges them into the job's record by
-	// trace ID — a timeline first delivered incomplete (its trailing
-	// first_record span pending) is replaced once a later report
-	// carries the finished version. Served by GET /jobs/{id}/rescales.
-	Rescales []obs.TraceView `json:"rescales,omitempty"`
-}
+// (or its metrics sidecar) to the scaling service, covering the
+// job-time span [Start, End): the same record a Runtime hands an
+// in-process Controller, JSON-encoded. Reports may be finer-grained
+// than the policy interval; the service merges them until one
+// interval's worth of coverage has arrived.
+type Report = metrics.Observation
 
-// Span returns the job-time coverage of the report.
-func (r Report) Span() float64 { return r.End - r.Start }
-
-// Validate checks the report's structural invariants against the job's
-// graph.
-func (r Report) Validate(g *dataflow.Graph) error {
+// validateReport checks the report's structural invariants against the
+// job's graph.
+func validateReport(r Report, g *dataflow.Graph) error {
 	if !(r.End > r.Start) {
 		return fmt.Errorf("service: report span [%v, %v) is empty", r.Start, r.End)
 	}
@@ -82,26 +49,6 @@ func (r Report) Validate(g *dataflow.Graph) error {
 	return nil
 }
 
-// ReportFromStats converts one simulator interval into a Report — the
-// bridge SimulatedJob (and any simulator-backed integration test) uses
-// to speak the service's ingestion format.
-func ReportFromStats(st engine.IntervalStats, busy bool) Report {
-	return Report{
-		Start:                st.Start,
-		End:                  st.End,
-		Busy:                 busy,
-		Windows:              st.Windows,
-		TargetRates:          st.TargetRates,
-		SourceObserved:       st.SourceObserved,
-		Backpressured:        st.Backpressured,
-		BackpressureFraction: st.BackpressureFraction,
-		Parallelism:          st.Parallelism,
-		Workers:              st.Workers,
-		Latencies:            st.Latencies,
-		EpochLatencies:       st.EpochLatencies,
-	}
-}
-
 // ActionEnvelope is a scaling command in flight between the service
 // and the engine: the paper's "rescale via the engine's API" edge of
 // Fig. 5. Seq orders actions within one job; the engine acknowledges
@@ -112,6 +59,15 @@ type ActionEnvelope struct {
 	New    dataflow.Parallelism `json:"new"`
 	Old    dataflow.Parallelism `json:"old,omitempty"`
 	Reason string               `json:"reason,omitempty"`
+}
+
+// action is the envelope as the core.Action it was built from (Apply).
+func (e ActionEnvelope) action() *core.Action {
+	kind := core.ActionRescale
+	if e.Kind == core.ActionRollback.String() {
+		kind = core.ActionRollback
+	}
+	return &core.Action{Kind: kind, New: e.New, Old: e.Old, Reason: e.Reason}
 }
 
 // ErrBacklogged is returned by Ingest when the job's report buffer is
@@ -209,7 +165,7 @@ func (r *RemoteRuntime) signalLocked() {
 // Ingest accepts one report into the buffer. It returns ErrBacklogged
 // when the buffer is full and ErrStopped when the job was shut down.
 func (r *RemoteRuntime) Ingest(rep Report) error {
-	if err := rep.Validate(r.graph); err != nil {
+	if err := validateReport(rep, r.graph); err != nil {
 		return err
 	}
 	r.mu.Lock()
@@ -284,72 +240,59 @@ func (r *RemoteRuntime) Advance(d float64) (controlloop.Observation, error) {
 	// issued action — the job is mid-redeployment from the service's
 	// point of view even if individual reports did not flag it.
 	obs.Busy = obs.Busy || busyAction
-	if !obs.Busy && len(taken) > 0 {
-		windows, err := mergedWindows(taken)
-		if err != nil {
-			return controlloop.Observation{}, err
-		}
-		snap, err := metrics.BuildSnapshot(obs.End, windows, obs.TargetRates)
+	if !obs.Busy {
+		// Built here even though the autoscaler may build it again: a
+		// malformed window must fail the interval whichever policy runs.
+		snap, err := obs.Snapshot()
 		if err != nil {
 			return controlloop.Observation{}, err
 		}
 		if r.repo != nil {
 			r.repo.Publish(snap)
 		}
-		obs.SnapshotFn = func() (metrics.Snapshot, error) { return snap, nil }
 	}
 	return obs, nil
 }
 
-// mergedWindows folds the taken reports' windows into one window per
-// instance.
-func mergedWindows(taken []Report) ([]metrics.WindowMetrics, error) {
-	var all []metrics.WindowMetrics
-	for _, rep := range taken {
-		all = append(all, rep.Windows...)
-	}
-	return metrics.MergeByInstance(all)
-}
-
 // mergeReports combines consecutive reports into one Observation
-// covering their union: last-value semantics for deployment state and
-// target rates, time-weighted means for rates and signal fractions,
-// concatenation for latency samples.
+// covering their union: one window per instance, last-value semantics
+// for deployment state and target rates, time-weighted means for rates
+// and signal fractions, concatenation for latency samples. cur and
+// workers stand in for a deployment the last report did not state.
 func mergeReports(taken []Report, cur dataflow.Parallelism, workers int) (controlloop.Observation, error) {
 	if len(taken) == 0 {
 		return controlloop.Observation{}, errors.New("service: no reports to merge")
 	}
 	last := taken[len(taken)-1]
-	obs := controlloop.Observation{
-		Start:       taken[0].Start,
-		End:         last.End,
-		TargetRates: last.TargetRates,
-		Parallelism: cur,
-		Workers:     workers,
+	// The common case — one report per policy interval — passes
+	// signal values through bit-exact instead of taking the weighted
+	// mean (whose multiply-then-divide round trip is not an identity in
+	// floating point). Decision parity with the in-process loop depends
+	// on this.
+	obs := last
+	if len(taken) > 1 {
+		obs = controlloop.Observation{Start: taken[0].Start, End: last.End, TargetRates: last.TargetRates}
+		mergeSignals(&obs, taken)
 	}
+	obs.Parallelism, obs.Workers = cur, workers
 	if last.Parallelism != nil {
 		obs.Parallelism = last.Parallelism.Clone()
 	}
 	if last.Workers > 0 {
 		obs.Workers = last.Workers
 	}
-
-	if len(taken) == 1 {
-		// The common case — one report per policy interval — passes
-		// signal values through bit-exact instead of taking the
-		// weighted mean (whose multiply-then-divide round trip is not
-		// an identity in floating point). Decision parity with the
-		// in-process loop depends on this.
-		one := taken[0]
-		obs.Busy = one.Busy
-		obs.SourceObserved = one.SourceObserved
-		obs.BackpressureFraction = one.BackpressureFraction
-		obs.Backpressured = one.Backpressured
-		obs.Latencies = one.Latencies
-		obs.EpochLatencies = one.EpochLatencies
-		return obs, nil
+	var all []metrics.WindowMetrics
+	for _, rep := range taken {
+		all = append(all, rep.Windows...)
 	}
+	var err error
+	obs.Windows, err = metrics.MergeByInstance(all)
+	return obs, err
+}
 
+// mergeSignals fills obs's busy flag, rates, backpressure signals and
+// latency samples from several reports.
+func mergeSignals(obs *controlloop.Observation, taken []Report) {
 	total := 0.0
 	srcObs := make(map[string]float64)
 	bpFrac := make(map[string]float64)
@@ -388,7 +331,6 @@ func mergeReports(taken []Report, cur dataflow.Parallelism, workers int) (contro
 		obs.Backpressured = append(obs.Backpressured, op)
 	}
 	sort.Strings(obs.Backpressured)
-	return obs, nil
 }
 
 // Apply parks the action in the mailbox for the engine to poll. The

@@ -1,7 +1,9 @@
 package service
 
 import (
+	"encoding/json"
 	"errors"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -10,6 +12,7 @@ import (
 	"ds2/internal/core"
 	"ds2/internal/dataflow"
 	"ds2/internal/metrics"
+	"ds2/internal/obs"
 )
 
 func testGraph(t *testing.T) *dataflow.Graph {
@@ -227,6 +230,76 @@ func TestRemoteRuntimeClose(t *testing.T) {
 	}
 }
 
+// TestReportWireGolden pins the body of POST /jobs/{id}/metrics: a
+// report with every field set marshals to the bytes commit 31df397
+// produced (where Report was its own struct), unset fields stay off
+// the wire, and the bytes round-trip.
+func TestReportWireGolden(t *testing.T) {
+	const golden = `{"start":60,"end":120.5,"busy":true,` +
+		`"windows":[{"id":{"operator":"op","index":1},"window":60.5,"deserialization":1.25,"processing":30,"serialization":2.5,"waiting_input":20,"waiting_output":6.75,"processed":1000,"pushed":2000}],` +
+		`"target_rates":{"src":100},"source_observed":{"src":87.5},` +
+		`"backpressured":["op"],"backpressure_fraction":{"op":0.25},` +
+		`"parallelism":{"op":2,"src":1},"workers":3,` +
+		`"latencies":[{"latency":0.125,"weight":64}],"epoch_latencies":[{"epoch":7,"latency":0.5}],` +
+		`"rescales":[{"id":"rescale-1","name":"rescale","started_at":"2023-11-14T22:13:20Z","complete":true,"duration_ns":500,` +
+		`"spans":[{"id":1,"name":"drain","worker":-1,"start_ns":0,"end_ns":100},{"id":2,"parent":1,"name":"drain/w1","worker":1,"start_ns":10,"end_ns":90}]}]}`
+	rep := Report{
+		Start: 60,
+		End:   120.5,
+		Busy:  true,
+		Windows: []metrics.WindowMetrics{{
+			ID:              metrics.InstanceID{Operator: "op", Index: 1},
+			Window:          60.5,
+			Deserialization: 1.25,
+			Processing:      30,
+			Serialization:   2.5,
+			WaitingInput:    20,
+			WaitingOutput:   6.75,
+			Processed:       1000,
+			Pushed:          2000,
+		}},
+		TargetRates:          map[string]float64{"src": 100},
+		SourceObserved:       map[string]float64{"src": 87.5},
+		Backpressured:        []string{"op"},
+		BackpressureFraction: map[string]float64{"op": 0.25},
+		Parallelism:          dataflow.Parallelism{"op": 2, "src": 1},
+		Workers:              3,
+		Latencies:            []metrics.LatencySample{{Latency: 0.125, Weight: 64}},
+		EpochLatencies:       []metrics.EpochLatency{{Epoch: 7, Latency: 0.5}},
+		Rescales: []obs.TraceView{{
+			ID: "rescale-1", Name: "rescale", StartedAt: time.Unix(1700000000, 0).UTC(), Complete: true, DurationNs: 500,
+			Spans: []obs.Span{
+				{ID: 1, Name: "drain", Worker: -1, StartNs: 0, EndNs: 100},
+				{ID: 2, Parent: 1, Name: "drain/w1", Worker: 1, StartNs: 10, EndNs: 90},
+			},
+		}},
+	}
+	// Every field of the record must be set above, or a field added
+	// later would slip past the golden.
+	for v, i := reflect.ValueOf(rep), 0; i < v.NumField(); i++ {
+		if v.Field(i).IsZero() {
+			t.Fatalf("report field %s is unset: extend the golden", v.Type().Field(i).Name)
+		}
+	}
+	got, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != golden {
+		t.Errorf("wire form changed:\n got %s\nwant %s", got, golden)
+	}
+	var back Report
+	if err := json.Unmarshal(got, &back); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back, rep) {
+		t.Errorf("round trip lost data:\n got %+v\nwant %+v", back, rep)
+	}
+	if got, err := json.Marshal(Report{Start: 1, End: 2}); err != nil || string(got) != `{"start":1,"end":2}` {
+		t.Errorf("bare report = %s (%v), want only start and end on the wire", got, err)
+	}
+}
+
 func TestReportValidate(t *testing.T) {
 	g := testGraph(t)
 	cases := []struct {
@@ -242,7 +315,7 @@ func TestReportValidate(t *testing.T) {
 			Parallelism: dataflow.Parallelism{"src": 1}}},
 	}
 	for _, tc := range cases {
-		if err := tc.rep.Validate(g); err == nil {
+		if err := validateReport(tc.rep, g); err == nil {
 			t.Errorf("%s: validated", tc.name)
 		}
 	}

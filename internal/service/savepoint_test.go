@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"ds2/internal/controlloop"
+	"ds2/internal/core"
 	"ds2/internal/dataflow"
 	"ds2/internal/metrics"
 	"ds2/internal/service"
@@ -26,24 +27,33 @@ func savepointSpec() service.JobSpec {
 	}
 }
 
-// spReporter is a minimal AttachedEngine: synthetic steady reports,
-// no-op rescales, and a SavepointEngine implementation that counts
-// the cuts.
+// spReporter is a minimal controlloop.Runtime: synthetic steady
+// observations, rescales that deploy nothing (or fail with applyErr),
+// and a SavepointEngine implementation that counts the cuts.
 type spReporter struct {
 	mu         sync.Mutex
 	reports    int
 	savepoints int
+	// target is the source's target rate; the zero value means 100,
+	// which "op" (true rate 200) keeps up with, so DS2 stays quiet.
+	target   float64
+	applyErr error
+	applied  int
 }
 
-func (e *spReporter) NextReport(intervalSec float64) (service.Report, error) {
+func (e *spReporter) Advance(intervalSec float64) (controlloop.Observation, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.reports >= 6 {
-		return service.Report{}, controlloop.ErrStopped
+		return controlloop.Observation{}, controlloop.ErrStopped
+	}
+	target := e.target
+	if target == 0 {
+		target = 100
 	}
 	start := float64(e.reports) * intervalSec
 	e.reports++
-	return service.Report{
+	return controlloop.Observation{
 		Start: start,
 		End:   start + intervalSec,
 		Windows: []metrics.WindowMetrics{{
@@ -53,14 +63,21 @@ func (e *spReporter) NextReport(intervalSec float64) (service.Report, error) {
 			Processed:  100,
 			Pushed:     100,
 		}},
-		TargetRates:    map[string]float64{"src": 100},
+		TargetRates:    map[string]float64{"src": target},
 		SourceObserved: map[string]float64{"src": 100},
 		Parallelism:    dataflow.Parallelism{"src": 1, "op": 1},
 	}, nil
 }
 
-func (e *spReporter) Rescale(p dataflow.Parallelism) (dataflow.Parallelism, error) {
-	return p, nil
+func (e *spReporter) Apply(*core.Action) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.applied++
+	return e.applyErr
+}
+
+func (e *spReporter) Parallelism() dataflow.Parallelism {
+	return dataflow.Parallelism{"src": 1, "op": 1}
 }
 
 func (e *spReporter) Savepoint() (string, error) {
@@ -167,19 +184,19 @@ func TestAttachedJobExecutesSavepointRequest(t *testing.T) {
 	}
 }
 
-// plainReporter has the AttachedEngine surface but deliberately NOT
-// the Savepoint method (no embedding — promotion would smuggle it in):
-// the attached driver must settle requests against it with an error
-// rather than stalling them forever.
+// plainReporter has the controlloop.Runtime surface but deliberately
+// NOT the Savepoint method (no embedding — promotion would smuggle it
+// in): the attached driver must settle requests against it with an
+// error rather than stalling them forever.
 type plainReporter struct{ inner spReporter }
 
-func (e *plainReporter) NextReport(intervalSec float64) (service.Report, error) {
-	return e.inner.NextReport(intervalSec)
+func (e *plainReporter) Advance(intervalSec float64) (controlloop.Observation, error) {
+	return e.inner.Advance(intervalSec)
 }
 
-func (e *plainReporter) Rescale(p dataflow.Parallelism) (dataflow.Parallelism, error) {
-	return p, nil
-}
+func (e *plainReporter) Apply(act *core.Action) error { return e.inner.Apply(act) }
+
+func (e *plainReporter) Parallelism() dataflow.Parallelism { return e.inner.Parallelism() }
 
 func TestAttachedJobWithoutSavepointSupportSettlesWithError(t *testing.T) {
 	_, client := newLoopback(t)
@@ -204,5 +221,29 @@ func TestAttachedJobWithoutSavepointSupportSettlesWithError(t *testing.T) {
 	}
 	if st.Total != 1 || st.Savepoints[0].Error == "" {
 		t.Fatalf("savepoints = %+v, want one record settled with an error", st)
+	}
+}
+
+// TestAttachedJobStoppedDuringApply: a job stopped between the poll
+// and the rescale surfaces as ErrStopped from Apply. That is a clean
+// end — no ack goes out, and the service-side trace (which already
+// records the decision) is the run's result.
+func TestAttachedJobStoppedDuringApply(t *testing.T) {
+	_, client := newLoopback(t)
+	// A 300 rec/s target against op's true rate of 200: DS2 asks for a
+	// second instance on the first interval.
+	eng := &spReporter{target: 300, applyErr: controlloop.ErrStopped}
+	tr, err := service.NewAttachedJob(client, eng, savepointSpec()).Run()
+	if err != nil {
+		t.Fatalf("Run = %v, want a clean end", err)
+	}
+	if eng.applied != 1 || eng.reports != 1 {
+		t.Fatalf("engine saw %d applies over %d reports, want the run to end at the first apply", eng.applied, eng.reports)
+	}
+	if tr.Decisions != 1 || len(tr.Intervals) != 1 || tr.Intervals[0].Action == "" {
+		t.Fatalf("trace = %+v, want the one deciding interval", tr)
+	}
+	if tr.Final["op"] != 1 {
+		t.Fatalf("final = %v: an unapplied action was acked", tr.Final)
 	}
 }

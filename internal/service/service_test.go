@@ -192,7 +192,7 @@ func TestServiceJobLifecycle(t *testing.T) {
 	// One interval's worth of reports flows through to the status.
 	e := heronEngine(t)
 	st := e.RunInterval(60)
-	if _, err := client.Report(id, service.ReportFromStats(st, false)); err != nil {
+	if _, err := client.Report(id, st); err != nil {
 		t.Fatal(err)
 	}
 	dec, err := client.PollAction(id, 0, 5*time.Second)
@@ -441,7 +441,7 @@ func TestServiceSubIntervalReports(t *testing.T) {
 	for cycle := 0; cycle < 6; cycle++ {
 		for q := 0; q < 4; q++ {
 			st := e.RunInterval(15)
-			if _, err := client.Report(id, service.ReportFromStats(st, e.Paused())); err != nil {
+			if _, err := client.Report(id, st); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"ds2/internal/controlloop"
-	"ds2/internal/dataflow"
 	"ds2/internal/engine"
 )
 
@@ -18,12 +17,13 @@ import (
 // With Settle, a rescale's savepoint/restore pause is run out
 // synchronously and the polluted partial metric window discarded
 // before acking (the Flink-style integration, §4.1); this mode is the
-// AttachedEngine contract, so it delegates to the shared AttachedJob
-// driver. Without it the action stays unacked while the pause rides
-// through subsequent reported intervals, which the service observes
-// as Busy (Heron's slow redeployments, §5.2). Both mirror the
-// corresponding controlloop.EngineRuntime settle modes exactly, which
-// is what the decision-parity tests pin.
+// AttachedJob contract, so it is an AttachedJob over the settling
+// controlloop.EngineRuntime. Without it the action stays unacked while
+// the pause rides through subsequent reported intervals, which the
+// service observes as Busy (Heron's slow redeployments, §5.2) — the ack
+// then follows the restore, not Apply's return, so that loop stays its
+// own. Both mirror the corresponding controlloop.EngineRuntime settle
+// modes exactly, which is what the decision-parity tests pin.
 type SimulatedJob struct {
 	// PollWait bounds each action long-poll (default 10 s).
 	PollWait time.Duration
@@ -41,31 +41,6 @@ func NewSimulatedJob(c *Client, e *engine.Engine, spec JobSpec, settle bool) *Si
 	return &SimulatedJob{client: c, eng: e, spec: spec, settle: settle}
 }
 
-// settledSim adapts the simulator's settle mode to AttachedEngine:
-// Rescale runs the savepoint/restore pause out and discards the
-// polluted partial window, so every report covers a clean interval.
-type settledSim struct {
-	eng *engine.Engine
-}
-
-// NextReport implements AttachedEngine.
-func (s settledSim) NextReport(intervalSec float64) (Report, error) {
-	st := s.eng.RunInterval(intervalSec)
-	return ReportFromStats(st, s.eng.Paused()), nil
-}
-
-// Rescale implements AttachedEngine.
-func (s settledSim) Rescale(p dataflow.Parallelism) (dataflow.Parallelism, error) {
-	if err := s.eng.Rescale(p); err != nil {
-		return nil, err
-	}
-	for s.eng.Paused() {
-		s.eng.Run(1)
-	}
-	s.eng.Collect() // discard the polluted partial window
-	return s.eng.Parallelism(), nil
-}
-
 // Run registers the job and drives it until the service finishes the
 // decision loop, returning the service-side trace. ID holds the
 // assigned job id from the moment registration completes.
@@ -77,16 +52,13 @@ func (sj *SimulatedJob) Run() (controlloop.Trace, error) {
 	sj.ID = id
 
 	if sj.settle {
-		aj := NewAttachedJob(sj.client, settledSim{eng: sj.eng}, sj.spec)
+		aj := NewAttachedJob(sj.client, controlloop.NewEngineRuntime(sj.eng, true), sj.spec)
 		aj.PollWait = sj.PollWait
 		aj.ID = id // already registered above
 		return aj.Run()
 	}
 
-	pollWait := sj.PollWait
-	if pollWait <= 0 {
-		pollWait = 10 * time.Second
-	}
+	pollWait := pollWaitOr(sj.PollWait)
 
 	var pendingSeq, lastSeq, reported int
 	// The loop is bounded defensively: the service finishes after
@@ -104,7 +76,7 @@ func (sj *SimulatedJob) Run() (controlloop.Trace, error) {
 			}
 			pendingSeq = 0
 		}
-		state, err := sj.client.Report(id, ReportFromStats(st, sj.eng.Paused()))
+		state, err := sj.client.Report(id, st)
 		if err != nil {
 			return controlloop.Trace{}, err
 		}

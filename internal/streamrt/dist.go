@@ -479,7 +479,7 @@ func (w *Worker) collect() ([]byte, error) {
 			}
 			// Best-effort: the coordinator's interval build is the one
 			// that drives decisions; this one only refreshes gauges.
-			if iv, err := buildInterval(h.pipe, h.cfg, resp.Accs, start, end, localPar); err == nil {
+			if iv, err := buildInterval(h.pipe, resp.Accs, start, end, localPar); err == nil {
 				h.obs.observeInterval(iv)
 			}
 		}
@@ -712,7 +712,7 @@ func (r *remote) deploy(gen uint32, par dataflow.Parallelism, snap *snapshot, tr
 			for k := range encStates[name] {
 				known[k] = nil
 			}
-			rt := buildRouter(known, par[name], r.cfg.PartitionWeights[name])
+			rt := buildRouter(known, par[name])
 			routers[name] = rt
 			if rt.table != nil {
 				tables[name] = rt.table

@@ -114,8 +114,8 @@
 // Runtime (NewEngineRuntime) adapts a Job to controlloop.Runtime, so
 // the standard Controller and every policy (DS2, Dhalion, queueing,
 // hold) drive a live job unchanged — Advance paces on the wall clock
-// instead of virtual time. The same Runtime implements
-// service.AttachedEngine, so AttachEngine registers the job with a
-// ds2d scaling service through the ordinary ingestion/poll/ack API: to
-// the server, a live job and a simulated one are indistinguishable.
+// instead of virtual time. service.AttachedJob drives that same
+// three-method seam, so AttachEngine registers the job with a ds2d
+// scaling service through the ordinary ingestion/poll/ack API: to the
+// server, a live job and a simulated one are indistinguishable.
 package streamrt

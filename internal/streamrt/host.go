@@ -111,8 +111,8 @@ func (h *host) deployLocked(gen uint32, par dataflow.Parallelism, states map[str
 	// exchange and state repartitioning, so a key's records and its
 	// state can never disagree on the owning instance. The routing
 	// table stripes the known key universe (the rescale snapshot's
-	// keys) evenly — or by Config.PartitionWeights — over the
-	// instances; unseen keys use rendezvous hashing.
+	// keys) evenly over the instances; unseen keys use rendezvous
+	// hashing.
 	routers := make(map[string]*router)
 	dc := h.dist
 	hosted := func(op string, k int) bool { return dc == nil || dc.assign[op][k] == dc.worker }
@@ -143,7 +143,7 @@ func (h *host) deployLocked(gen uint32, par dataflow.Parallelism, states map[str
 				// process.
 				routers[op.Name] = routerFromTable(dc.tables[op.Name], par[op.Name])
 			} else {
-				routers[op.Name] = buildRouter(states[op.Name], par[op.Name], h.cfg.PartitionWeights[op.Name])
+				routers[op.Name] = buildRouter(states[op.Name], par[op.Name])
 			}
 		}
 		cs := make([]chan *batch, par[op.Name])

@@ -35,23 +35,6 @@ type Config struct {
 	// low-rate jobs keep per-record latency. Values <= 0 default to
 	// 2ms.
 	FlushInterval time.Duration `json:"flush_interval_nanos"`
-	// PartitionWeights optionally skews the deployment-time routing
-	// table of a keyed operator (by name): instance i of operator op
-	// receives a share of the known key universe proportional to
-	// PartitionWeights[op][i]. Entries whose length does not match the
-	// operator's parallelism, or with non-positive weights, are ignored
-	// (equal shares). Keys outside the known universe fall back to
-	// rendezvous hashing regardless.
-	PartitionWeights map[string][]float64 `json:"partition_weights,omitempty"`
-	// BackpressureThreshold is the fraction of a window some upstream
-	// instance must spend blocked pushing into an operator before that
-	// operator is flagged backpressured (the Dhalion signal,
-	// attributed to the congested receiver as on the simulator).
-	// Values <= 0 default to 0.1.
-	BackpressureThreshold float64 `json:"backpressure_threshold"`
-	// JitterTolerance is passed to metrics.WindowFromDurations; <= 0
-	// selects metrics.DefaultJitterTolerance.
-	JitterTolerance float64 `json:"jitter_tolerance"`
 	// LatencySampleEvery makes sinks record every Nth record's
 	// source-to-sink latency (weight N). Values < 1 default to 1.
 	LatencySampleEvery int `json:"latency_sample_every"`
@@ -72,6 +55,12 @@ type Config struct {
 	Metrics *obs.Registry `json:"-"`
 }
 
+// backpressureThreshold is the fraction of a window some upstream
+// instance must spend blocked pushing into an operator before that
+// operator is flagged backpressured (the Dhalion signal, attributed to
+// the congested receiver as on the simulator).
+const backpressureThreshold = 0.1
+
 func (c Config) withDefaults() Config {
 	if c.ChannelCapacity < 1 {
 		c.ChannelCapacity = 16
@@ -81,9 +70,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.FlushInterval <= 0 {
 		c.FlushInterval = 2 * time.Millisecond
-	}
-	if c.BackpressureThreshold <= 0 {
-		c.BackpressureThreshold = 0.1
 	}
 	if c.LatencySampleEvery < 1 {
 		c.LatencySampleEvery = 1
@@ -448,21 +434,10 @@ func (j *Job) Wait() {
 	}
 }
 
-// Interval is everything one observation window produced — the
-// wall-clock analogue of the simulator's IntervalStats. Observation
-// and Report convert it for the in-process Controller and the ds2d
-// wire format respectively.
-type Interval struct {
-	Start, End           float64
-	Windows              []metrics.WindowMetrics
-	TargetRates          map[string]float64
-	SourceObserved       map[string]float64
-	Backpressured        []string
-	BackpressureFraction map[string]float64
-	Parallelism          dataflow.Parallelism
-	Workers              int
-	Latencies            []metrics.LatencySample
-}
+// Interval is everything one observation window produced: the shared
+// interval record as a named type, so that what Collect and
+// NextInterval return carries the Observation method.
+type Interval metrics.Observation
 
 // wireAcc is one instance's taken accumulator in wire form: a worker of
 // a distributed deployment ships these to the coordinator at collect
@@ -485,7 +460,7 @@ type wireAcc struct {
 // phase of Job.Collect, and of a Worker's own gauge refresh. It needs
 // no lock: it works on the taken snapshots and the immutable pipeline,
 // plus the user's Rate function.
-func buildInterval(pipe *Pipeline, cfg Config, accs []wireAcc, start, end float64, par dataflow.Parallelism) (Interval, error) {
+func buildInterval(pipe *Pipeline, accs []wireAcc, start, end float64, par dataflow.Parallelism) (Interval, error) {
 	iv := Interval{
 		Start:                start,
 		End:                  end,
@@ -517,7 +492,7 @@ func buildInterval(pipe *Pipeline, cfg Config, accs []wireAcc, start, end float6
 			WaitingInput:    time.Duration(t.DurNanos[3]),
 			WaitingOutput:   time.Duration(t.DurNanos[4]),
 		}
-		w, err := metrics.WindowFromDurations(id, window, dur, t.Processed, t.Pushed, cfg.JitterTolerance)
+		w, err := metrics.WindowFromDurations(id, window, dur, t.Processed, t.Pushed, metrics.DefaultJitterTolerance)
 		if err != nil {
 			return Interval{}, fmt.Errorf("streamrt: collecting %s: %w", id, err)
 		}
@@ -546,7 +521,7 @@ func buildInterval(pipe *Pipeline, cfg Config, accs []wireAcc, start, end float6
 		if f > 0 {
 			iv.BackpressureFraction[name] = f
 		}
-		if f > cfg.BackpressureThreshold {
+		if f > backpressureThreshold {
 			iv.Backpressured = append(iv.Backpressured, name)
 		}
 	}
@@ -590,7 +565,7 @@ func (j *Job) Collect() (Interval, error) {
 		j.winStart = end
 	}
 	j.mu.Unlock()
-	iv, err := buildInterval(j.pipe, j.cfg, accs, start, end, par)
+	iv, err := buildInterval(j.pipe, accs, start, end, par)
 	if err != nil {
 		return Interval{}, err
 	}

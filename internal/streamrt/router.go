@@ -9,8 +9,8 @@ import "sort"
 //
 // Keys the job has already seen — present in the rescale snapshot —
 // are striped over the instances by a deployment-time routing table:
-// sorted for determinism and dealt out by largest-remainder quotas
-// from the (optionally weighted) instance shares. That keeps a small
+// sorted for determinism and dealt out in equal shares, the remainder
+// going to the lowest instance indices. That keeps a small
 // hot universe balanced exactly — 100 auctions over 3 instances split
 // 34/33/33 — where hashing mod n would saturate the luckiest shard
 // well before the mean. Keys never seen before fall back to rendezvous
@@ -22,9 +22,7 @@ type router struct {
 }
 
 // buildRouter stripes the known key universe over n instances.
-// weights (from Config.PartitionWeights) skews the shares; a nil,
-// wrong-length, or non-positive entry means equal shares.
-func buildRouter(known map[string]any, n int, weights []float64) *router {
+func buildRouter(known map[string]any, n int) *router {
 	r := &router{n: n}
 	if n <= 1 || len(known) == 0 {
 		return r
@@ -34,15 +32,20 @@ func buildRouter(known map[string]any, n int, weights []float64) *router {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	quota := quotas(len(keys), n, weights)
 	r.table = make(map[string]int, len(keys))
-	inst := 0
-	for _, k := range keys {
-		for inst < n-1 && quota[inst] == 0 {
-			inst++
+	// Instance i owns share(i) consecutive sorted keys: len/n each,
+	// and one more for the first len%n instances.
+	base, extra := len(keys)/n, len(keys)%n
+	next := 0
+	for inst := 0; inst < n; inst++ {
+		share := base
+		if inst < extra {
+			share++
 		}
-		r.table[k] = inst
-		quota[inst]--
+		for _, k := range keys[next : next+share] {
+			r.table[k] = inst
+		}
+		next += share
 	}
 	return r
 }
@@ -64,55 +67,6 @@ func (r *router) owner(key string) int {
 		return t
 	}
 	return rendezvousOwner(key, r.n)
-}
-
-// quotas splits total keys into n integer shares proportional to
-// weights, exactly summing to total (largest-remainder apportionment;
-// ties break toward lower instance indices).
-func quotas(total, n int, weights []float64) []int {
-	w := make([]float64, n)
-	sum := 0.0
-	ok := len(weights) == n
-	if ok {
-		for i, x := range weights {
-			if x <= 0 {
-				ok = false
-				break
-			}
-			w[i] = x
-			sum += x
-		}
-	}
-	if !ok {
-		for i := range w {
-			w[i] = 1
-		}
-		sum = float64(n)
-	}
-	out := make([]int, n)
-	type rem struct {
-		i int
-		f float64
-	}
-	rems := make([]rem, n)
-	assigned := 0
-	for i := range w {
-		exact := float64(total) * w[i] / sum
-		out[i] = int(exact)
-		rems[i] = rem{i, exact - float64(out[i])}
-		assigned += out[i]
-	}
-	sort.Slice(rems, func(a, b int) bool {
-		if rems[a].f != rems[b].f {
-			return rems[a].f > rems[b].f
-		}
-		return rems[a].i < rems[b].i
-	})
-	for k := 0; assigned < total; k++ {
-		out[rems[k%n].i]++
-		assigned++
-	}
-	return out
 }
 
 // rendezvousOwner picks argmax_i mix64(hash(key) ^ seed_i): alloc-free

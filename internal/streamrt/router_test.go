@@ -28,7 +28,7 @@ func shardSizes(rt *router, known map[string]any, n int) []int {
 func TestRouterStripesKnownKeysEvenly(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 4, 7, 16} {
 		known := keyUniverse(100)
-		rt := buildRouter(known, n, nil)
+		rt := buildRouter(known, n)
 		sizes := shardSizes(rt, known, n)
 		lo, hi := sizes[0], sizes[0]
 		total := 0
@@ -50,33 +50,14 @@ func TestRouterStripesKnownKeysEvenly(t *testing.T) {
 	}
 }
 
-// TestRouterWeights: PartitionWeights skew the known-key shares by
-// largest-remainder apportionment.
-func TestRouterWeights(t *testing.T) {
-	known := keyUniverse(100)
-	rt := buildRouter(known, 3, []float64{2, 1, 1})
-	if sizes := shardSizes(rt, known, 3); sizes[0] != 50 || sizes[1] != 25 || sizes[2] != 25 {
-		t.Errorf("weighted shard sizes %v, want [50 25 25]", sizes)
-	}
-	// Invalid weights (wrong length, non-positive) fall back to equal.
-	for _, w := range [][]float64{{1, 2}, {1, -1, 1}, {0, 1, 1}} {
-		rt := buildRouter(known, 3, w)
-		for _, s := range shardSizes(rt, known, 3) {
-			if s < 33 || s > 34 {
-				t.Errorf("weights %v: expected equal-share fallback, got %v", w, shardSizes(rt, known, 3))
-			}
-		}
-	}
-}
-
 // TestRouterDeterministicAndStateAgreement: two routers built from the
 // same snapshot agree on every owner (deployment determinism), and
 // partitionState splits state exactly along the router's lines —
 // disjoint across instances, nothing lost.
 func TestRouterDeterministicAndStateAgreement(t *testing.T) {
 	known := keyUniverse(64)
-	a := buildRouter(known, 5, nil)
-	b := buildRouter(known, 5, nil)
+	a := buildRouter(known, 5)
+	b := buildRouter(known, 5)
 	seen := make(map[string]int)
 	for idx := 0; idx < 5; idx++ {
 		part := partitionState(known, a, idx)
@@ -95,7 +76,7 @@ func TestRouterDeterministicAndStateAgreement(t *testing.T) {
 	}
 	// Unseen keys take the rendezvous fallback: deterministic and in
 	// range, for fresh deployments with an empty table too.
-	empty := buildRouter(nil, 5, nil)
+	empty := buildRouter(nil, 5)
 	for i := 0; i < 500; i++ {
 		k := fmt.Sprintf("unseen-%d", i)
 		own := a.owner(k)

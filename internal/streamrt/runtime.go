@@ -4,13 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
-	"sync"
 	"sync/atomic"
 
 	"ds2/internal/controlloop"
 	"ds2/internal/core"
 	"ds2/internal/dataflow"
-	"ds2/internal/metrics"
 	"ds2/internal/obs"
 	"ds2/internal/service"
 )
@@ -26,16 +24,13 @@ type Engine interface {
 }
 
 // Runtime adapts a live engine (a Job, single-process or distributed)
-// to both control surfaces:
-//
-//   - controlloop.Runtime, so the standard Controller drives the job
-//     in-process — Advance paces on the wall clock (the job's real
-//     time), Apply performs the savepoint-and-restore rescale
-//     synchronously and discards the polluted partial window (settle
-//     semantics, like the Flink integration of §4.1).
-//   - service.AttachedEngine, so the same job registers with a ds2d
-//     scaling service and is driven through the ingestion/poll/ack
-//     API instead — indistinguishable from any other remote job.
+// to controlloop.Runtime, the one seam both control surfaces drive:
+// the standard Controller in-process, or service.AttachedJob against a
+// ds2d scaling service (report/poll/ack over HTTP, indistinguishable
+// from any other remote job). Advance paces on the wall clock (the
+// job's real time); Apply performs the savepoint-and-restore rescale
+// synchronously, and the next window starts after it (settle
+// semantics, like the Flink integration of §4.1).
 type Runtime struct {
 	eng Engine
 
@@ -61,13 +56,21 @@ func stopErr(err error) error {
 }
 
 // Advance blocks until the job has run d more seconds of wall-clock
-// time, then collects the interval's observation.
+// time, then collects the interval's observation. Engines that trace
+// rescales (a Job does) piggyback their retained timelines on it; the
+// scaling service dedups by trace ID, so resending the full ring every
+// interval is idempotent and delivers completions of timelines first
+// shipped in flight.
 func (r *Runtime) Advance(d float64) (controlloop.Observation, error) {
 	iv, err := r.eng.NextInterval(d)
 	if err != nil {
 		return controlloop.Observation{}, stopErr(err)
 	}
-	return iv.Observation(), nil
+	o := iv.Observation()
+	if tv, ok := r.eng.(interface{ RescaleTraces() []obs.TraceView }); ok {
+		o.Rescales = tv.RescaleTraces()
+	}
+	return o, nil
 }
 
 // Apply deploys the action's configuration via the engine's Rescale.
@@ -77,37 +80,6 @@ func (r *Runtime) Apply(act *core.Action) error {
 
 // Parallelism returns the deployed configuration.
 func (r *Runtime) Parallelism() dataflow.Parallelism { return r.eng.Parallelism() }
-
-// NextReport implements service.AttachedEngine: one policy interval's
-// instrumentation in the scaling service's wire format. A stopped job
-// surfaces as controlloop.ErrStopped, which the attached driver treats
-// as a clean end (it still fetches the service-side trace). Engines
-// that trace rescales (a Job does) piggyback their retained timelines
-// on every report; the service dedups by trace ID, so resending the
-// full ring is idempotent and delivers completions of timelines first
-// shipped in flight.
-func (r *Runtime) NextReport(intervalSec float64) (service.Report, error) {
-	iv, err := r.eng.NextInterval(intervalSec)
-	if err != nil {
-		return service.Report{}, stopErr(err)
-	}
-	rep := iv.Report()
-	if tv, ok := r.eng.(interface{ RescaleTraces() []obs.TraceView }); ok {
-		rep.Rescales = tv.RescaleTraces()
-	}
-	return rep, nil
-}
-
-// Rescale implements service.AttachedEngine: deploy and report what
-// was actually deployed (always the target — the live runtime deploys
-// exactly what it is asked). Like NextReport, a stopped job surfaces
-// as controlloop.ErrStopped so the attached driver ends cleanly.
-func (r *Runtime) Rescale(p dataflow.Parallelism) (dataflow.Parallelism, error) {
-	if err := r.eng.Rescale(p); err != nil {
-		return nil, stopErr(err)
-	}
-	return r.eng.Parallelism(), nil
-}
 
 // SavepointTo equips the runtime to execute service-requested
 // savepoints: each request drains the engine, persists one savepoint
@@ -155,42 +127,8 @@ func AttachEngine(c *service.Client, eng Engine, spec service.JobSpec) *service.
 	return service.NewAttachedJob(c, NewEngineRuntime(eng), spec)
 }
 
-// Observation converts the interval for the in-process Controller.
-// The snapshot builder is memoized so snapshot-blind autoscalers never
-// pay the aggregation.
+// Observation returns the interval as the record a controlloop.Runtime
+// reports; the two types share one underlying struct.
 func (iv Interval) Observation() controlloop.Observation {
-	obs := controlloop.Observation{
-		Start:                iv.Start,
-		End:                  iv.End,
-		TargetRates:          iv.TargetRates,
-		SourceObserved:       iv.SourceObserved,
-		Backpressured:        iv.Backpressured,
-		BackpressureFraction: iv.BackpressureFraction,
-		Parallelism:          iv.Parallelism,
-		Workers:              iv.Workers,
-		Latencies:            iv.Latencies,
-	}
-	windows := iv.Windows
-	obs.SnapshotFn = sync.OnceValues(func() (metrics.Snapshot, error) {
-		return metrics.BuildSnapshot(iv.End, windows, iv.TargetRates)
-	})
-	return obs
-}
-
-// Report converts the interval into the scaling service's ingestion
-// format. The server rebuilds the identical snapshot from it, which is
-// what keeps in-process and service-driven decision loops in lockstep.
-func (iv Interval) Report() service.Report {
-	return service.Report{
-		Start:                iv.Start,
-		End:                  iv.End,
-		Windows:              iv.Windows,
-		TargetRates:          iv.TargetRates,
-		SourceObserved:       iv.SourceObserved,
-		Backpressured:        iv.Backpressured,
-		BackpressureFraction: iv.BackpressureFraction,
-		Parallelism:          iv.Parallelism,
-		Workers:              iv.Workers,
-		Latencies:            iv.Latencies,
-	}
+	return controlloop.Observation(iv)
 }

@@ -215,59 +215,85 @@ func TestCollectWallClockWindows(t *testing.T) {
 	// §3 instrumentation: windows validate, the splitter's true
 	// processing rate reflects its capacity (1/cost = 500/s) rather
 	// than its observed rate (200/s), and the source signals line up.
-	const rate, cost = 200.0, 2 * time.Millisecond
-	p := testPipeline(t, rate, 0, 5, 1, cost, 0)
-	j, err := NewJob(p, dataflow.Parallelism{"src": 1, "split": 1, "count": 1}, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Stop()
-
-	iv, err := j.NextInterval(0.4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if iv.End-iv.Start < 0.4 {
-		t.Fatalf("interval [%v, %v) shorter than requested", iv.Start, iv.End)
-	}
-	if len(iv.Windows) != 3 {
-		t.Fatalf("got %d windows, want 3", len(iv.Windows))
-	}
-	for _, w := range iv.Windows {
-		if err := w.Validate(); err != nil {
-			t.Errorf("window %s invalid: %v", w.ID, err)
+	//
+	// The rate readings get up to three attempts and fail only when
+	// all three miss: with other packages' tests running beside this
+	// one on a small host, a sleeping instance is now and then not
+	// woken for a good part of the 400 ms. Every miss is logged with
+	// the windows it read; what does not depend on scheduling is fatal
+	// on the first attempt.
+	const (
+		rate     = 200.0
+		cost     = 2 * time.Millisecond
+		attempts = 3
+	)
+	attempt := func() error {
+		p := testPipeline(t, rate, 0, 5, 1, cost, 0)
+		j, err := NewJob(p, dataflow.Parallelism{"src": 1, "split": 1, "count": 1}, Config{})
+		if err != nil {
+			t.Fatal(err)
 		}
+		defer j.Stop()
+
+		iv, err := j.NextInterval(0.4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if iv.End-iv.Start < 0.4 {
+			t.Fatalf("interval [%v, %v) shorter than requested", iv.Start, iv.End)
+		}
+		if len(iv.Windows) != 3 {
+			t.Fatalf("got %d windows, want 3", len(iv.Windows))
+		}
+		for _, w := range iv.Windows {
+			if err := w.Validate(); err != nil {
+				t.Fatalf("window %s invalid: %v", w.ID, err)
+			}
+		}
+		if got := iv.TargetRates["src"]; got != rate {
+			t.Fatalf("target rate = %v, want %v", got, rate)
+		}
+		snap, err := metrics.BuildSnapshot(iv.End, iv.Windows, iv.TargetRates)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A second collect continues from the cut.
+		iv2, err := j.NextInterval(0.1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if iv2.Start != iv.End {
+			t.Fatalf("second interval starts at %v, want %v", iv2.Start, iv.End)
+		}
+
+		miss := func(format string, args ...any) error {
+			return fmt.Errorf(format+"\nwindows: %+v", append(args, iv.Windows)...)
+		}
+		if got := iv.SourceObserved["src"]; math.Abs(got-rate) > rate*0.15 {
+			return miss("observed source rate = %v, want ~%v", got, rate)
+		}
+		split := snap.Operators["split"]
+		capacity := 1 / cost.Seconds()
+		if split.TrueProcessing < capacity*0.7 || split.TrueProcessing > capacity*1.1 {
+			return miss("splitter true rate = %v, want ~%v (capacity, not the %v observed)",
+				split.TrueProcessing, capacity, rate)
+		}
+		if split.ObservedProcessing > rate*1.2 {
+			return miss("splitter observed rate = %v, want <= ~%v", split.ObservedProcessing, rate)
+		}
+		if len(iv.Latencies) == 0 {
+			return miss("no sink latency samples collected")
+		}
+		return nil
 	}
-	if got := iv.TargetRates["src"]; got != rate {
-		t.Errorf("target rate = %v, want %v", got, rate)
+	for i := 1; i <= attempts; i++ {
+		err := attempt()
+		if err == nil {
+			return
+		}
+		t.Logf("attempt %d of %d missed: %v", i, attempts, err)
 	}
-	if got := iv.SourceObserved["src"]; math.Abs(got-rate) > rate*0.15 {
-		t.Errorf("observed source rate = %v, want ~%v", got, rate)
-	}
-	snap, err := metrics.BuildSnapshot(iv.End, iv.Windows, iv.TargetRates)
-	if err != nil {
-		t.Fatal(err)
-	}
-	split := snap.Operators["split"]
-	capacity := 1 / cost.Seconds()
-	if split.TrueProcessing < capacity*0.7 || split.TrueProcessing > capacity*1.1 {
-		t.Errorf("splitter true rate = %v, want ~%v (capacity, not the %v observed)",
-			split.TrueProcessing, capacity, rate)
-	}
-	if split.ObservedProcessing > rate*1.2 {
-		t.Errorf("splitter observed rate = %v, want <= ~%v", split.ObservedProcessing, rate)
-	}
-	// A second collect continues from the cut.
-	iv2, err := j.NextInterval(0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if iv2.Start != iv.End {
-		t.Errorf("second interval starts at %v, want %v", iv2.Start, iv.End)
-	}
-	if len(iv.Latencies) == 0 {
-		t.Error("no sink latency samples collected")
-	}
+	t.Fatalf("no attempt out of %d read the wall-clock rates within tolerance", attempts)
 }
 
 func TestRoundRobinRotatesPerEdge(t *testing.T) {
