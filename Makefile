@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench-test bench-smoke vet live-smoke dist-smoke savepoint-smoke profile-live
+.PHONY: build test race alloc-pins bench-test bench-smoke vet live-smoke dist-smoke savepoint-smoke profile-live
 
 build:
 	$(GO) build ./...
@@ -15,6 +15,12 @@ test: vet
 # whole tree under the race detector.
 race:
 	$(GO) test -race ./...
+
+# The live record path's 0-allocs/record pins skip themselves under
+# -race (the detector allocates), so `make race` never runs them; this
+# does.
+alloc-pins:
+	$(GO) test -run AllocFree ./internal/nexmark
 
 # benchmarks/ is a nested module: `go build ./... && go test ./...`
 # and `go vet ./...` from the root never compile it, so a change to the

@@ -481,7 +481,7 @@ func BenchmarkWallClockWindow(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ds2.WallClockWindow(id, 200*time.Millisecond, d, 1000, 1000, 0); err != nil {
+		if _, _, err := ds2.WallClockWindow(id, 200*time.Millisecond, d, 1000, 1000); err != nil {
 			b.Fatal(err)
 		}
 	}

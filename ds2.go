@@ -364,12 +364,12 @@ func EpochQuantile(eps []EpochLatency, q float64) float64 {
 type WallClockDurations = metrics.Durations
 
 // WallClockWindow builds a WindowMetrics from real time.Now()
-// measurements, tolerating timer jitter: useful time exceeding the
-// window by at most jitterTol (relative; <= 0 selects the default 25%)
-// is scaled to fit instead of hard-failing validation.
+// measurements. Useful time exceeding the window (time booked late) is
+// scaled to fit; clamped reports an excess beyond 25%, for the caller
+// to count.
 func WallClockWindow(id InstanceID, window time.Duration, d WallClockDurations,
-	processed, pushed int64, jitterTol float64) (WindowMetrics, error) {
-	return metrics.WindowFromDurations(id, window, d, processed, pushed, jitterTol)
+	processed, pushed int64) (w WindowMetrics, clamped bool, err error) {
+	return metrics.WindowFromDurations(id, window, d, processed, pushed)
 }
 
 // --- The live dataflow runtime (internal/streamrt) -----------------------

@@ -31,25 +31,24 @@ func (d Durations) Useful() time.Duration {
 }
 
 // DefaultJitterTolerance is the relative excess of useful time over the
-// window that WindowFromDurations absorbs by default. Wall-clock
-// measurements legitimately overshoot the window boundary: an instance
-// accounts a record's time when the record completes, so a record
-// straddling a window cut attributes its whole span — up to one
-// per-record cost — to the window it completes in. 25% covers record
-// spans up to a quarter of the reporting interval.
+// window that WindowFromDurations treats as ordinary: an instance
+// accounts a batch's time when the batch completes, so a batch
+// straddling a window cut attributes its whole span to the window it
+// completes in. 25% covers spans up to a quarter of the reporting
+// interval; a larger excess is scaled down all the same, but reported.
 const DefaultJitterTolerance = 0.25
 
 // WindowFromDurations builds a WindowMetrics from wall-clock
-// measurements, tolerating timer jitter: when the measured useful time
-// exceeds the window by at most jitterTol (relative, <= 0 selects
-// DefaultJitterTolerance), the three useful components are scaled down
-// proportionally so the window validates instead of hard-failing; a
-// larger excess still errors, since it indicates broken accounting
-// rather than a record straddling the cut. Waiting times are
-// diagnostic and pass through unscaled.
-func WindowFromDurations(id InstanceID, window time.Duration, d Durations, processed, pushed int64, jitterTol float64) (WindowMetrics, error) {
+// measurements. Useful time measured in one window can be booked to
+// the next (a sleep the host woke late), so whenever it exceeds the
+// window the three useful components are scaled down proportionally to
+// fit; clamped reports an excess beyond DefaultJitterTolerance, for the
+// caller to count. Negative components, negative counts and a
+// non-positive window are errors: broken accounting, not lateness.
+// Waiting times are diagnostic and pass through unscaled.
+func WindowFromDurations(id InstanceID, window time.Duration, d Durations, processed, pushed int64) (w WindowMetrics, clamped bool, err error) {
 	if window <= 0 {
-		return WindowMetrics{}, fmt.Errorf("metrics: %s: wall-clock window %v <= 0", id, window)
+		return WindowMetrics{}, false, fmt.Errorf("metrics: %s: wall-clock window %v <= 0", id, window)
 	}
 	// A negative component means broken accounting upstream (a clock
 	// stepped backwards, or a caller subtracted overlapping spans).
@@ -57,24 +56,21 @@ func WindowFromDurations(id InstanceID, window time.Duration, d Durations, proce
 	// of the true-rate estimate and every policy decision built on it.
 	switch {
 	case d.Deserialization < 0:
-		return WindowMetrics{}, fmt.Errorf("metrics: %s: negative deserialization time %v", id, d.Deserialization)
+		return WindowMetrics{}, false, fmt.Errorf("metrics: %s: negative deserialization time %v", id, d.Deserialization)
 	case d.Processing < 0:
-		return WindowMetrics{}, fmt.Errorf("metrics: %s: negative processing time %v", id, d.Processing)
+		return WindowMetrics{}, false, fmt.Errorf("metrics: %s: negative processing time %v", id, d.Processing)
 	case d.Serialization < 0:
-		return WindowMetrics{}, fmt.Errorf("metrics: %s: negative serialization time %v", id, d.Serialization)
+		return WindowMetrics{}, false, fmt.Errorf("metrics: %s: negative serialization time %v", id, d.Serialization)
 	case d.WaitingInput < 0:
-		return WindowMetrics{}, fmt.Errorf("metrics: %s: negative waiting-for-input time %v", id, d.WaitingInput)
+		return WindowMetrics{}, false, fmt.Errorf("metrics: %s: negative waiting-for-input time %v", id, d.WaitingInput)
 	case d.WaitingOutput < 0:
-		return WindowMetrics{}, fmt.Errorf("metrics: %s: negative waiting-for-output time %v", id, d.WaitingOutput)
+		return WindowMetrics{}, false, fmt.Errorf("metrics: %s: negative waiting-for-output time %v", id, d.WaitingOutput)
 	case processed < 0:
-		return WindowMetrics{}, fmt.Errorf("metrics: %s: negative processed count %d", id, processed)
+		return WindowMetrics{}, false, fmt.Errorf("metrics: %s: negative processed count %d", id, processed)
 	case pushed < 0:
-		return WindowMetrics{}, fmt.Errorf("metrics: %s: negative pushed count %d", id, pushed)
+		return WindowMetrics{}, false, fmt.Errorf("metrics: %s: negative pushed count %d", id, pushed)
 	}
-	if jitterTol <= 0 {
-		jitterTol = DefaultJitterTolerance
-	}
-	w := WindowMetrics{
+	w = WindowMetrics{
 		ID:              id,
 		Window:          window.Seconds(),
 		Deserialization: d.Deserialization.Seconds(),
@@ -86,10 +82,7 @@ func WindowFromDurations(id InstanceID, window time.Duration, d Durations, proce
 		Pushed:          float64(pushed),
 	}
 	if u := w.Useful(); u > w.Window {
-		if u > w.Window*(1+jitterTol) {
-			return WindowMetrics{}, fmt.Errorf("metrics: %s: useful time %v exceeds window %v beyond jitter tolerance %v",
-				id, u, w.Window, jitterTol)
-		}
+		clamped = u > w.Window*(1+DefaultJitterTolerance)
 		// Scale the split, not just the total, so the three activities
 		// keep their measured proportions and Useful() == Window holds
 		// exactly afterwards.
@@ -99,7 +92,7 @@ func WindowFromDurations(id InstanceID, window time.Duration, d Durations, proce
 		w.Serialization *= f
 	}
 	if err := w.Validate(); err != nil {
-		return WindowMetrics{}, err
+		return WindowMetrics{}, false, err
 	}
-	return w, nil
+	return w, clamped, nil
 }

@@ -479,7 +479,7 @@ func (w *Worker) collect() ([]byte, error) {
 			}
 			// Best-effort: the coordinator's interval build is the one
 			// that drives decisions; this one only refreshes gauges.
-			if iv, err := buildInterval(h.pipe, resp.Accs, start, end, localPar); err == nil {
+			if iv, err := buildInterval(h.pipe, resp.Accs, start, end, localPar, h.obs); err == nil {
 				h.obs.observeInterval(iv)
 			}
 		}
@@ -595,31 +595,6 @@ func (c *ctrlClient) rpc(kind byte, req, resp any) error {
 }
 
 func (c *ctrlClient) close() { c.l.close(nil) }
-
-// registerLinkMirror exports one link's last collected counters (read
-// through get at every scrape) on the coordinator's registry.
-func registerLinkMirror(reg *obs.Registry, label string, get func() LinkStats) {
-	reg.CounterFunc("streamrt_link_bytes_total",
-		"Bytes moved over a worker-to-worker exchange link, by direction.",
-		func() float64 { return float64(get().TxBytes) },
-		obs.L("link", label), obs.L("dir", "tx"))
-	reg.CounterFunc("streamrt_link_bytes_total",
-		"Bytes moved over a worker-to-worker exchange link, by direction.",
-		func() float64 { return float64(get().RxBytes) },
-		obs.L("link", label), obs.L("dir", "rx"))
-	reg.CounterFunc("streamrt_link_frames_total",
-		"Frames moved over a worker-to-worker exchange link, by direction.",
-		func() float64 { return float64(get().TxFrames) },
-		obs.L("link", label), obs.L("dir", "tx"))
-	reg.CounterFunc("streamrt_link_frames_total",
-		"Frames moved over a worker-to-worker exchange link, by direction.",
-		func() float64 { return float64(get().RxFrames) },
-		obs.L("link", label), obs.L("dir", "rx"))
-	reg.CounterFunc("streamrt_link_stalls_total",
-		"Remote batch sends that blocked waiting for flow-control credit.",
-		func() float64 { return float64(get().Stalls) },
-		obs.L("link", label))
-}
 
 // remote is the placement of a distributed deployment: a network proxy
 // of the calls a local job makes on its host directly. Deploys are
@@ -877,7 +852,7 @@ func (r *remote) mirrorLinks(links []LinkStats) {
 	}
 	for label, s := range agg {
 		if _, seen := r.linkSeen[label]; !seen && r.cfg.Metrics != nil {
-			registerLinkMirror(r.cfg.Metrics, label, func() LinkStats {
+			registerLinkStats(r.cfg.Metrics, label, func() LinkStats {
 				r.linkMu.Lock()
 				defer r.linkMu.Unlock()
 				return r.linkSeen[label]

@@ -75,9 +75,18 @@
 // Deserialization + processing + serialization is the useful time Wu;
 // true rates are records/Wu, so a backpressured or underutilized
 // instance still reports its capacity — the paper's core observation.
+// Every non-source instance, windowed or not, runs one loop
+// (runOperator); sources pace in their own. All book through one helper
+// (bookUseful) into one record (counters) — also what the shared
+// accumulator holds and what a worker ships to the coordinator.
+//
 // Job.Collect cuts one metrics.WindowMetrics per instance per policy
-// interval via metrics.WindowFromDurations, which absorbs the timer
-// jitter of records straddling a window cut.
+// interval via metrics.WindowFromDurations. A batch is booked when it
+// completes, so time spent in one window can land in the next: useful
+// time above the window is scaled down to it, never an error, and an
+// excess beyond metrics.DefaultJitterTolerance is counted in
+// streamrt_window_clamped_total{operator}. Negative components are
+// errors — broken accounting, not lateness.
 //
 // # Rescaling and savepoints
 //

@@ -202,15 +202,13 @@ func (h *host) deployLocked(gen uint32, par dataflow.Parallelism, states map[str
 		for _, d := range g.Downstream(i) {
 			down := g.Operator(d)
 			spec := h.pipe.ops[down.Name]
-			ae, _ := spec.Codec.(AppendEncoder)
 			oe := outEdge{
-				op:        down.Name,
-				keyed:     spec.Keyed,
-				codec:     spec.Codec,
-				appendEnc: ae,
-				router:    routers[down.Name],
-				chans:     chans[down.Name],
-				done:      inWGs[down.Name],
+				op:     down.Name,
+				keyed:  spec.Keyed,
+				enc:    appendEncoder(spec.Codec),
+				router: routers[down.Name],
+				chans:  chans[down.Name],
+				done:   inWGs[down.Name],
 			}
 			if dc != nil {
 				oe.opID = uint16(d)
@@ -244,7 +242,7 @@ func (h *host) deployLocked(gen uint32, par dataflow.Parallelism, states map[str
 			if in.sink && h.obs != nil {
 				in.latHist = h.obs.latHist(op.Name)
 			}
-			in.local.downWait = make([]time.Duration, len(myOuts))
+			in.local.DownWait = make([]time.Duration, len(myOuts))
 			if op.Role == dataflow.RoleSource {
 				in.src = h.pipe.sources[op.Name]
 				in.seq = h.seqs[op.Name]
@@ -316,12 +314,9 @@ func (h *host) deployLocked(gen uint32, par dataflow.Parallelism, states map[str
 			dep.wg.Add(1)
 			go func(in *instance) {
 				defer dep.wg.Done()
-				switch {
-				case in.src != nil:
+				if in.src != nil {
 					in.runSource(dep.stopSources)
-				case in.spec.Window != nil:
-					in.runWindowed()
-				default:
+				} else {
 					in.runOperator()
 				}
 			}(in)
@@ -402,28 +397,8 @@ func (h *host) collect() ([]wireAcc, error) {
 	}
 	var out []wireAcc
 	for name, list := range h.dep.insts {
-		_, isSrc := h.pipe.sources[name]
 		for _, in := range list {
-			s := in.acc.take()
-			wa := wireAcc{
-				Op:    name,
-				Idx:   in.idx,
-				IsSrc: isSrc,
-				DurNanos: [5]int64{
-					int64(s.dur.Deserialization), int64(s.dur.Processing), int64(s.dur.Serialization),
-					int64(s.dur.WaitingInput), int64(s.dur.WaitingOutput),
-				},
-				Processed: s.processed,
-				Pushed:    s.pushed,
-				Lats:      s.lats,
-			}
-			for e := range in.outs {
-				wa.DownOps = append(wa.DownOps, in.outs[e].op)
-			}
-			for _, w := range s.downWait {
-				wa.DownWaitNanos = append(wa.DownWaitNanos, int64(w))
-			}
-			out = append(out, wa)
+			out = append(out, wireAcc{Op: name, Idx: in.idx, counters: in.acc.take()})
 		}
 	}
 	return out, nil

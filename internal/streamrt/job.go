@@ -3,6 +3,7 @@ package streamrt
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"time"
@@ -439,28 +440,24 @@ func (j *Job) Wait() {
 // NextInterval return carries the Observation method.
 type Interval metrics.Observation
 
-// wireAcc is one instance's taken accumulator in wire form: a worker of
-// a distributed deployment ships these to the coordinator at collect
-// time, and the local placement hands over the same struct, so both
-// build intervals with byte-identical logic (decision parity between
-// local and distributed runs depends on it).
+// wireAcc is one instance's taken counters beside its identity: a
+// worker of a distributed deployment ships these to the coordinator at
+// collect time, and the local placement hands over the same struct, so
+// both build intervals with byte-identical logic (decision parity
+// between local and distributed runs depends on it).
 type wireAcc struct {
-	Op            string                  `json:"op"`
-	Idx           int                     `json:"idx"`
-	IsSrc         bool                    `json:"is_src,omitempty"`
-	DownOps       []string                `json:"down_ops,omitempty"`
-	DurNanos      [5]int64                `json:"dur_nanos"` // deser, proc, ser, wait_in, wait_out
-	Processed     int64                   `json:"processed"`
-	Pushed        int64                   `json:"pushed"`
-	DownWaitNanos []int64                 `json:"down_wait_nanos,omitempty"`
-	Lats          []metrics.LatencySample `json:"lats,omitempty"`
+	Op  string `json:"op"`
+	Idx int    `json:"idx"`
+	counters
 }
 
 // buildInterval turns taken accumulators into an Interval — the build
 // phase of Job.Collect, and of a Worker's own gauge refresh. It needs
-// no lock: it works on the taken snapshots and the immutable pipeline,
-// plus the user's Rate function.
-func buildInterval(pipe *Pipeline, accs []wireAcc, start, end float64, par dataflow.Parallelism) (Interval, error) {
+// no lock: it works on the taken counters and the immutable pipeline,
+// plus the user's Rate function. Useful time booked late overshoots the
+// window; it is scaled to fit and, beyond tolerance, counted on o (nil
+// without telemetry) — never an error, which would end the control loop.
+func buildInterval(pipe *Pipeline, accs []wireAcc, start, end float64, par dataflow.Parallelism, o *jobObs) (Interval, error) {
 	iv := Interval{
 		Start:                start,
 		End:                  end,
@@ -485,26 +482,29 @@ func buildInterval(pipe *Pipeline, accs []wireAcc, start, end float64, par dataf
 	maxBP := make(map[string]float64)
 	for _, t := range accs {
 		id := metrics.InstanceID{Operator: t.Op, Index: t.Idx}
-		dur := metrics.Durations{
-			Deserialization: time.Duration(t.DurNanos[0]),
-			Processing:      time.Duration(t.DurNanos[1]),
-			Serialization:   time.Duration(t.DurNanos[2]),
-			WaitingInput:    time.Duration(t.DurNanos[3]),
-			WaitingOutput:   time.Duration(t.DurNanos[4]),
+		opIdx := pipe.graph.IndexOf(t.Op)
+		if opIdx < 0 {
+			return Interval{}, fmt.Errorf("streamrt: collected counters of %s, not an operator of this pipeline", id)
 		}
-		w, err := metrics.WindowFromDurations(id, window, dur, t.Processed, t.Pushed, metrics.DefaultJitterTolerance)
+		w, clamped, err := metrics.WindowFromDurations(id, window, t.Dur, t.Processed, t.Pushed)
 		if err != nil {
 			return Interval{}, fmt.Errorf("streamrt: collecting %s: %w", id, err)
 		}
+		if clamped && o != nil {
+			o.clamped[t.Op].Inc()
+		}
 		iv.Windows = append(iv.Windows, w)
-		if t.IsSrc {
+		if _, isSrc := pipe.sources[t.Op]; isSrc {
 			iv.SourceObserved[t.Op] += float64(t.Pushed) / span
 		}
-		for e, down := range t.DownOps {
-			if e >= len(t.DownWaitNanos) {
+		// DownWait is indexed like the instance's out edges, which deploy
+		// builds in the graph's downstream order.
+		for e, d := range pipe.graph.Downstream(opIdx) {
+			if e >= len(t.DownWait) {
 				break // instance recorded nothing this window
 			}
-			f := (time.Duration(t.DownWaitNanos[e])).Seconds() / span
+			down := pipe.graph.Operator(d).Name
+			f := t.DownWait[e].Seconds() / span
 			if f > 1 {
 				f = 1
 			}
@@ -565,7 +565,7 @@ func (j *Job) Collect() (Interval, error) {
 		j.winStart = end
 	}
 	j.mu.Unlock()
-	iv, err := buildInterval(j.pipe, accs, start, end, par)
+	iv, err := buildInterval(j.pipe, accs, start, end, par, j.obs)
 	if err != nil {
 		return Interval{}, err
 	}
@@ -590,15 +590,16 @@ func (j *Job) NextInterval(d float64) (Interval, error) {
 		if remain <= 0 {
 			return j.Collect()
 		}
-		// Cap the sleep so a Stop during a long interval is noticed
-		// promptly.
-		const maxSleep = 50 * time.Millisecond
-		if remain > maxSleep.Seconds() {
-			time.Sleep(maxSleep)
-		} else {
-			time.Sleep(time.Duration(remain * float64(time.Second)))
-		}
+		time.Sleep(intervalSleep(remain))
 	}
+}
+
+// intervalSleep is NextInterval's sleep with remain > 0 seconds to go:
+// capped at 50 ms, so a Stop during a long interval is noticed promptly,
+// and rounded up — truncated to zero it would spin until the clock
+// ticked (forever, on a clock that only advances while everyone sleeps).
+func intervalSleep(remain float64) time.Duration {
+	return time.Duration(math.Ceil(min(remain, 0.05) * float64(time.Second)))
 }
 
 // hashKey is FNV-1a 64 — the stable hash behind the router's

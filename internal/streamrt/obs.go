@@ -60,6 +60,7 @@ type jobObs struct {
 	rescale *rescaleObs
 
 	// Collect-path handles, per operator.
+	clamped     map[string]*obs.Counter
 	instances   map[string]*obs.Gauge
 	fractions   map[string][len(timePhases)]*obs.Gauge
 	trueProc    map[string]*obs.Gauge
@@ -75,6 +76,7 @@ func newJobObs(reg *obs.Registry, pipe *Pipeline, rescales func() int) *jobObs {
 	o := &jobObs{
 		reg:         reg,
 		latHists:    make(map[string]*obs.Histogram),
+		clamped:     make(map[string]*obs.Counter),
 		instances:   make(map[string]*obs.Gauge),
 		fractions:   make(map[string][len(timePhases)]*obs.Gauge),
 		trueProc:    make(map[string]*obs.Gauge),
@@ -102,6 +104,9 @@ func newJobObs(reg *obs.Registry, pipe *Pipeline, rescales func() int) *jobObs {
 	for i := 0; i < g.NumOperators(); i++ {
 		op := g.Operator(i)
 		name := op.Name
+		o.clamped[name] = reg.Counter("streamrt_window_clamped_total",
+			"Instance windows whose useful time overshot the window beyond the jitter tolerance and was scaled to fit.",
+			obs.L("operator", name))
 		o.instances[name] = reg.Gauge("streamrt_operator_instances",
 			"Deployed parallel instances per operator.", obs.L("operator", name))
 		var fr [len(timePhases)]*obs.Gauge

@@ -39,6 +39,17 @@ type linkStats struct {
 	stalls   obs.Counter
 }
 
+func (st *linkStats) snapshot() LinkStats {
+	return LinkStats{
+		Link:     st.label,
+		TxBytes:  st.txBytes.Value(),
+		TxFrames: st.txFrames.Value(),
+		RxBytes:  st.rxBytes.Value(),
+		RxFrames: st.rxFrames.Value(),
+		Stalls:   st.stalls.Value(),
+	}
+}
+
 // link is one persistent framed connection. Writers append frames to a
 // shared buffer under a mutex and signal the write loop, which swaps
 // the buffer out and writes it in one syscall — so a saturated link
@@ -128,47 +139,38 @@ func (l *link) writeLoop() {
 	}
 }
 
-// appendFrameLocked-style senders: each takes the lock, appends one
-// frame, bumps the frame counter and signals the writer.
-
-func (l *link) sendCredit(m creditMsg) {
+// send appends one frame to the write buffer under the lock, bumps the
+// frame counter and signals the writer.
+func (l *link) send(frame func(dst []byte) []byte) {
 	l.mu.Lock()
-	l.wbuf = appendCredit(l.wbuf, m)
+	l.wbuf = frame(l.wbuf)
 	l.mu.Unlock()
 	l.stats.txFrames.Inc()
 	l.signal()
+}
+
+func (l *link) sendCredit(m creditMsg) {
+	l.send(func(dst []byte) []byte { return appendCredit(dst, m) })
 }
 
 func (l *link) sendDone(m doneMsg) {
-	l.mu.Lock()
-	l.wbuf = appendDone(l.wbuf, m)
-	l.mu.Unlock()
-	l.stats.txFrames.Inc()
-	l.signal()
+	l.send(func(dst []byte) []byte { return appendDone(dst, m) })
 }
 
 func (l *link) sendHello(m helloMsg) {
-	l.mu.Lock()
-	l.wbuf = appendHello(l.wbuf, m)
-	l.mu.Unlock()
-	l.stats.txFrames.Inc()
-	l.signal()
+	l.send(func(dst []byte) []byte { return appendHello(dst, m) })
 }
 
 func (l *link) sendCtrl(typ byte, m ctrlMsg) {
-	l.mu.Lock()
-	l.wbuf = appendCtrl(l.wbuf, typ, m)
-	l.mu.Unlock()
-	l.stats.txFrames.Inc()
-	l.signal()
+	l.send(func(dst []byte) []byte { return appendCtrl(dst, typ, m) })
 }
 
 // sendData encodes one outgoing batch straight into the link's write
 // buffer — the encode-at-flush path of the in-process exchange, with
 // the socket buffer as the destination. Values still held as `any` are
-// appended through the receiving operator's AppendEncoder (or Codec);
-// already-encoded records are copied from the batch buffer.
-func (l *link) sendData(gen uint32, opID, inst uint16, b *batch, enc AppendEncoder, codec Codec) error {
+// appended through the receiving operator's encoder; already-encoded
+// records are copied from the batch buffer.
+func (l *link) sendData(gen uint32, opID, inst uint16, b *batch, enc AppendEncoder) error {
 	l.mu.Lock()
 	dst, off := beginFrame(l.wbuf, frameData)
 	dst = appendU32(dst, gen)
@@ -193,11 +195,7 @@ func (l *link) sendData(gen uint32, opID, inst uint16, b *batch, enc AppendEncod
 		vOff := len(dst)
 		dst = appendU32(dst, 0)
 		if m.val != nil {
-			if enc != nil {
-				dst = enc.AppendEncode(dst, m.val)
-			} else {
-				dst = append(dst, codec.Encode(m.val)...)
-			}
+			dst = enc.AppendEncode(dst, m.val)
 		} else {
 			dst = append(dst, b.buf[m.encOff:m.encOff+m.encLen]...)
 		}
@@ -305,7 +303,7 @@ func (tr *transport) newStats(label string) *linkStats {
 		// Export through the registry instead of the standalone
 		// counters, so a worker process's /metrics carries per-link
 		// traffic directly.
-		registerLinkStats(tr.reg, st)
+		registerLinkStats(tr.reg, label, st.snapshot)
 	}
 	tr.mu.Lock()
 	tr.stats = append(tr.stats, st)
@@ -313,30 +311,24 @@ func (tr *transport) newStats(label string) *linkStats {
 	return st
 }
 
-// registerLinkStats exposes one link's counters as the per-link metric
-// families. The obs registry hands back one counter per identity, so
-// the linkStats fields are CounterFunc-mirrored rather than replaced.
-func registerLinkStats(reg *obs.Registry, st *linkStats) {
-	reg.CounterFunc("streamrt_link_bytes_total",
-		"Bytes moved over a worker-to-worker exchange link, by direction.",
-		func() float64 { return float64(st.txBytes.Value()) },
-		obs.L("link", st.label), obs.L("dir", "tx"))
-	reg.CounterFunc("streamrt_link_bytes_total",
-		"Bytes moved over a worker-to-worker exchange link, by direction.",
-		func() float64 { return float64(st.rxBytes.Value()) },
-		obs.L("link", st.label), obs.L("dir", "rx"))
-	reg.CounterFunc("streamrt_link_frames_total",
-		"Frames moved over a worker-to-worker exchange link, by direction.",
-		func() float64 { return float64(st.txFrames.Value()) },
-		obs.L("link", st.label), obs.L("dir", "tx"))
-	reg.CounterFunc("streamrt_link_frames_total",
-		"Frames moved over a worker-to-worker exchange link, by direction.",
-		func() float64 { return float64(st.rxFrames.Value()) },
-		obs.L("link", st.label), obs.L("dir", "rx"))
+// registerLinkStats exposes one link's counters, read through get at
+// every scrape, as the per-link metric families: a worker's own links
+// live, the coordinator's mirror of them as last collected.
+func registerLinkStats(reg *obs.Registry, label string, get func() LinkStats) {
+	const bytesHelp = "Bytes moved over a worker-to-worker exchange link, by direction."
+	const framesHelp = "Frames moved over a worker-to-worker exchange link, by direction."
+	link := obs.L("link", label)
+	reg.CounterFunc("streamrt_link_bytes_total", bytesHelp,
+		func() float64 { return float64(get().TxBytes) }, link, obs.L("dir", "tx"))
+	reg.CounterFunc("streamrt_link_bytes_total", bytesHelp,
+		func() float64 { return float64(get().RxBytes) }, link, obs.L("dir", "rx"))
+	reg.CounterFunc("streamrt_link_frames_total", framesHelp,
+		func() float64 { return float64(get().TxFrames) }, link, obs.L("dir", "tx"))
+	reg.CounterFunc("streamrt_link_frames_total", framesHelp,
+		func() float64 { return float64(get().RxFrames) }, link, obs.L("dir", "rx"))
 	reg.CounterFunc("streamrt_link_stalls_total",
 		"Remote batch sends that blocked waiting for flow-control credit.",
-		func() float64 { return float64(st.stalls.Value()) },
-		obs.L("link", st.label))
+		func() float64 { return float64(get().Stalls) }, link)
 }
 
 func (tr *transport) track(l *link) bool {
@@ -636,14 +628,7 @@ func (tr *transport) linkSnapshots() []LinkStats {
 	defer tr.mu.Unlock()
 	out := make([]LinkStats, 0, len(tr.stats))
 	for _, st := range tr.stats {
-		out = append(out, LinkStats{
-			Link:     st.label,
-			TxBytes:  st.txBytes.Value(),
-			TxFrames: st.txFrames.Value(),
-			RxBytes:  st.rxBytes.Value(),
-			RxFrames: st.rxFrames.Value(),
-			Stalls:   st.stalls.Value(),
-		})
+		out = append(out, st.snapshot())
 	}
 	return out
 }

@@ -63,15 +63,6 @@ func (in *instance) fireDue(key string, ws *WindowState, cur int64, emit Emit) {
 	}
 }
 
-// sweepDue fires every due window of every key at current pane cur.
-func (in *instance) sweepDue(cur int64, emit Emit) {
-	for key, st := range in.state {
-		if ws, ok := st.(*WindowState); ok {
-			in.fireDue(key, ws, cur, emit)
-		}
-	}
-}
-
 // windowTick bounds how long an idle windowed instance waits before
 // checking for due windows.
 func windowTick(slide time.Duration) time.Duration {
@@ -85,103 +76,39 @@ func windowTick(slide time.Duration) time.Duration {
 	return tick
 }
 
-// runWindowed is the worker loop of a windowed keyed instance: like
-// runOperator, but records accumulate into per-key processing-time
-// panes and due windows fire between batches (and on an idle tick, so
-// a quiet key still fires). Firing work is accounted as processing;
-// fired emissions as serialization/waiting-for-output, with no source
-// timestamp (a fired window aggregates many records, so sinks take no
-// latency sample from it).
-func (in *instance) runWindowed() {
-	defer in.drainExit()
+// paneRecords is the windowed record step: the batch's records go into
+// the per-key pane of the processing-time instant the batch arrived at;
+// then, once per pane, every due window of every key fires, the firing
+// work accounted as processing with the batch. Fired results carry no
+// source timestamp (a fired window aggregates many records, so sinks
+// take no latency sample from it).
+func (in *instance) paneRecords(b *batch, vals []any, emit Emit) {
 	spec := in.spec
-	win := spec.Window
-	slide := win.slide()
-	ticker := time.NewTicker(windowTick(slide))
-	defer ticker.Stop()
-	emit := Emit(in.emit)
-	swept := int64(-1)
-	for {
-		t0 := time.Now()
-		var b *batch
-		var ok bool
-		select {
-		case b, ok = <-in.in:
-		default:
-			// About to block: partial batches and buffered counters go
-			// out first, then wait for input or the sweep tick.
-			in.idleFlush()
-			select {
-			case b, ok = <-in.in:
-			case <-ticker.C:
-				t1 := time.Now()
-				in.local.dur.WaitingInput += t1.Sub(t0)
-				if cur := paneIndex(in.host.now(), slide); cur > swept {
-					in.sweepTick(cur, t1, emit)
-					swept = cur
-				}
-				continue
-			}
+	cur := paneIndex(in.host.now(), spec.Window.slide())
+	for i := range b.msgs {
+		m := &b.msgs[i]
+		v := m.val
+		if vals != nil {
+			v = vals[i]
 		}
-		t1 := time.Now()
-		in.local.dur.WaitingInput += t1.Sub(t0)
-		if !ok {
-			// Drain: leave open panes in the keyed state — the
-			// teardown snapshot (rescale or stop) carries them to the
-			// next deployment or to the caller.
-			return
+		in.curSrc = m.src
+		ws, _ := in.state[m.key].(*WindowState)
+		if ws == nil {
+			ws = &WindowState{NextFire: cur, Panes: make(map[int64]any)}
+			in.state[m.key] = ws
 		}
-		vals, t1 := in.decodeBatch(b, t1)
-		emitted0 := in.local.dur.Serialization + in.local.dur.WaitingOutput
-		cur := paneIndex(in.host.now(), slide)
-		for i := range b.msgs {
-			m := &b.msgs[i]
-			v := m.val
-			if vals != nil {
-				v = vals[i]
-			}
-			in.curSrc = m.src
-			ws, _ := in.state[m.key].(*WindowState)
-			if ws == nil {
-				ws = &WindowState{NextFire: cur, Panes: make(map[int64]any)}
-				in.state[m.key] = ws
-			}
-			ws.Panes[cur] = spec.Process(ws.Panes[cur], m.key, v, emit)
-			if spec.Cost > 0 {
-				in.work(spec.Cost)
-			}
+		ws.Panes[cur] = spec.Process(ws.Panes[cur], m.key, v, emit)
+		if spec.Cost > 0 {
+			in.work(spec.Cost)
 		}
-		if cur > swept {
-			in.curSrc = time.Time{}
-			in.sweepDue(cur, emit)
-			swept = cur
-		}
-		t3 := time.Now()
-		proc := t3.Sub(t1) - (in.local.dur.Serialization + in.local.dur.WaitingOutput - emitted0)
-		if proc < 0 {
-			proc = 0
-		}
-		in.local.dur.Processing += proc
-		in.local.processed += int64(len(b.msgs))
-		in.noteFirstRecord(t3)
-		in.host.putBatch(b)
-		in.maybeFlushAcc(t3)
-		in.maybeFlushPending(t3)
 	}
-}
-
-// sweepTick fires due windows from the idle tick. Fired results are
-// flushed immediately — the next natural flush could be a whole tick
-// away, far past FlushInterval.
-func (in *instance) sweepTick(cur int64, t1 time.Time, emit Emit) {
-	emitted0 := in.local.dur.Serialization + in.local.dur.WaitingOutput
-	in.curSrc = time.Time{}
-	in.sweepDue(cur, emit)
-	t3 := time.Now()
-	proc := t3.Sub(t1) - (in.local.dur.Serialization + in.local.dur.WaitingOutput - emitted0)
-	if proc < 0 {
-		proc = 0
+	if cur > in.swept {
+		in.curSrc = time.Time{}
+		for key, st := range in.state {
+			if ws, ok := st.(*WindowState); ok {
+				in.fireDue(key, ws, cur, emit)
+			}
+		}
+		in.swept = cur
 	}
-	in.local.dur.Processing += proc
-	in.idleFlush()
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -216,6 +217,115 @@ func TestWindowStateSurvivesConcurrentRescale(t *testing.T) {
 
 // TestWindowSpecValidation pins the builder's windowed-operator
 // invariants.
+// TestCountersExactAcrossTheLoop: every instance kind books through the
+// one loop and the one counters record, so over a bounded run the
+// Processed and Pushed counts of all collected intervals — cut mid-run
+// and after the drain — add up to the exact record counts, and no time
+// component is ever negative. Counts only: nothing here depends on how
+// long anything took.
+func TestCountersExactAcrossTheLoop(t *testing.T) {
+	const (
+		limit = 1200
+		keys  = 8
+	)
+	var fired atomic.Int64
+	p, err := streamrt.NewPipeline().
+		AddSource("src", streamrt.SourceSpec{
+			Rate:  func(float64) float64 { return 6000 },
+			Next:  func(seq int64) (string, any) { return fmt.Sprintf("k%02d", seq%keys), 1 },
+			Limit: limit,
+		}).
+		AddOperator("twice", streamrt.OperatorSpec{
+			Keyed: true,
+			Process: func(state any, key string, v any, emit streamrt.Emit) any {
+				emit(key, v)
+				emit(key, v)
+				c, _ := state.(int)
+				return c + 1
+			},
+		}).
+		AddOperator("window", streamrt.OperatorSpec{
+			Keyed: true,
+			Process: func(state any, _ string, _ any, _ streamrt.Emit) any {
+				c, _ := state.(int)
+				return c + 1
+			},
+			Window: &streamrt.WindowSpec{
+				Size: 20 * time.Millisecond,
+				Fire: func(key string, agg any, emit streamrt.Emit) {
+					fired.Add(1)
+					emit(key, agg)
+				},
+			},
+		}).
+		AddEdge("src", "twice").
+		AddEdge("twice", "window").
+		Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := streamrt.NewJob(p, dataflow.Parallelism{"src": 1, "twice": 1, "window": 1}, streamrt.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Stop()
+	done := make(chan struct{})
+	go func() { j.Wait(); close(done) }()
+
+	processed, pushed := make(map[string]float64), make(map[string]float64)
+	intervals := 0
+	sum := func(iv streamrt.Interval, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("interval %d: %v", intervals, err)
+		}
+		intervals++
+		for _, w := range iv.Windows {
+			for name, v := range map[string]float64{
+				"deserialization": w.Deserialization, "processing": w.Processing, "serialization": w.Serialization,
+				"waiting_input": w.WaitingInput, "waiting_output": w.WaitingOutput,
+			} {
+				if v < 0 {
+					t.Errorf("interval %d, %s: %s = %v", intervals, w.ID, name, v)
+				}
+			}
+			processed[w.ID.Operator] += w.Processed
+			pushed[w.ID.Operator] += w.Pushed
+		}
+	}
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+			sum(j.NextInterval(0.03))
+		}
+	}
+	sum(j.Collect()) // what the instances merged as they exited
+	if intervals < 3 {
+		t.Fatalf("only %d intervals cut; the run was meant to span several", intervals)
+	}
+	if fired.Load() == 0 {
+		t.Fatal("no window ever fired")
+	}
+	for _, c := range []struct {
+		what string
+		got  float64
+		want int64
+	}{
+		{"src processed", processed["src"], limit},
+		{"src pushed", pushed["src"], limit},
+		{"twice processed", processed["twice"], limit},
+		{"twice pushed", pushed["twice"], 2 * limit},
+		{"window processed", processed["window"], 2 * limit},
+		{"window pushed", pushed["window"], fired.Load()},
+	} {
+		if c.got != float64(c.want) {
+			t.Errorf("%s = %v over %d intervals, want %d", c.what, c.got, intervals, c.want)
+		}
+	}
+}
+
 func TestWindowSpecValidation(t *testing.T) {
 	count := func(state any, _ string, _ any, _ streamrt.Emit) any {
 		c, _ := state.(int)

@@ -42,14 +42,13 @@ type batch struct {
 // cascade. Each instance owns its copy (the round-robin cursor and the
 // pending batches are worker-goroutine state and must not be shared).
 type outEdge struct {
-	op        string
-	keyed     bool
-	codec     Codec
-	appendEnc AppendEncoder // codec's zero-copy encode path, if it has one
-	router    *router       // key -> instance, shared with state repartitioning
-	chans     []chan *batch
-	done      *sync.WaitGroup
-	rr        int
+	op     string
+	keyed  bool
+	enc    AppendEncoder // the receiving operator's codec (see appendEncoder); nil without one
+	router *router       // key -> instance, shared with state repartitioning
+	chans  []chan *batch
+	done   *sync.WaitGroup
+	rr     int
 	// Distributed deployments only. remote[k] is the credit gate for
 	// target instance k when it lives on another worker (nil for local
 	// targets); chans[k] is nil exactly when remote[k] isn't.
@@ -72,15 +71,60 @@ type outEdge struct {
 	pend []*batch
 }
 
-// localAcc is an instance's goroutine-local instrumentation scratch.
-// The worker accumulates here with no synchronization and merges into
-// the shared acc (one mutex round-trip) only every accFlushInterval,
-// when idle, and at exit — never per record.
-type localAcc struct {
-	dur               metrics.Durations
-	processed, pushed int64
-	downWait          []time.Duration // send-blocked time per out edge
-	lats              []metrics.LatencySample
+// encodeAppender gives a Codec that has only Encode the exchange's one
+// encode path, at the cost of the copy AppendEncode exists to avoid.
+type encodeAppender struct{ Codec }
+
+func (a encodeAppender) AppendEncode(dst []byte, v any) []byte { return append(dst, a.Encode(v)...) }
+
+// appendEncoder returns what senders into an operator encode through;
+// nil for an operator without a Codec.
+func appendEncoder(c Codec) AppendEncoder {
+	switch c := c.(type) {
+	case nil:
+		return nil
+	case AppendEncoder:
+		return c
+	}
+	return encodeAppender{c}
+}
+
+// counters is the one record of an instance's §3 instrumentation: the
+// worker goroutine's unsynchronized scratch, the content of the shared
+// accumulator, what a window cut takes from it and — embedded in
+// wireAcc — what a worker ships to the coordinator.
+type counters struct {
+	Dur       metrics.Durations `json:"dur"`
+	Processed int64             `json:"processed"`
+	Pushed    int64             `json:"pushed"`
+	// DownWait is the time spent blocked pushing into each downstream
+	// operator (indexed like the instance's outs) — the receiver-side
+	// backpressure signal, kept apart from the sender's own WaitingOutput.
+	DownWait []time.Duration         `json:"down_wait,omitempty"`
+	Lats     []metrics.LatencySample `json:"lats,omitempty"` // sinks only
+}
+
+func (c *counters) add(o *counters) {
+	c.Dur.Deserialization += o.Dur.Deserialization
+	c.Dur.Processing += o.Dur.Processing
+	c.Dur.Serialization += o.Dur.Serialization
+	c.Dur.WaitingInput += o.Dur.WaitingInput
+	c.Dur.WaitingOutput += o.Dur.WaitingOutput
+	c.Processed += o.Processed
+	c.Pushed += o.Pushed
+	if c.DownWait == nil && len(o.DownWait) > 0 {
+		c.DownWait = make([]time.Duration, len(o.DownWait))
+	}
+	for i, w := range o.DownWait {
+		c.DownWait[i] += w
+	}
+	c.Lats = append(c.Lats, o.Lats...)
+}
+
+// reset zeroes c, keeping its backing storage.
+func (c *counters) reset() {
+	clear(c.DownWait)
+	*c = counters{DownWait: c.DownWait, Lats: c.Lats[:0]}
 }
 
 // accFlushInterval bounds how stale the shared accumulator may be while
@@ -90,65 +134,29 @@ type localAcc struct {
 const accFlushInterval = 5 * time.Millisecond
 
 // acc is the shared accumulator one instance exposes to Collect between
-// window cuts. Workers merge their local scratch in batches; Collect
-// takes and resets it.
+// window cuts. The worker merges its local scratch here (one mutex
+// round-trip) only every accFlushInterval, when idle, and at exit —
+// never per record. Collect takes and resets it.
 type acc struct {
-	mu                sync.Mutex
-	dur               metrics.Durations
-	processed, pushed int64
-	// downWait is the time this instance spent blocked pushing into
-	// each downstream operator (indexed like the instance's outs) —
-	// the receiver-side backpressure signal, kept separate from the
-	// sender's own WaitingOutput window metric.
-	downWait []time.Duration
-	lats     []metrics.LatencySample
+	mu sync.Mutex
+	counters
 }
 
-type accSnapshot struct {
-	dur               metrics.Durations
-	processed, pushed int64
-	downWait          []time.Duration
-	lats              []metrics.LatencySample
-}
-
-func (a *acc) take() accSnapshot {
+func (a *acc) take() counters {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	out := accSnapshot{dur: a.dur, processed: a.processed, pushed: a.pushed, downWait: a.downWait, lats: a.lats}
-	a.dur = metrics.Durations{}
-	a.processed, a.pushed = 0, 0
-	a.downWait = nil
-	a.lats = nil
+	out := a.counters
+	a.counters = counters{}
 	return out
 }
 
 // merge folds the worker's local scratch into the shared accumulator
-// and resets the scratch (retaining its backing storage).
-func (a *acc) merge(l *localAcc) {
+// and resets the scratch.
+func (a *acc) merge(l *counters) {
 	a.mu.Lock()
-	a.dur.Deserialization += l.dur.Deserialization
-	a.dur.Processing += l.dur.Processing
-	a.dur.Serialization += l.dur.Serialization
-	a.dur.WaitingInput += l.dur.WaitingInput
-	a.dur.WaitingOutput += l.dur.WaitingOutput
-	a.processed += l.processed
-	a.pushed += l.pushed
-	for i, w := range l.downWait {
-		if w != 0 {
-			if a.downWait == nil {
-				a.downWait = make([]time.Duration, len(l.downWait))
-			}
-			a.downWait[i] += w
-		}
-	}
-	a.lats = append(a.lats, l.lats...)
+	a.add(l)
 	a.mu.Unlock()
-	l.dur = metrics.Durations{}
-	l.processed, l.pushed = 0, 0
-	for i := range l.downWait {
-		l.downWait[i] = 0
-	}
-	l.lats = l.lats[:0]
+	l.reset()
 }
 
 // instance is one parallel instance of an operator: one goroutine, one
@@ -188,10 +196,11 @@ type instance struct {
 	outs []outEdge
 
 	// worker-goroutine scratch, touched only by the worker goroutine
-	local  localAcc
+	local  counters
 	vals   []any     // decoded-values scratch, one batch's worth
 	curSrc time.Time // src stamp for emissions of the current record
 	nrec   int64
+	swept  int64 // windowed: last pane swept; no window ends before pane 0
 	// latHist is the exporter's record-latency histogram (sinks only,
 	// resolved at deploy so the hot path never touches the registry);
 	// nil when telemetry is off.
@@ -241,10 +250,15 @@ func (in *instance) work(cost time.Duration) {
 	}
 }
 
-// exit runs the instance's side of the close cascade: one Done per
-// downstream operator, matching the Add of its upstream-instance
-// count.
-func (in *instance) exit() {
+// drainExit is every worker loop's deferred epilogue: push out partial
+// batches (exactly-once across rescales requires the drain cascade to
+// flush batches in flight before the snapshot) and the remaining local
+// instrumentation, then run the instance's side of the close cascade:
+// one Done per downstream operator, matching the Add of its
+// upstream-instance count.
+func (in *instance) drainExit() {
+	in.flushPending(flushExit)
+	in.acc.merge(&in.local)
 	for i := range in.outs {
 		oe := &in.outs[i]
 		if oe.done != nil {
@@ -253,21 +267,11 @@ func (in *instance) exit() {
 		// Cross-process close cascade: every peer worker hosting the
 		// downstream operator counts this instance in its WaitGroup
 		// too. Links are FIFO, so the DONE frame cannot overtake the
-		// flushes drainExit just wrote.
+		// flushes just written.
 		for _, l := range oe.doneLinks {
 			l.sendDone(doneMsg{gen: oe.gen, op: oe.opID})
 		}
 	}
-}
-
-// drainExit is every worker loop's deferred epilogue: push out partial
-// batches (exactly-once across rescales requires the drain cascade to
-// flush batches in flight before the snapshot) and the remaining local
-// instrumentation, then signal the close cascade.
-func (in *instance) drainExit() {
-	in.flushPending(flushExit)
-	in.acc.merge(&in.local)
-	in.exit()
 }
 
 // emit appends one logical record to the pending batch of every
@@ -296,7 +300,7 @@ func (in *instance) emit(key string, value any) {
 			in.flushOne(oe, i, target, flushSize)
 		}
 	}
-	in.local.pushed++
+	in.local.Pushed++
 }
 
 // flushOne encodes and sends one pending batch, taking the
@@ -316,32 +320,22 @@ func (in *instance) flushOne(oe *outEdge, edge, target int, reason flushReason) 
 	n := len(b.msgs) // the batch belongs to the receiver after the send
 	t0 := time.Now()
 	t1 := t0
-	if oe.codec != nil {
-		if oe.appendEnc != nil {
-			for k := range b.msgs {
-				m := &b.msgs[k]
-				off := int32(len(b.buf))
-				b.buf = oe.appendEnc.AppendEncode(b.buf, m.val)
-				m.encOff, m.encLen = off, int32(len(b.buf))-off
-				m.val = nil
-			}
-		} else {
-			for k := range b.msgs {
-				m := &b.msgs[k]
-				off := int32(len(b.buf))
-				b.buf = append(b.buf, oe.codec.Encode(m.val)...)
-				m.encOff, m.encLen = off, int32(len(b.buf))-off
-				m.val = nil
-			}
+	if oe.enc != nil {
+		for k := range b.msgs {
+			m := &b.msgs[k]
+			off := int32(len(b.buf))
+			b.buf = oe.enc.AppendEncode(b.buf, m.val)
+			m.encOff, m.encLen = off, int32(len(b.buf))-off
+			m.val = nil
 		}
 		t1 = time.Now()
-		in.local.dur.Serialization += t1.Sub(t0)
+		in.local.Dur.Serialization += t1.Sub(t0)
 	}
 	oe.chans[target] <- b
 	t2 := time.Now()
 	blocked := t2.Sub(t1)
-	in.local.dur.WaitingOutput += blocked
-	in.local.downWait[edge] += blocked
+	in.local.Dur.WaitingOutput += blocked
+	in.local.DownWait[edge] += blocked
 	if o := in.host.obs; o != nil {
 		o.flushed(reason, n, blocked)
 	}
@@ -360,11 +354,11 @@ func (in *instance) flushRemote(oe *outEdge, edge, target int, b *batch, reason 
 	ok := rd.acquire()
 	t1 := time.Now()
 	blocked := t1.Sub(t0)
-	in.local.dur.WaitingOutput += blocked
-	in.local.downWait[edge] += blocked
+	in.local.Dur.WaitingOutput += blocked
+	in.local.DownWait[edge] += blocked
 	if ok {
-		rd.link.sendData(oe.gen, rd.opID, rd.inst, b, oe.appendEnc, oe.codec)
-		in.local.dur.Serialization += time.Since(t1)
+		rd.link.sendData(oe.gen, rd.opID, rd.inst, b, oe.enc)
+		in.local.Dur.Serialization += time.Since(t1)
 	}
 	// A dead link (acquire false) drops the batch: the deployment is
 	// failing and the coordinator will surface the link error.
@@ -414,16 +408,42 @@ func (in *instance) idleFlush() {
 }
 
 // nextBatch returns the next input batch, flushing pending output and
-// local instrumentation before blocking.
-func (in *instance) nextBatch() (*batch, bool) {
+// local instrumentation before blocking. When tick (a windowed
+// instance's; nil otherwise) fires first the batch is an empty one: its
+// record step adds nothing and fires what has come due.
+func (in *instance) nextBatch(tick <-chan time.Time) (*batch, bool) {
 	select {
 	case b, ok := <-in.in:
 		return b, ok
 	default:
 	}
 	in.idleFlush()
-	b, ok := <-in.in
-	return b, ok
+	select {
+	case b, ok := <-in.in:
+		return b, ok
+	case <-tick:
+		return in.host.getBatch(), true
+	}
+}
+
+// emitted is what this instance's flushes have booked so far; they run
+// inside the record loops, which read it first for bookUseful.
+func (in *instance) emitted() time.Duration {
+	return in.local.Dur.Serialization + in.local.Dur.WaitingOutput
+}
+
+// bookUseful books n records as processed and the span since from as
+// processing time, less what flushes booked since the emitted0 reading.
+// It returns the clock reading that ends the span.
+func (in *instance) bookUseful(from time.Time, emitted0 time.Duration, n int64) time.Time {
+	now := time.Now()
+	proc := now.Sub(from) - (in.emitted() - emitted0)
+	if proc < 0 {
+		proc = 0
+	}
+	in.local.Dur.Processing += proc
+	in.local.Processed += n
+	return now
 }
 
 // decodeBatch runs the batch's deserialization phase: every record is
@@ -445,7 +465,7 @@ func (in *instance) decodeBatch(b *batch, t1 time.Time) ([]any, time.Time) {
 		vals = append(vals, codec.Decode(b.buf[m.encOff:m.encOff+m.encLen]))
 	}
 	t2 := time.Now()
-	in.local.dur.Deserialization += t2.Sub(t1)
+	in.local.Dur.Deserialization += t2.Sub(t1)
 	return vals, t2
 }
 
@@ -458,7 +478,7 @@ func (in *instance) sampleLatencies(b *batch, t3 time.Time, every int64) {
 			continue
 		}
 		if in.nrec++; in.nrec%every == 0 {
-			in.local.lats = append(in.local.lats,
+			in.local.Lats = append(in.local.Lats,
 				metrics.LatencySample{Latency: t3.Sub(m.src).Seconds(), Weight: float64(every)})
 		}
 		// The exporter's histogram samples on its own fixed stride,
@@ -472,59 +492,72 @@ func (in *instance) sampleLatencies(b *batch, t3 time.Time, every int64) {
 	}
 }
 
-// runOperator is the worker loop of a non-source instance: block on
-// input (waiting), decode the batch (deserialization), run the user
-// function plus Cost over every record (processing; emission time
-// inside is re-attributed to serialization/waiting-for-output at flush
-// granularity), account the batch. All clock splits are per batch, not
-// per record.
+// runOperator is the worker loop of every non-source instance: block on
+// input (waiting), decode the batch (deserialization), run the record
+// step over it (processing; emission time inside is re-attributed to
+// serialization/waiting-for-output at flush granularity), book the
+// batch, recycle it, flush what is due. All clock splits are per batch,
+// not per record. A windowed operator differs in its record step
+// (paneRecords) and in waking on a tick — an empty batch — so a quiet
+// key still fires; the next wait's idle flush sends what it fired.
 func (in *instance) runOperator() {
 	defer in.drainExit()
-	spec := in.spec
 	every := int64(in.host.cfg.LatencySampleEvery)
 	// Bind the emit callback once: a fresh method value per record
 	// would cost one heap allocation on the exchange hot path.
 	emit := Emit(in.emit)
+	step := in.records
+	var tick <-chan time.Time
+	if win := in.spec.Window; win != nil {
+		ticker := time.NewTicker(windowTick(win.slide()))
+		defer ticker.Stop()
+		step, tick = in.paneRecords, ticker.C
+	}
 	for {
 		t0 := time.Now()
-		b, ok := in.nextBatch()
+		b, ok := in.nextBatch(tick)
 		t1 := time.Now()
-		in.local.dur.WaitingInput += t1.Sub(t0)
+		in.local.Dur.WaitingInput += t1.Sub(t0)
 		if !ok {
+			// Drain. Open panes stay in the keyed state: the teardown
+			// snapshot (rescale or stop) carries them on.
 			return
 		}
 		vals, t1 := in.decodeBatch(b, t1)
-		emitted0 := in.local.dur.Serialization + in.local.dur.WaitingOutput
-		for i := range b.msgs {
-			m := &b.msgs[i]
-			v := m.val
-			if vals != nil {
-				v = vals[i]
-			}
-			in.curSrc = m.src
-			if spec.Keyed {
-				in.state[m.key] = spec.Process(in.state[m.key], m.key, v, emit)
-			} else {
-				spec.Process(nil, m.key, v, emit)
-			}
-			if spec.Cost > 0 {
-				in.work(spec.Cost)
-			}
+		emitted0 := in.emitted()
+		step(b, vals, emit)
+		t3 := in.bookUseful(t1, emitted0, int64(len(b.msgs)))
+		if len(b.msgs) > 0 {
+			in.noteFirstRecord(t3)
 		}
-		t3 := time.Now()
-		proc := t3.Sub(t1) - (in.local.dur.Serialization + in.local.dur.WaitingOutput - emitted0)
-		if proc < 0 {
-			proc = 0
-		}
-		in.local.dur.Processing += proc
-		in.local.processed += int64(len(b.msgs))
-		in.noteFirstRecord(t3)
 		if in.sink {
 			in.sampleLatencies(b, t3, every)
 		}
 		in.host.putBatch(b)
 		in.maybeFlushAcc(t3)
 		in.maybeFlushPending(t3)
+	}
+}
+
+// records is the plain record step: the user function plus Cost over
+// every record of the batch.
+func (in *instance) records(b *batch, vals []any, emit Emit) {
+	spec := in.spec
+	for i := range b.msgs {
+		m := &b.msgs[i]
+		v := m.val
+		if vals != nil {
+			v = vals[i]
+		}
+		in.curSrc = m.src
+		if spec.Keyed {
+			in.state[m.key] = spec.Process(in.state[m.key], m.key, v, emit)
+		} else {
+			spec.Process(nil, m.key, v, emit)
+		}
+		if spec.Cost > 0 {
+			in.work(spec.Cost)
+		}
 	}
 }
 
@@ -618,7 +651,7 @@ func (in *instance) runSource(stop <-chan struct{}) {
 				return
 			case <-time.After(5 * time.Millisecond):
 			}
-			in.local.dur.WaitingInput += time.Since(t0)
+			in.local.Dur.WaitingInput += time.Since(t0)
 			next = time.Now()
 			continue
 		}
@@ -665,7 +698,7 @@ func (in *instance) runSource(stop <-chan struct{}) {
 		}
 		t1 := time.Now()
 		in.curSrc = t1
-		emitted0 := in.local.dur.Serialization + in.local.dur.WaitingOutput
+		emitted0 := in.emitted()
 		for s := start; s < start+n; s++ {
 			key, val := src.Next(in.seqAt(s))
 			if src.Cost > 0 {
@@ -673,14 +706,8 @@ func (in *instance) runSource(stop <-chan struct{}) {
 			}
 			in.emit(key, val)
 		}
-		t2 := time.Now()
-		proc := t2.Sub(t1) - (in.local.dur.Serialization + in.local.dur.WaitingOutput - emitted0)
-		if proc < 0 {
-			proc = 0
-		}
-		in.local.dur.Processing += proc
-		in.local.dur.WaitingInput += waitIn
-		in.local.processed += n
+		t2 := in.bookUseful(t1, emitted0, n)
+		in.local.Dur.WaitingInput += waitIn
 		in.noteFirstRecord(t2)
 		in.maybeFlushAcc(t2)
 		if in.srcLimit > 0 && start+n >= in.srcLimit {
