@@ -76,7 +76,10 @@
 // true rates are records/Wu, so a backpressured or underutilized
 // instance still reports its capacity — the paper's core observation.
 // Every non-source instance, windowed or not, runs one loop
-// (runOperator); sources pace in their own. All book through one helper
+// (runOperator); sources pace in their own against an absolute schedule
+// (pacer) that forgives a late timer up to 2 ms and drops only what fell
+// due while they were blocked on output or later than that — the
+// no-backlog spout of §5.2. All book through one helper
 // (bookUseful) into one record (counters) — also what the shared
 // accumulator holds and what a worker ships to the coordinator.
 //

@@ -236,8 +236,7 @@ func (in *instance) noteFirstRecord(t time.Time) {
 // time never banks credit: owed is untouched while blocked on input.
 func (in *instance) work(cost time.Duration) {
 	in.owed += cost
-	const minSleep = 2 * time.Millisecond
-	if in.owed < minSleep {
+	if in.owed < maxDebt {
 		return
 	}
 	t0 := time.Now()
@@ -245,8 +244,8 @@ func (in *instance) work(cost time.Duration) {
 	in.owed -= time.Since(t0)
 	// One overshoot of credit is self-correction; more would mean
 	// free capacity after an anomalous stall.
-	if in.owed < -minSleep {
-		in.owed = -minSleep
+	if in.owed < -maxDebt {
+		in.owed = -maxDebt
 	}
 }
 
@@ -561,17 +560,6 @@ func (in *instance) records(b *batch, vals []any, emit Emit) {
 	}
 }
 
-// runSource is the worker loop of a source instance: pace to the
-// target rate (the pause is waiting-for-input — the instance is
-// waiting on the external world), generate a burst of records
-// (processing), emit them (serialization + waiting-for-output at flush
-// time). Pacing is per burst — one timer and one clock pair cover
-// burst-many records — with the burst sized so a full FlushInterval of
-// records fits in one batch; at low rates the burst degenerates to one
-// record and pacing is per record as before. A source that falls
-// behind schedule — blocked on a full downstream queue — suppresses
-// the missed schedule rather than bursting to catch up: the no-backlog
-// spout of §5.2, whose achieved rate visibly drops under backpressure.
 // seqAt maps this process's c-th source record to its global sequence
 // number under block striping (identity when seqNW <= 1).
 func (in *instance) seqAt(c int64) int64 {
@@ -616,6 +604,22 @@ func localSeqLimit(limit int64, w, nw int, block int64) int64 {
 	return mine
 }
 
+// runSource is the worker loop of a source instance: pace to the
+// target rate (the pause is waiting-for-input — the instance is waiting
+// on the external world), generate the records that are due
+// (processing), emit them (serialization + waiting-for-output at flush
+// time). The schedule is a pacer: the loop sleeps until a burst — a
+// FlushInterval of records, at least one, at most a batch — is due in
+// full, then emits what is due by then, a batch a step with no sleep
+// between steps, so a timer that wakes late costs nothing. What is
+// forgiven is lateness up to maxDebt, whatever caused it. What is
+// suppressed — due and never emitted, the no-backlog spout of §5.2
+// whose achieved rate visibly drops — is lateness beyond that and every
+// nanosecond booked as waiting-for-output: a source held by a full
+// queue resumes on schedule, not behind it. Sequence numbers are
+// unaffected by either: a range is reserved only after the step's last
+// stop check and is always emitted in full, so the records a job has
+// emitted are a prefix of each stripe across stops and rescales.
 func (in *instance) runSource(stop <-chan struct{}) {
 	defer in.drainExit()
 	if in.startGate != nil {
@@ -630,7 +634,12 @@ func (in *instance) runSource(stop <-chan struct{}) {
 		return // bounded source whose stripe holds none of the first Limit seqs
 	}
 	cfg := &in.host.cfg
-	next := time.Now()
+	batch := int64(cfg.BatchSize)
+	// One timer for every sleep below, reset per sleep (go 1.23 timers:
+	// a Reset leaves no earlier firing to be received).
+	timer := time.NewTimer(0)
+	defer timer.Stop()
+	pace := pacer{next: time.Now()}
 	for {
 		select {
 		case <-stop:
@@ -646,48 +655,38 @@ func (in *instance) runSource(stop <-chan struct{}) {
 			// within milliseconds instead of one enormous period.
 			in.idleFlush()
 			t0 := time.Now()
-			select {
-			case <-stop:
+			if !pause(timer, 5*time.Millisecond, stop) {
 				return
-			case <-time.After(5 * time.Millisecond):
 			}
-			in.local.Dur.WaitingInput += time.Since(t0)
-			next = time.Now()
+			pace.next = time.Now()
+			in.local.Dur.WaitingInput += pace.next.Sub(t0)
 			continue
 		}
-		burst := int64(rate * cfg.FlushInterval.Seconds() / float64(in.nsrc))
-		if burst < 1 {
-			burst = 1
-		}
-		if burst > int64(cfg.BatchSize) {
-			burst = int64(cfg.BatchSize)
-		}
-		next = next.Add(time.Duration(float64(burst) * float64(in.nsrc) / rate * float64(time.Second)))
+		per, burst := cadence(rate, in.nsrc, cfg.FlushInterval, batch)
 		now := time.Now()
-		var waitIn time.Duration
-		if d := next.Sub(now); d > 0 {
+		n, wait := pace.due(now, per, burst, batch)
+		if n == 0 {
 			// Nothing may sit in a partial batch across a pacing
-			// sleep: flush first, then wait.
+			// sleep: flush first, then wait. Both readings of what the
+			// flush booked come before maybeFlushAcc, which zeroes
+			// in.local.
+			emitted0, waitOut0 := in.emitted(), in.local.Dur.WaitingOutput
 			in.flushPending(flushPacing)
+			flushed := in.emitted() - emitted0
+			pace.blocked(in.local.Dur.WaitingOutput - waitOut0)
 			in.maybeFlushAcc(now)
-			timer := time.NewTimer(d)
-			select {
-			case <-stop:
-				timer.Stop()
+			if !pause(timer, wait, stop) {
 				return
-			case <-timer.C:
 			}
-			waitIn = time.Since(now)
-		} else {
-			next = now // behind schedule: suppress, don't burst
+			in.local.Dur.WaitingInput += time.Since(now) - flushed
+			continue
 		}
-		// The burst's sequence range is reserved only once it is
+		// The step's sequence range is reserved only once it is
 		// definitely being emitted (after the stop checks), so every
 		// reserved seq is processed exactly once across rescales —
 		// disjoint ranges across instances, and a reserved range is
 		// always emitted in full before this instance exits.
-		start := atomic.AddInt64(in.seq, burst) - burst
-		n := burst
+		start := atomic.AddInt64(in.seq, n) - n
 		if in.srcLimit > 0 {
 			if start >= in.srcLimit {
 				return
@@ -696,9 +695,8 @@ func (in *instance) runSource(stop <-chan struct{}) {
 				n = in.srcLimit - start
 			}
 		}
-		t1 := time.Now()
-		in.curSrc = t1
-		emitted0 := in.emitted()
+		in.curSrc = now
+		emitted0, waitOut0 := in.emitted(), in.local.Dur.WaitingOutput
 		for s := start; s < start+n; s++ {
 			key, val := src.Next(in.seqAt(s))
 			if src.Cost > 0 {
@@ -706,12 +704,24 @@ func (in *instance) runSource(stop <-chan struct{}) {
 			}
 			in.emit(key, val)
 		}
-		t2 := in.bookUseful(t1, emitted0, n)
-		in.local.Dur.WaitingInput += waitIn
+		pace.blocked(in.local.Dur.WaitingOutput - waitOut0)
+		t2 := in.bookUseful(now, emitted0, n)
 		in.noteFirstRecord(t2)
 		in.maybeFlushAcc(t2)
 		if in.srcLimit > 0 && start+n >= in.srcLimit {
 			return
 		}
+	}
+}
+
+// pause sleeps d on t, a source's one timer; false means stop closed
+// first.
+func pause(t *time.Timer, d time.Duration, stop <-chan struct{}) bool {
+	t.Reset(d)
+	select {
+	case <-stop:
+		return false
+	case <-t.C:
+		return true
 	}
 }
