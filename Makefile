@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race alloc-pins bench-test bench-smoke vet live-smoke dist-smoke savepoint-smoke profile-live
+.PHONY: build test race alloc-pins bench-test bench-smoke vet loc live-smoke dist-smoke savepoint-smoke profile-live
 
 build:
 	$(GO) build ./...
@@ -36,6 +36,21 @@ bench-test:
 # compiling and running without paying full measurement time.
 bench-smoke:
 	$(GO) test -run XXX -bench . -benchtime 1x -benchmem .
+
+# The line counts a PR reports: Go lines outside benchmarks/, non-test
+# and test, of every file git tracks or would add. With BASE=<commit>
+# also what changed since then, `git diff --numstat` summed the same way
+# (stage new files first — an untracked file is in no diff).
+loc:
+	@git ls-files -co --exclude-standard --deduplicate '*.go' ':!benchmarks' | awk '\
+		{ n = 0; while ((getline line < $$0) > 0) n++; close($$0); \
+		  if ($$0 ~ /_test\.go$$/) test += n; else code += n } \
+		END { printf "go lines outside benchmarks/: non-test %d, test %d\n", code, test }'
+ifdef BASE
+	@git diff --numstat $(BASE) -- '*.go' ':!benchmarks' | awk '\
+		$$3 ~ /_test\.go$$/ { ta += $$1; tr += $$2; next } { ca += $$1; cr += $$2 } \
+		END { printf "since $(BASE): non-test +%d -%d = %+d, test +%d -%d = %+d\n", ca, cr, ca - cr, ta, tr, ta - tr }'
+endif
 
 # Profile the live hot path from a flag, not a code edit: run a
 # ds2-live workload with CPU, heap, and mutex-contention profiles

@@ -36,27 +36,6 @@ func runDS2(e *engine.Engine, mgr *core.Manager, interval float64, maxIntervals 
 	return loop.Run()
 }
 
-// quantileRow formats a set of latency quantiles.
-type quantileRow struct {
-	P50, P95, P99 float64
-}
-
-func latQuantiles(samples []engine.LatencySample) quantileRow {
-	return quantileRow{
-		P50: engine.LatencyQuantile(samples, 0.50),
-		P95: engine.LatencyQuantile(samples, 0.95),
-		P99: engine.LatencyQuantile(samples, 0.99),
-	}
-}
-
-func epochQuantiles(eps []engine.EpochLatency) quantileRow {
-	return quantileRow{
-		P50: engine.EpochQuantile(eps, 0.50),
-		P95: engine.EpochQuantile(eps, 0.95),
-		P99: engine.EpochQuantile(eps, 0.99),
-	}
-}
-
 func sortedKeys[V any](m map[string]V) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {

@@ -201,7 +201,7 @@ type AccuracyRow struct {
 	Indicated   bool
 	Achieved    float64
 	Target      float64
-	Latency     quantileRow
+	Latency     controlloop.Quantiles
 }
 
 // AccuracyResult is the Fig. 8 sweep for all queries.
@@ -299,7 +299,7 @@ func RunAccuracy(queries []string) (*AccuracyResult, error) {
 			Indicated:   p == w.Indicated,
 			Achieved:    achieved,
 			Target:      jobs[i].qb.target,
-			Latency:     latQuantiles(st.Latencies),
+			Latency:     controlloop.LatencyQuantiles(st.Latencies),
 		}
 		return nil
 	})

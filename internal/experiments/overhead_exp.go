@@ -5,6 +5,7 @@ import (
 	"math"
 	"strings"
 
+	"ds2/internal/controlloop"
 	"ds2/internal/dataflow"
 	"ds2/internal/engine"
 	"ds2/internal/nexmark"
@@ -15,8 +16,8 @@ import (
 type OverheadRow struct {
 	Query   string
 	System  string
-	Vanilla quantileRow
-	Instr   quantileRow
+	Vanilla controlloop.Quantiles
+	Instr   controlloop.Quantiles
 	// OverheadPct is the relative median-latency increase.
 	OverheadPct float64
 }
@@ -110,9 +111,9 @@ func overheadFlink(q string, horizon float64) (OverheadRow, error) {
 		e.RunInterval(30)
 		st := e.RunInterval(horizon)
 		if instr {
-			row.Instr = latQuantiles(st.Latencies)
+			row.Instr = controlloop.LatencyQuantiles(st.Latencies)
 		} else {
-			row.Vanilla = latQuantiles(st.Latencies)
+			row.Vanilla = controlloop.LatencyQuantiles(st.Latencies)
 		}
 	}
 	row.OverheadPct = pctDelta(row.Vanilla.P50, row.Instr.P50)
@@ -144,9 +145,9 @@ func overheadTimely(q string, horizon float64) (OverheadRow, error) {
 		e.RunInterval(10)
 		st := e.RunInterval(horizon)
 		if instr {
-			row.Instr = epochQuantiles(st.EpochLatencies)
+			row.Instr = controlloop.EpochQuantiles(st.EpochLatencies)
 		} else {
-			row.Vanilla = epochQuantiles(st.EpochLatencies)
+			row.Vanilla = controlloop.EpochQuantiles(st.EpochLatencies)
 		}
 	}
 	row.OverheadPct = pctDelta(row.Vanilla.P50, row.Instr.P50)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"ds2/internal/controlloop"
 	"ds2/internal/core"
 	"ds2/internal/dataflow"
 	"ds2/internal/engine"
@@ -21,7 +22,7 @@ type TimelyRow struct {
 	// OnTimeFraction is the fraction of epochs processed within the
 	// 1 s target.
 	OnTimeFraction float64
-	Latency        quantileRow
+	Latency        controlloop.Quantiles
 }
 
 // TimelyResult is the Fig. 9 sweep.
@@ -164,7 +165,7 @@ func RunTimelyLatency(queries []string, horizon float64) (*TimelyResult, error) 
 			Indicated:       workers == p.indicated,
 			EpochsCompleted: len(st.EpochLatencies),
 			EpochsTotal:     total,
-			Latency:         epochQuantiles(st.EpochLatencies),
+			Latency:         controlloop.EpochQuantiles(st.EpochLatencies),
 		}
 		if len(st.EpochLatencies) > 0 {
 			// Epochs that never completed count as missed.

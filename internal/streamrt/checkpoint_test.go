@@ -8,6 +8,7 @@ package streamrt_test
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -184,6 +185,53 @@ func TestSavepointPersistFailureKeepsJobRunning(t *testing.T) {
 	got := job.Stop()
 	if !reflect.DeepEqual(got["count"], expectedCounts(limit)) {
 		t.Fatalf("post-failure run diverged from the replay oracle:\n got: %v\nwant: %v", got["count"], expectedCounts(limit))
+	}
+}
+
+// TestSavepointEncodePanicKeepsJobRunning: a StateCodec that panics on
+// the state it is handed — IntStateCodec asserts int, this counter keeps
+// int64; it compiles and passes the savepointable check — must cost the
+// savepoint, not the process: the error names the operator, the job is
+// running again on the state it drained, and stays rescalable and exact.
+func TestSavepointEncodePanicKeepsJobRunning(t *testing.T) {
+	const limit, keys = 3000, 30
+	tb := streamrt.NewTypedPipeline()
+	streamrt.AddTypedSource(tb, "src", streamrt.TypedSource[int64]{
+		Rate:  func(float64) float64 { return 2600 },
+		Next:  func(seq int64) (string, int64) { return fmt.Sprintf("k%02d", seq%keys), seq },
+		Limit: limit,
+	})
+	streamrt.AddTypedOperator(tb, "tally", streamrt.TypedOperator[int64, any, int64]{
+		Keyed:   true,
+		Process: func(c int64, _ string, _ int64, _ streamrt.TypedEmit[any]) int64 { return c + 1 },
+		State:   streamrt.IntStateCodec{},
+	})
+	pipe, err := tb.AddEdge("src", "tally").Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	job, err := streamrt.NewJob(pipe, dataflow.Parallelism{"src": 1, "tally": 2}, streamrt.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitForProgress(t, job.NextInterval)
+	err = job.Savepoint(streamrt.NewMemoryStore(), "cut")
+	if err == nil || !strings.Contains(err.Error(), "tally") {
+		t.Fatalf("Savepoint error = %v, want the encode failure naming the operator", err)
+	}
+	if err := job.Err(); err != nil {
+		t.Fatalf("Err() = %v after a failed encode; the job must not be down", err)
+	}
+	if err := job.Rescale(dataflow.Parallelism{"src": 1, "tally": 3}); err != nil {
+		t.Fatalf("Rescale after the failed savepoint: %v", err)
+	}
+	job.Wait()
+	want := make(map[string]any, keys)
+	for k := 0; k < keys; k++ {
+		want[fmt.Sprintf("k%02d", k)] = int64(limit / keys)
+	}
+	if got := job.Stop()["tally"]; !reflect.DeepEqual(got, want) {
+		t.Fatalf("run after the failed savepoint diverged:\n got: %v\nwant: %v", got, want)
 	}
 }
 

@@ -48,10 +48,9 @@ type distContext struct {
 	workers int
 	gen     uint32
 	tr      *transport
-	assign  map[string][]int          // operator -> instance -> hosting worker
-	tables  map[string]map[string]int // keyed operator -> coordinator routing table
-	peers   []*link                   // outbound data link per worker index (nil for self)
-	start   chan struct{}             // closed by the coordinator's START
+	assign  map[string][]int // operator -> instance -> hosting worker
+	peers   []*link          // outbound data link per worker index (nil for self)
+	start   chan struct{}    // closed by the coordinator's START
 	started bool
 }
 
@@ -78,15 +77,19 @@ type wireSpan struct {
 
 // Control protocol bodies (JSON inside CONTROL/REPLY frames).
 type deployReq struct {
-	Workload    string                       `json:"workload"`
-	Gen         uint32                       `json:"gen"`
-	Worker      int                          `json:"worker"`
-	Workers     int                          `json:"workers"`
-	Peers       []string                     `json:"peers"` // data addr per worker index
-	Parallelism map[string]int               `json:"parallelism"`
-	Assign      map[string][]int             `json:"assign"`
-	Tables      map[string]map[string]int    `json:"tables,omitempty"`
-	States      map[string]map[string][]byte `json:"states,omitempty"`
+	Workload    string           `json:"workload"`
+	Gen         uint32           `json:"gen"`
+	Worker      int              `json:"worker"`
+	Workers     int              `json:"workers"`
+	Peers       []string         `json:"peers"` // data addr per worker index
+	Parallelism map[string]int   `json:"parallelism"`
+	Assign      map[string][]int `json:"assign"`
+	// Tables and Shares are the coordinator's deal: every keyed
+	// operator's routing table — the same on every worker — and, indexed
+	// by instance, the encoded state of the instances this worker hosts
+	// (null for the others).
+	Tables map[string]map[string]int `json:"tables,omitempty"`
+	Shares parts[[]byte]             `json:"shares,omitempty"`
 	// Seqs, when present, overwrites this worker's per-source local
 	// sequence counters before the generation starts. A restore from a
 	// savepoint is what that matters for; after a drain it writes back
@@ -111,7 +114,9 @@ type drainReq struct {
 }
 
 type drainResp struct {
-	States map[string]map[string][]byte `json:"states,omitempty"`
+	// States is the drained instances' keyed state, encoded, one map
+	// per instance.
+	States parts[[]byte] `json:"states,omitempty"`
 	// Seqs reports the worker's per-source local sequence counters at
 	// the drain, so a coordinator cutting a savepoint can persist the
 	// exact resume point of every stripe.
@@ -304,8 +309,8 @@ func (w *Worker) deploy(body []byte) ([]byte, error) {
 	if req.Worker != w.index {
 		return nil, fmt.Errorf("streamrt: deploy addressed to worker %d, this is worker %d", req.Worker, w.index)
 	}
-	snap := &snapshot{enc: req.States}
-	if _, err := snap.values(pipe); err != nil {
+	shares, err := convertParts(pipe, "decoding", req.Shares, decodeOpState)
+	if err != nil {
 		return nil, err
 	}
 	decoded := time.Since(h0)
@@ -313,14 +318,6 @@ func (w *Worker) deploy(body []byte) ([]byte, error) {
 	defer w.mu.Unlock()
 	if w.host != nil {
 		return nil, errors.New("streamrt: deploy while a generation is live (drain first)")
-	}
-	// Restore-on-deploy: a coordinator restoring from a savepoint ships
-	// the persisted counters; this process is rank 0 of its own host.
-	snap.seqs = make(map[string][]int64, len(req.Seqs))
-	for name, v := range req.Seqs {
-		if _, ok := pipe.sources[name]; ok {
-			snap.seqs[name] = []int64{v}
-		}
 	}
 	peers := make([]*link, req.Workers)
 	for i, addr := range req.Peers {
@@ -339,7 +336,6 @@ func (w *Worker) deploy(body []byte) ([]byte, error) {
 		gen:     req.Gen,
 		tr:      w.tr,
 		assign:  req.Assign,
-		tables:  req.Tables,
 		peers:   peers,
 		start:   make(chan struct{}),
 	}
@@ -359,9 +355,16 @@ func (w *Worker) deploy(body []byte) ([]byte, error) {
 		seqs = nil
 	}
 	h := newHost(pipe, cfg, epoch, o, dc, seqs)
-	if err := h.deploy(req.Gen, par, snap, nil); err != nil {
-		return nil, err
+	h.mu.Lock()
+	// Restore-on-deploy: a coordinator restoring from a savepoint ships
+	// the persisted counters.
+	for name, v := range req.Seqs {
+		if p := h.seqs[name]; p != nil {
+			atomic.StoreInt64(p, v)
+		}
 	}
+	h.deployLocked(req.Gen, par, req.Tables, shares)
+	h.mu.Unlock()
 	w.host, w.winStart = h, req.Elapsed
 	w.workload, w.seqs = req.Workload, h.seqs
 	resp := deployResp{}
@@ -414,7 +417,6 @@ func (w *Worker) drain(body []byte) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		snap.merge()
 		drained := time.Since(h0)
 		w.mu.Lock()
 		w.host = nil
@@ -661,52 +663,24 @@ func (r *remote) each(f func(cc *ctrlClient) error) error {
 	return errors.Join(errs...)
 }
 
-// deploy pushes one new generation: placement, routing tables (built
-// over the merged key universe — identical on every worker),
-// per-worker state slices, then the two-phase deploy/start barrier.
+// deploy pushes one new generation: placement, the deal (routing tables
+// — identical on every worker — and per-instance shares, over the state
+// as bytes), then the two-phase deploy/start barrier, each worker
+// receiving the tables and the shares of the instances it hosts.
 // snap.seqs, on a restore, carries per-rank source counters; each
 // hosting worker receives its rank's counter. tr, when non-nil, times
 // the router_rebuild/transfer/restart phases with per-worker child
 // spans (nil on the initial deploy — only reconfigurations are traced).
 func (r *remote) deploy(gen uint32, par dataflow.Parallelism, snap *snapshot, tr *rescaleTrace) error {
-	encStates, err := snap.bytes(r.pipe)
+	enc, err := snap.bytes(r.pipe)
 	if err != nil {
 		return err
 	}
 	workers := len(r.ctrls)
 	assign := PlanPlacement(par, workers)
-	tables := make(map[string]map[string]int)
-	perWorker := make([]map[string]map[string][]byte, workers)
-	tr.phase(phaseRouterRebuild, func(uint64) {
-		routers := make(map[string]*router)
-		for name, spec := range r.pipe.ops {
-			if !spec.Keyed {
-				continue
-			}
-			known := make(map[string]any, len(encStates[name]))
-			for k := range encStates[name] {
-				known[k] = nil
-			}
-			rt := buildRouter(known, par[name])
-			routers[name] = rt
-			if rt.table != nil {
-				tables[name] = rt.table
-			}
-		}
-		for op, kv := range encStates {
-			rt := routers[op]
-			for k, b := range kv {
-				w := assign[op][rt.owner(k)]
-				if perWorker[w] == nil {
-					perWorker[w] = make(map[string]map[string][]byte)
-				}
-				if perWorker[w][op] == nil {
-					perWorker[w][op] = make(map[string][]byte)
-				}
-				perWorker[w][op][k] = b
-			}
-		}
-	})
+	var tables map[string]map[string]int
+	var shares parts[[]byte]
+	tr.phase(phaseRouterRebuild, func(uint64) { tables, shares = dealAll(r.pipe, enc, par) })
 	// Per-worker restore counters: rank i of a source maps to the i'th
 	// sorted hosting worker under the new placement.
 	perWorkerSeqs := make([]map[string]int64, workers)
@@ -733,7 +707,7 @@ func (r *remote) deploy(gen uint32, par dataflow.Parallelism, snap *snapshot, tr
 				Parallelism: par,
 				Assign:      assign,
 				Tables:      tables,
-				States:      perWorker[cc.worker],
+				Shares:      hostedShares(shares, assign, cc.worker),
 				Seqs:        perWorkerSeqs[cc.worker],
 				Elapsed:     elapsed,
 				Config:      r.cfg,
@@ -770,9 +744,26 @@ func (r *remote) deploy(gen uint32, par dataflow.Parallelism, snap *snapshot, tr
 	return nil
 }
 
+// hostedShares keeps of the dealt shares those of the instances worker w
+// hosts; the other slots stay nil.
+func hostedShares(shares parts[[]byte], assign map[string][]int, w int) parts[[]byte] {
+	out := make(parts[[]byte], len(shares))
+	for op, list := range shares {
+		mine := make([]map[string][]byte, len(list))
+		for k, share := range list {
+			if assign[op][k] == w {
+				mine[k] = share
+			}
+		}
+		out[op] = mine
+	}
+	return out
+}
+
 // drain drains every worker, recording one child span per worker RPC
 // under parent (plus the worker-shipped handler spans). The snapshot
-// gets one encoded part per worker and the per-rank source counters:
+// gets every drained instance's encoded state and the per-rank source
+// counters:
 // rank i of a source is the i'th (sorted) worker hosting it under the
 // drained generation's placement, and its counter is that worker's
 // drained local count.
@@ -793,12 +784,11 @@ func (r *remote) drain(tr *rescaleTrace, parent uint64) (*snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	snap := &snapshot{
-		encParts: make([]map[string]map[string][]byte, len(resps)),
-		seqs:     make(map[string][]int64, len(r.pipe.sources)),
-	}
+	snap := &snapshot{enc: make(parts[[]byte]), seqs: make(map[string][]int64, len(r.pipe.sources))}
 	for w := range resps {
-		snap.encParts[w] = resps[w].States
+		for op, list := range resps[w].States {
+			snap.enc[op] = append(snap.enc[op], list...)
+		}
 	}
 	for src := range r.pipe.sources {
 		for _, w := range hostingWorkers(r.assign[src]) {

@@ -96,8 +96,14 @@
 // Job.Rescale performs the savepoint-and-restore cycle of §4.1: stop
 // the sources, drain the pipeline (channels close in cascade once all
 // upstream instances exit, so every in-flight record is processed),
-// snapshot the keyed state of every stateful instance, repartition it
-// under the new parallelism, and restart fresh instances. The pause
+// take the keyed state of every stateful instance as it lies — one map
+// per instance, nothing merged — and restart fresh instances on it.
+// State changes hands once in between: deal (router.go) sorts the keys,
+// cuts them into one contiguous run per new instance and in one pass
+// fills the routing table and each instance's share, on the values
+// themselves in one process and on their StateCodec bytes across
+// workers, each of which receives the shares of the instances it hosts.
+// The pause
 // pollutes the running observation window, so Rescale discards it,
 // exactly like the settling EngineRuntime resets its metrics on
 // restart. Source sequence counters survive the cycle, so every
@@ -108,7 +114,8 @@
 // encoded into a versioned, CRC-guarded binary blob (see checkpoint.go
 // for the format) and stored under a name in a CheckpointStore
 // (DirStore publishes atomically via write-fsync-rename). The job
-// restarts even when the store write fails. NewJobFromSavepoint and
+// restarts even when the store write fails, or a StateCodec panics on
+// the state it is handed. NewJobFromSavepoint and
 // NewClusterFromSavepoint deploy a fresh job from such a blob:
 // operator parallelism may differ from the cut, the worker count may
 // not (source sequences are striped per worker), and sources resume

@@ -14,7 +14,8 @@ import (
 // of a distributed deployment on — there with a distContext, which
 // filters the instance set by the coordinator's assignment, sends
 // remote edges through the transport and stripes the source sequence
-// space. Every dist branch in deployLocked is a nil check.
+// space. Every dist branch in deployLocked is a nil check, and none of
+// them concerns state: routing tables and shares arrive dealt.
 type host struct {
 	pipe  *Pipeline
 	cfg   Config
@@ -91,9 +92,11 @@ type deployment struct {
 }
 
 // deployLocked builds channels and instances for generation gen at par
-// and starts every worker. states carries repartitionable keyed state
-// from the previous deployment (nil on first start). Callers hold h.mu.
-func (h *host) deployLocked(gen uint32, par dataflow.Parallelism, states map[string]map[string]any) {
+// and starts every worker. tables and shares are what deal made of the
+// previous generation's keyed state: per keyed operator the routing
+// table and, for every instance hosted here, the state it starts from.
+// Callers hold h.mu.
+func (h *host) deployLocked(gen uint32, par dataflow.Parallelism, tables map[string]map[string]int, shares parts[any]) {
 	g := h.pipe.graph
 	dep := &deployment{
 		stopSources: make(chan struct{}),
@@ -107,12 +110,10 @@ func (h *host) deployLocked(gen uint32, par dataflow.Parallelism, states map[str
 	// stop.
 	chans := make(map[string][]chan *batch, g.NumOperators())
 	inWGs := make(map[string]*sync.WaitGroup, g.NumOperators())
-	// One router per keyed operator per deployment, shared between the
-	// exchange and state repartitioning, so a key's records and its
-	// state can never disagree on the owning instance. The routing
-	// table stripes the known key universe (the rescale snapshot's
-	// keys) evenly over the instances; unseen keys use rendezvous
-	// hashing.
+	// One router per keyed operator per deployment, over the table the
+	// shares were dealt by, so a key's records and its state can never
+	// disagree on the owning instance — in any process: the table is the
+	// same everywhere. Unseen keys use rendezvous hashing.
 	routers := make(map[string]*router)
 	dc := h.dist
 	hosted := func(op string, k int) bool { return dc == nil || dc.assign[op][k] == dc.worker }
@@ -135,16 +136,8 @@ func (h *host) deployLocked(gen uint32, par dataflow.Parallelism, states map[str
 		if op.Role == dataflow.RoleSource {
 			continue
 		}
-		if spec := h.pipe.ops[op.Name]; spec.Keyed {
-			if dc != nil {
-				// The routing table is the coordinator's, identical on
-				// every worker — a table rebuilt from this worker's
-				// partial state would route keys differently per
-				// process.
-				routers[op.Name] = routerFromTable(dc.tables[op.Name], par[op.Name])
-			} else {
-				routers[op.Name] = buildRouter(states[op.Name], par[op.Name])
-			}
+		if h.pipe.ops[op.Name].Keyed {
+			routers[op.Name] = &router{n: par[op.Name], table: tables[op.Name]}
 		}
 		cs := make([]chan *batch, par[op.Name])
 		anyLocal := false
@@ -271,7 +264,7 @@ func (h *host) deployLocked(gen uint32, par dataflow.Parallelism, states map[str
 				in.spec = h.pipe.ops[op.Name]
 				in.in = chans[op.Name][k]
 				if in.spec.Keyed {
-					in.state = partitionState(states[op.Name], routers[op.Name], k)
+					in.state = shares[op.Name][k]
 				}
 			}
 			dep.insts[op.Name] = append(dep.insts[op.Name], in)
@@ -325,27 +318,15 @@ func (h *host) deployLocked(gen uint32, par dataflow.Parallelism, states map[str
 	h.gen, h.dep = gen, dep
 }
 
-// partitionState selects the keys instance idx owns under the
-// deployment's router.
-func partitionState(all map[string]any, rt *router, idx int) map[string]any {
-	out := make(map[string]any)
-	for k, v := range all {
-		if rt.owner(k) == idx {
-			out[k] = v
-		}
-	}
-	return out
-}
-
 func (h *host) workers() int { return 1 }
 
 func (h *host) validate(dataflow.Parallelism) error { return nil }
 
 // deploy implements placement: state arrives as values (decoded here
-// only when it came from a savepoint file or over the wire) and the one
-// trace phase is "restart".
+// only when it came from a savepoint file) and the one trace phase is
+// "restart" — the deal and the start of every instance.
 func (h *host) deploy(gen uint32, par dataflow.Parallelism, snap *snapshot, tr *rescaleTrace) error {
-	states, err := snap.values(h.pipe)
+	vals, err := snap.values(h.pipe)
 	if err != nil {
 		return err
 	}
@@ -354,7 +335,10 @@ func (h *host) deploy(gen uint32, par dataflow.Parallelism, snap *snapshot, tr *
 	for src, ranks := range snap.seqs {
 		atomic.StoreInt64(h.seqs[src], ranks[0])
 	}
-	tr.phase(phaseRestart, func(uint64) { h.deployLocked(gen, par, states) })
+	tr.phase(phaseRestart, func(uint64) {
+		tables, shares := dealAll(h.pipe, vals, par)
+		h.deployLocked(gen, par, tables, shares)
+	})
 	return nil
 }
 
@@ -366,7 +350,7 @@ func (h *host) deploy(gen uint32, par dataflow.Parallelism, snap *snapshot, tr *
 func (h *host) drain(*rescaleTrace, uint64) (*snapshot, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	snap := &snapshot{valParts: []map[string]map[string]any{}, seqs: make(map[string][]int64, len(h.seqs))}
+	snap := &snapshot{vals: make(parts[any]), seqs: make(map[string][]int64, len(h.seqs))}
 	if dep := h.dep; dep != nil {
 		dep.first.cancel()
 		close(dep.stopSources)
@@ -377,7 +361,7 @@ func (h *host) drain(*rescaleTrace, uint64) (*snapshot, error) {
 				continue
 			}
 			for _, in := range list {
-				snap.valParts = append(snap.valParts, map[string]map[string]any{name: in.state})
+				snap.vals[name] = append(snap.vals[name], in.state)
 			}
 		}
 	}

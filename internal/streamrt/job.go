@@ -155,7 +155,11 @@ func start(pipe *Pipeline, workload string, initial dataflow.Parallelism, addrs 
 		j.cfg.SourceSeqBlock = sp.SeqBlock
 		j.epoch = j.epoch.Add(-time.Duration(sp.Elapsed * float64(time.Second)))
 		j.winStart = sp.Elapsed
-		snap.enc, snap.seqs = sp.States, sp.Seqs
+		snap.seqs = sp.Seqs
+		snap.enc = make(parts[[]byte], len(sp.States))
+		for op, kv := range sp.States {
+			snap.enc[op] = []map[string][]byte{kv}
+		}
 	}
 	if j.cfg.Metrics != nil {
 		j.obs = newJobObs(j.cfg.Metrics, pipe, j.Rescales)
@@ -303,12 +307,15 @@ func (j *Job) reconfigure(newP dataflow.Parallelism, store CheckpointStore, name
 	if err != nil {
 		return j.failLocked(err)
 	}
-	var enc map[string]map[string][]byte
+	// A savepoint file holds one encoded map per operator; a plain
+	// rescale needs nothing of the drained parts before they are dealt.
+	var states map[string]map[string][]byte
 	var perr error
 	tr.phase(phaseSnapshot, func(uint64) {
-		snap.merge()
 		if store != nil {
+			var enc parts[[]byte]
 			enc, perr = snap.bytes(j.pipe)
+			states = mergeParts(enc)
 		}
 	})
 	if store != nil && perr == nil {
@@ -319,7 +326,7 @@ func (j *Job) reconfigure(newP dataflow.Parallelism, store CheckpointStore, name
 				SeqBlock: j.cfg.SourceSeqBlock,
 				Elapsed:  j.Now(),
 				Seqs:     snap.seqs,
-				States:   enc,
+				States:   states,
 			}))
 		})
 	}
@@ -372,8 +379,9 @@ func (j *Job) Stop() map[string]map[string]any {
 	var final map[string]map[string]any
 	snap, err := j.pl.drain(nil, 0)
 	if err == nil {
-		snap.merge()
-		final, err = snap.values(j.pipe)
+		var vals parts[any]
+		vals, err = snap.values(j.pipe)
+		final = mergeParts(vals)
 	}
 	if err != nil {
 		j.failLocked(err)
@@ -600,16 +608,4 @@ func (j *Job) NextInterval(d float64) (Interval, error) {
 // ticked (forever, on a clock that only advances while everyone sleeps).
 func intervalSleep(remain float64) time.Duration {
 	return time.Duration(math.Ceil(min(remain, 0.05) * float64(time.Second)))
-}
-
-// hashKey is FNV-1a 64 — the stable hash behind the router's
-// rendezvous fallback, so an unseen key's owning instance is a pure
-// function of (key, parallelism).
-func hashKey(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
 }

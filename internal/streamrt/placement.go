@@ -22,8 +22,8 @@ type placement interface {
 	// validate reports whether par can be deployed here at all, before
 	// anything is drained for it.
 	validate(par dataflow.Parallelism) error
-	// deploy starts generation gen at par from snap: keyed state
-	// repartitioned under par, and the source sequence counters (after
+	// deploy starts generation gen at par from snap: keyed state dealt
+	// to par's instances, and the source sequence counters (after
 	// a drain the hosts still hold the very same values; a restore is
 	// what actually installs them). It times its own trace phases
 	// (restart; remotely also router_rebuild and transfer).
@@ -47,111 +47,115 @@ type placement interface {
 	close()
 }
 
+// parts is keyed state on its way between generations: per operator, a
+// list of key -> state maps with disjoint keys. A drain fills it with one
+// map per quiesced instance, a savepoint file holds one map per operator,
+// and deal turns it into one map per instance of the next generation,
+// indexed by instance.
+type parts[V any] map[string][]map[string]V
+
 // snapshot is what a drain hands back and a deploy starts from: the
 // keyed state of every stateful operator plus the source sequence
-// counters. State is kept in the form the placement produced it —
+// counters. State stays in the one form the placement produced it —
 // decoded values from the local one, StateCodec bytes from the remote
-// one or a savepoint file — and converted only when someone asks for
+// one or a savepoint file — and is converted only when someone asks for
 // the other form, so a local rescale never calls a codec and the
 // coordinator of a remote job never decodes state it only forwards.
 type snapshot struct {
-	// One part per drained instance (vals) or worker (enc), keys
-	// disjoint by the generation's router; merge folds them.
-	valParts []map[string]map[string]any
-	encParts []map[string]map[string][]byte
-
-	vals map[string]map[string]any    // operator -> key -> state
-	enc  map[string]map[string][]byte // operator -> key -> encoded state
-
+	vals parts[any]
+	enc  parts[[]byte]
 	// seqs holds per source the local counter of every rank (position
 	// in the sorted list of workers hosting the source).
 	seqs map[string][]int64
 }
 
-// merge folds the drained parts into one map per operator — the
-// rescale trace's "snapshot" phase.
-func (s *snapshot) merge() {
-	if s.valParts != nil {
-		s.vals, s.valParts = mergeParts(s.valParts), nil
-	}
-	if s.encParts != nil {
-		s.enc, s.encParts = mergeParts(s.encParts), nil
-	}
-}
-
-func mergeParts[V any](parts []map[string]map[string]V) map[string]map[string]V {
-	merged := make(map[string]map[string]V)
-	for _, part := range parts {
-		for op, kv := range part {
-			dst := merged[op]
-			if dst == nil {
-				dst = make(map[string]V, len(kv))
-				merged[op] = dst
-			}
-			for k, v := range kv {
-				dst[k] = v
-			}
-		}
-	}
-	return merged
-}
-
 // values returns the state decoded, running the operators' StateCodecs
-// only if it was drained or loaded as bytes. User codecs may panic on
-// bytes they never wrote (a savepoint from an older state layout passes
-// the CRC but not the codec); the recover turns that into an error
-// instead of taking the process down.
-func (s *snapshot) values(pipe *Pipeline) (vals map[string]map[string]any, err error) {
-	if s.vals != nil || len(s.enc) == 0 {
+// only if it was drained or loaded as bytes.
+func (s *snapshot) values(pipe *Pipeline) (parts[any], error) {
+	if s.enc == nil {
 		return s.vals, nil
 	}
-	defer func() {
-		if r := recover(); r != nil {
-			vals, err = nil, fmt.Errorf("streamrt: decoding operator state: %v", r)
-		}
-	}()
-	vals = make(map[string]map[string]any, len(s.enc))
-	for op, kv := range s.enc {
-		spec := pipe.ops[op]
-		if spec == nil {
-			return nil, fmt.Errorf("streamrt: state for unknown operator %q", op)
-		}
-		dec := make(map[string]any, len(kv))
-		for k, b := range kv {
-			v, err := decodeOpState(spec, b)
-			if err != nil {
-				return nil, fmt.Errorf("streamrt: decoding %s[%q]: %w", op, k, err)
-			}
-			dec[k] = v
-		}
-		vals[op] = dec
-	}
-	s.vals = vals
-	return vals, nil
+	return convertParts(pipe, "decoding", s.enc, decodeOpState)
 }
 
 // bytes returns the state encoded, running the StateCodecs only if it
 // was drained as values.
-func (s *snapshot) bytes(pipe *Pipeline) (map[string]map[string][]byte, error) {
-	if s.enc != nil || len(s.vals) == 0 {
+func (s *snapshot) bytes(pipe *Pipeline) (parts[[]byte], error) {
+	if s.vals == nil {
 		return s.enc, nil
 	}
-	enc := make(map[string]map[string][]byte, len(s.vals))
-	for op, kv := range s.vals {
+	return convertParts(pipe, "encoding", s.vals, encodeOpState)
+}
+
+// convertParts runs every state in p through an operator codec,
+// keeping the shape (a nil map stays nil). User codecs may panic — a
+// DecodeState on bytes it never wrote (a savepoint from an older state
+// layout passes the CRC but not the codec), an EncodeState on a state
+// type it does not expect; the recover turns that into an error naming
+// operator and key instead of taking the process down with the job
+// drained.
+func convertParts[A, B any](pipe *Pipeline, verb string, p parts[A], conv func(*OperatorSpec, A) (B, error)) (out parts[B], err error) {
+	var op, key string
+	defer func() {
+		if r := recover(); r != nil {
+			out, err = nil, fmt.Errorf("streamrt: %s %s[%q]: %v", verb, op, key, r)
+		}
+	}()
+	out = make(parts[B], len(p))
+	for name, list := range p {
+		op = name
 		spec := pipe.ops[op]
 		if spec == nil {
 			return nil, fmt.Errorf("streamrt: state for unknown operator %q", op)
 		}
-		out := make(map[string][]byte, len(kv))
-		for k, v := range kv {
-			b, err := encodeOpState(spec, v)
-			if err != nil {
-				return nil, fmt.Errorf("streamrt: encoding %s[%q]: %w", op, k, err)
+		conved := make([]map[string]B, len(list))
+		for i, kv := range list {
+			if kv == nil {
+				continue
 			}
-			out[k] = b
+			conved[i] = make(map[string]B, len(kv))
+			for k, a := range kv {
+				key = k
+				if conved[i][k], err = conv(spec, a); err != nil {
+					return nil, fmt.Errorf("streamrt: %s %s[%q]: %w", verb, op, k, err)
+				}
+			}
 		}
-		enc[op] = out
+		out[op] = conved
 	}
-	s.enc = enc
-	return enc, nil
+	return out, nil
+}
+
+// mergeParts folds p into one map per operator — what Stop returns and
+// what a savepoint file holds.
+func mergeParts[V any](p parts[V]) map[string]map[string]V {
+	merged := make(map[string]map[string]V, len(p))
+	for op, list := range p {
+		n := 0
+		for _, kv := range list {
+			n += len(kv)
+		}
+		dst := make(map[string]V, n)
+		for _, kv := range list {
+			for k, v := range kv {
+				dst[k] = v
+			}
+		}
+		merged[op] = dst
+	}
+	return merged
+}
+
+// dealAll deals every keyed operator's state to its par[op] instances
+// (see deal): the routing tables and the per-instance shares that
+// host.deployLocked starts a generation from.
+func dealAll[V any](pipe *Pipeline, p parts[V], par dataflow.Parallelism) (map[string]map[string]int, parts[V]) {
+	tables := make(map[string]map[string]int)
+	shares := make(parts[V])
+	for name, spec := range pipe.ops {
+		if spec.Keyed {
+			tables[name], shares[name] = deal(p[name], par[name])
+		}
+	}
+	return tables, shares
 }

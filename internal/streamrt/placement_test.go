@@ -102,6 +102,119 @@ func TestLocalPlacementCodecCalls(t *testing.T) {
 	}
 }
 
+// TestRemotePlacementCodecCalls is the remote counterpart: on a
+// 2-worker cluster the coordinator and each worker get a pipeline with a
+// counting codec of their own. State crosses processes as bytes, so
+// every key is encoded exactly once by the worker that drains it and
+// decoded exactly once by the worker hosting the instance it is dealt to
+// — the coordinator deals, persists and ships bytes and calls no codec
+// until Stop asks it for values.
+func TestRemotePlacementCodecCalls(t *testing.T) {
+	const limit = 20 * seamKeys
+	build := func(codec StateCodec) *Pipeline {
+		p, err := NewPipeline().
+			AddSource("src", SourceSpec{
+				Rate:  func(float64) float64 { return 1e12 },
+				Next:  func(seq int64) (string, any) { return fmt.Sprintf("k%02d", seq%seamKeys), "" },
+				Limit: limit,
+			}).
+			AddOperator("count", OperatorSpec{
+				Keyed: true,
+				Process: func(state any, _ string, _ any, _ Emit) any {
+					c, _ := state.(int)
+					return c + 1
+				},
+				Codec: StringCodec{},
+				State: codec,
+			}).
+			AddEdge("src", "count").
+			Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	coord := new(countingCodec)
+	workers := []*countingCodec{new(countingCodec), new(countingCodec)}
+	addrs := make([]string, len(workers))
+	for i, codec := range workers {
+		w := NewWorker(i, map[string]*Pipeline{"seam": build(codec)}, nil)
+		addr, err := w.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(w.Close)
+		addrs[i] = addr
+	}
+	// calls returns the encode and decode calls since it was last asked,
+	// of the coordinator, worker 0 and worker 1 in that order.
+	var last [6]int64
+	calls := func() (delta [6]int64) {
+		for i, c := range []*countingCodec{coord, workers[0], workers[1]} {
+			enc, dec := c.enc.Load(), c.dec.Load()
+			delta[2*i], delta[2*i+1] = enc-last[2*i], dec-last[2*i+1]
+			last[2*i], last[2*i+1] = enc, dec
+		}
+		return delta
+	}
+
+	pipe := build(coord)
+	cluster, err := NewCluster(pipe, "seam", dataflow.Parallelism{"src": 1, "count": 2}, addrs, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	cluster.Wait() // every key now holds state
+	if got := calls(); got != [6]int64{} {
+		t.Fatalf("deploying from nothing made %v codec calls, want none", got)
+	}
+
+	// The two drained instances split the keys by the rendezvous
+	// fallback; the deal then gives each of three instances 16, and
+	// worker 0 hosts instances 0 and 2, worker 1 instance 1.
+	if err := cluster.Rescale(dataflow.Parallelism{"src": 1, "count": 3}); err != nil {
+		t.Fatal(err)
+	}
+	got := calls()
+	if got[2]+got[4] != seamKeys || got[3] != 32 || got[5] != 16 || got[0] != 0 || got[1] != 0 {
+		t.Fatalf("remote Rescale: calls %v, want none by the coordinator, %d encodes and 32 + 16 decodes by the workers", got, seamKeys)
+	}
+
+	// A savepoint encodes each key once for the file; its restart is a
+	// deploy like any other and decodes each key where it lands.
+	store := NewMemoryStore()
+	if err := cluster.Savepoint(store, "cut"); err != nil {
+		t.Fatal(err)
+	}
+	if got := calls(); got != [6]int64{0, 0, 32, 32, 16, 16} {
+		t.Fatalf("remote Savepoint: calls %v, want [0 0 32 32 16 16]", got)
+	}
+	// Stop returns values: here, and only here, the coordinator decodes.
+	cluster.Stop()
+	cluster.Close()
+	if got := calls(); got != [6]int64{0, seamKeys, 32, 0, 16, 0} {
+		t.Fatalf("remote Stop: calls %v, want [0 %d 32 0 16 0]", got, seamKeys)
+	}
+
+	// Four instances of 12 keys, two on each worker.
+	restored, err := NewClusterFromSavepoint(pipe, "seam", dataflow.Parallelism{"src": 1, "count": 4}, addrs, Config{}, store, "cut")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restored.Close()
+	if got := calls(); got != [6]int64{0, 0, 0, 24, 0, 24} {
+		t.Fatalf("remote restore: calls %v, want no encode and 24 + 24 decodes by the workers", got)
+	}
+	restored.Wait()
+	want := make(map[string]any, seamKeys)
+	for k := 0; k < seamKeys; k++ {
+		want[fmt.Sprintf("k%02d", k)] = limit / seamKeys
+	}
+	if got := restored.Stop()["count"]; !reflect.DeepEqual(got, want) {
+		t.Fatalf("restored counts diverged:\n got: %v\nwant: %v", got, want)
+	}
+}
+
 // fakePlacement succeeds at everything except the one call named in
 // failOn, and counts the calls that reach it.
 type fakePlacement struct {
@@ -137,7 +250,7 @@ func (f *fakePlacement) deploy(uint32, dataflow.Parallelism, *snapshot, *rescale
 	return f.call("deploy")
 }
 func (f *fakePlacement) drain(*rescaleTrace, uint64) (*snapshot, error) {
-	return &snapshot{encParts: []map[string]map[string][]byte{}}, f.call("drain")
+	return &snapshot{enc: parts[[]byte]{}}, f.call("drain")
 }
 func (f *fakePlacement) awaitFirstRecord(uint32, time.Duration) (int64, bool) { return 0, false }
 

@@ -3,12 +3,12 @@ package streamrt
 import "sort"
 
 // router decides which instance of a keyed operator owns each key for
-// one deployment generation. The exchange (emit) and keyed-state
-// repartitioning share one router per operator, so a key's records and
-// its state always agree on the owner.
+// one deployment generation. Its table comes out of the same deal that
+// hands the instances their state, so a key's records and its state
+// always agree on the owner.
 //
 // Keys the job has already seen — present in the rescale snapshot —
-// are striped over the instances by a deployment-time routing table:
+// are striped over the instances by that deployment-time routing table:
 // sorted for determinism and dealt out in equal shares, the remainder
 // going to the lowest instance indices. That keeps a small
 // hot universe balanced exactly — 100 auctions over 3 instances split
@@ -21,41 +21,59 @@ type router struct {
 	table map[string]int
 }
 
-// buildRouter stripes the known key universe over n instances.
-func buildRouter(known map[string]any, n int) *router {
-	r := &router{n: n}
-	if n <= 1 || len(known) == 0 {
-		return r
+// deal hands the keyed state in drained — the quiesced instances' maps,
+// keys disjoint by the previous generation's router — to the n instances
+// of the next one: the routing table and, per instance, the share of the
+// state it starts from (never nil: an instance writes into it from the
+// first record on). The key universe is sorted once and cut into n
+// contiguous runs, len/n keys each and one more for the first len%n
+// instances; one pass over the maps then files every key under the run
+// it falls in, in the table and in its owner's share. With one instance,
+// or no state, there is no table: everything is instance 0's, as the
+// router's fallback has it.
+//
+// It is the only place known keys are assigned. The local placement
+// calls it on the values themselves, the remote one on their StateCodec
+// bytes, shipping each worker the table and the shares of the instances
+// it hosts.
+func deal[V any](drained []map[string]V, n int) (table map[string]int, shares []map[string]V) {
+	total := 0
+	for _, p := range drained {
+		total += len(p)
 	}
-	keys := make([]string, 0, len(known))
-	for k := range known {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	r.table = make(map[string]int, len(keys))
-	// Instance i owns share(i) consecutive sorted keys: len/n each,
-	// and one more for the first len%n instances.
-	base, extra := len(keys)/n, len(keys)%n
-	next := 0
-	for inst := 0; inst < n; inst++ {
-		share := base
-		if inst < extra {
-			share++
+	var cuts []string // cuts[i] is the first key of instance i+1's run
+	if n > 1 && total > 0 {
+		keys := make([]string, 0, total)
+		for _, p := range drained {
+			for k := range p {
+				keys = append(keys, k)
+			}
 		}
-		for _, k := range keys[next : next+share] {
-			r.table[k] = inst
+		sort.Strings(keys)
+		base, extra := total/n, total%n
+		for inst := 1; inst < n; inst++ {
+			// Instances past the last key own nothing and need no cut.
+			if at := inst*base + min(inst, extra); at < total {
+				cuts = append(cuts, keys[at])
+			}
 		}
-		next += share
+		table = make(map[string]int, total)
 	}
-	return r
-}
-
-// routerFromTable wraps a routing table the coordinator of a
-// distributed deployment built (with buildRouter over the merged key
-// universe) and shipped to every worker — each process must route from
-// the identical table, not from one rebuilt over its partial state.
-func routerFromTable(table map[string]int, n int) *router {
-	return &router{n: n, table: table}
+	shares = make([]map[string]V, n)
+	for i := range shares {
+		shares[i] = make(map[string]V, total/n+1)
+	}
+	for _, p := range drained {
+		for k, v := range p {
+			// The owner is the number of cuts at or below k.
+			inst := sort.Search(len(cuts), func(i int) bool { return cuts[i] > k })
+			if table != nil {
+				table[k] = inst
+			}
+			shares[inst][k] = v
+		}
+	}
+	return table, shares
 }
 
 // owner returns the instance index owning key.
@@ -67,6 +85,18 @@ func (r *router) owner(key string) int {
 		return t
 	}
 	return rendezvousOwner(key, r.n)
+}
+
+// hashKey is FNV-1a 64 — the stable hash behind the rendezvous
+// fallback, so an unseen key's owning instance is a pure function of
+// (key, parallelism).
+func hashKey(s string) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= 1099511628211
+	}
+	return h
 }
 
 // rendezvousOwner picks argmax_i mix64(hash(key) ^ seed_i): alloc-free

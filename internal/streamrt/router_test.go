@@ -2,6 +2,8 @@ package streamrt
 
 import (
 	"fmt"
+	"reflect"
+	"sort"
 	"testing"
 	"time"
 )
@@ -22,13 +24,20 @@ func shardSizes(rt *router, known map[string]any, n int) []int {
 	return sizes
 }
 
+// dealRouter deals known, as one part, over n instances and returns the
+// router a deployment would build over the table, with the shares.
+func dealRouter(known map[string]any, n int) (*router, []map[string]any) {
+	table, shares := deal([]map[string]any{known}, n)
+	return &router{n: n, table: table}, shares
+}
+
 // TestRouterStripesKnownKeysEvenly: a known universe must split within
 // one key of perfectly even — the skew-aware guarantee FNV%n cannot
 // give on small universes.
 func TestRouterStripesKnownKeysEvenly(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 4, 7, 16} {
 		known := keyUniverse(100)
-		rt := buildRouter(known, n)
+		rt, _ := dealRouter(known, n)
 		sizes := shardSizes(rt, known, n)
 		lo, hi := sizes[0], sizes[0]
 		total := 0
@@ -47,27 +56,29 @@ func TestRouterStripesKnownKeysEvenly(t *testing.T) {
 		if hi-lo > 1 {
 			t.Errorf("n=%d: shard sizes %v spread more than 1", n, sizes)
 		}
+		if n == 3 && !reflect.DeepEqual(sizes, []int{34, 33, 33}) {
+			t.Errorf("100 keys over 3 instances split %v, want [34 33 33]", sizes)
+		}
 	}
 }
 
-// TestRouterDeterministicAndStateAgreement: two routers built from the
-// same snapshot agree on every owner (deployment determinism), and
-// partitionState splits state exactly along the router's lines —
-// disjoint across instances, nothing lost.
+// TestRouterDeterministicAndStateAgreement: two deals of the same
+// snapshot agree on every owner (deployment determinism), and the shares
+// split state exactly along the router's lines — disjoint across
+// instances, nothing lost.
 func TestRouterDeterministicAndStateAgreement(t *testing.T) {
 	known := keyUniverse(64)
-	a := buildRouter(known, 5)
-	b := buildRouter(known, 5)
+	a, shares := dealRouter(known, 5)
+	b, _ := dealRouter(known, 5)
 	seen := make(map[string]int)
 	for idx := 0; idx < 5; idx++ {
-		part := partitionState(known, a, idx)
-		for k := range part {
+		for k := range shares[idx] {
 			if prev, dup := seen[k]; dup {
 				t.Fatalf("key %s in instances %d and %d", k, prev, idx)
 			}
 			seen[k] = idx
 			if own := b.owner(k); own != idx {
-				t.Fatalf("key %s: partitionState says %d, second router says %d", k, idx, own)
+				t.Fatalf("key %s: its share says %d, second router says %d", k, idx, own)
 			}
 		}
 	}
@@ -76,7 +87,7 @@ func TestRouterDeterministicAndStateAgreement(t *testing.T) {
 	}
 	// Unseen keys take the rendezvous fallback: deterministic and in
 	// range, for fresh deployments with an empty table too.
-	empty := buildRouter(nil, 5)
+	empty, _ := dealRouter(nil, 5)
 	for i := 0; i < 500; i++ {
 		k := fmt.Sprintf("unseen-%d", i)
 		own := a.owner(k)
@@ -86,6 +97,96 @@ func TestRouterDeterministicAndStateAgreement(t *testing.T) {
 		if own != b.owner(k) || own != empty.owner(k) {
 			t.Fatalf("key %s: fallback owner differs between routers", k)
 		}
+	}
+}
+
+// buildRouter and partitionState are the rule deal replaced, kept word
+// for word as its reference: merge every part into one map, sort the
+// key universe and stripe it, then scan the whole map once per instance.
+
+// buildRouter stripes the known key universe over n instances.
+func buildRouter(known map[string]any, n int) *router {
+	r := &router{n: n}
+	if n <= 1 || len(known) == 0 {
+		return r
+	}
+	keys := make([]string, 0, len(known))
+	for k := range known {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	r.table = make(map[string]int, len(keys))
+	// Instance i owns share(i) consecutive sorted keys: len/n each,
+	// and one more for the first len%n instances.
+	base, extra := len(keys)/n, len(keys)%n
+	next := 0
+	for inst := 0; inst < n; inst++ {
+		share := base
+		if inst < extra {
+			share++
+		}
+		for _, k := range keys[next : next+share] {
+			r.table[k] = inst
+		}
+		next += share
+	}
+	return r
+}
+
+// partitionState selects the keys instance idx owns under the
+// deployment's router.
+func partitionState(all map[string]any, rt *router, idx int) map[string]any {
+	out := make(map[string]any)
+	for k, v := range all {
+		if rt.owner(k) == idx {
+			out[k] = v
+		}
+	}
+	return out
+}
+
+// TestDealIsTheOldRule: whatever the number of keys, instances and
+// drained parts, deal returns the table buildRouter built over the
+// merged universe and, per instance, the map partitionState selected.
+// Every key count up to 64 meets every instance count and every number
+// of parts; above that the key counts are sampled and the number of
+// parts varies with them.
+func TestDealIsTheOldRule(t *testing.T) {
+	check := func(nkeys, n, nparts int) {
+		t.Helper()
+		all := keyUniverse(nkeys)
+		split := make([]map[string]any, nparts)
+		for i := range split {
+			split[i] = make(map[string]any)
+		}
+		for k, v := range all {
+			split[hashKey(k)%uint64(nparts)][k] = v
+		}
+		table, shares := deal(split, n)
+		ref := buildRouter(all, n)
+		if !reflect.DeepEqual(table, ref.table) {
+			t.Fatalf("%d keys, %d instances, %d parts: routing table differs from buildRouter's", nkeys, n, nparts)
+		}
+		if len(shares) != n {
+			t.Fatalf("%d keys, %d instances, %d parts: %d shares", nkeys, n, nparts, len(shares))
+		}
+		for idx, share := range shares {
+			if want := partitionState(all, ref, idx); !reflect.DeepEqual(share, want) {
+				t.Fatalf("%d keys, %d instances, %d parts: instance %d starts from %d keys, partitionState selected %d",
+					nkeys, n, nparts, idx, len(share), len(want))
+			}
+		}
+	}
+	for n := 1; n <= 33; n++ {
+		for nkeys := 0; nkeys <= 64; nkeys++ {
+			for nparts := 1; nparts <= 5; nparts++ {
+				check(nkeys, n, nparts)
+			}
+		}
+		for nkeys := 65; nkeys <= 1500; nkeys += 41 {
+			check(nkeys, n, 1+(nkeys+n)%5)
+		}
+		check(1500, n, 5)
 	}
 }
 
