@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race alloc-pins bench-test bench-smoke vet loc live-smoke dist-smoke savepoint-smoke profile-live
+.PHONY: build test race alloc-pins bench-test bench-smoke bench-pairs vet loc live-smoke dist-smoke savepoint-smoke profile-live
 
 build:
 	$(GO) build ./...
@@ -36,6 +36,17 @@ bench-test:
 # compiling and running without paying full measurement time.
 bench-smoke:
 	$(GO) test -run XXX -bench . -benchtime 1x -benchmem .
+
+# The numbers a PR that touches performance reports: N alternating pairs
+# of `benchmarks/run.sh --workload $(W)` runs, a clone of BASE against
+# this checkout (see cmd/bench-pairs), e.g.
+#   make bench-pairs BASE=2bc7fe7 W=reconfig-200k N=10 SEEDS="11 12 13"
+# The clone, its build cache and every result file go to PAIRS_DIR;
+# nothing under benchmarks/ is written.
+N ?= 10
+PAIRS_DIR ?= /tmp/ds2-bench-pairs
+bench-pairs:
+	$(GO) run ./cmd/bench-pairs -base "$(BASE)" -workload "$(W)" -n $(N) -seeds "$(SEEDS)" -dir "$(PAIRS_DIR)"
 
 # The line counts a PR reports: Go lines outside benchmarks/, non-test
 # and test, of every file git tracks or would add. With BASE=<commit>

@@ -9,7 +9,9 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"ds2/internal/dataflow"
@@ -82,7 +84,7 @@ func NewDirStore(dir string) (*DirStore, error) {
 func (s *DirStore) Dir() string { return s.dir }
 
 // Save implements CheckpointStore.
-func (s *DirStore) Save(name string, data []byte) error {
+func (s *DirStore) Save(name string, data []byte) (err error) {
 	if name == "" || name != filepath.Base(name) {
 		return fmt.Errorf("streamrt: savepoint name %q must be a bare file name", name)
 	}
@@ -91,16 +93,19 @@ func (s *DirStore) Save(name string, data []byte) error {
 		return err
 	}
 	tmp := f.Name()
-	if _, err := f.Write(data); err == nil {
+	defer func() {
+		if err != nil {
+			os.Remove(tmp)
+		}
+	}()
+	if _, err = f.Write(data); err == nil {
 		err = f.Sync()
-	} else {
-		f.Close()
-		os.Remove(tmp)
-		return err
 	}
-	if cerr := f.Close(); cerr != nil {
-		os.Remove(tmp)
-		return cerr
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return err
 	}
 	return os.Rename(tmp, filepath.Join(s.dir, name))
 }
@@ -150,8 +155,10 @@ type savepointData struct {
 	Workers  int
 	SeqBlock int64
 	Elapsed  float64
-	Seqs     map[string][]int64           // source -> per-rank local counters
-	States   map[string]map[string][]byte // operator -> key -> encoded state
+	Seqs     map[string][]int64 // source -> per-rank local counters
+	// States is operator -> key -> encoded state, as decodeSavepoint
+	// read it; encodeSavepoint takes the state as drained parts instead.
+	States map[string]map[string][]byte
 }
 
 func sortedKeys[V any](m map[string]V) []string {
@@ -168,10 +175,16 @@ func appendSpString(buf []byte, s string) []byte {
 	return append(buf, s...)
 }
 
-// encodeSavepoint serializes sp. Map keys are sorted into the encoding
-// so identical snapshots produce identical bytes regardless of map
-// iteration order.
-func encodeSavepoint(sp *savepointData) []byte {
+// encodeSavepoint serializes the header fields of sp and the drained
+// state in one pass: per operator the (key, state) pairs of every part
+// are collected and sorted once — identical state gives identical bytes
+// whatever the part boundaries and map iteration order — and each state
+// goes through enc (encodeOpState for values, the identity for bytes a
+// worker already encoded) straight into the file buffer. A failing or
+// panicking StateCodec is reported naming operator and key.
+func encodeSavepoint[V any](pipe *Pipeline, sp *savepointData, states parts[V], enc func(*OperatorSpec, V) ([]byte, error)) (_ []byte, err error) {
+	var op, key string
+	defer recoverCodec("encoding", &op, &key, &err)
 	buf := make([]byte, 0, 1024)
 	buf = append(buf, savepointMagic[:]...)
 	buf = binary.BigEndian.AppendUint16(buf, savepointVersion)
@@ -187,18 +200,47 @@ func encodeSavepoint(sp *savepointData) []byte {
 			buf = binary.AppendVarint(buf, c)
 		}
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(sp.States)))
-	for _, op := range sortedKeys(sp.States) {
+	buf = binary.AppendUvarint(buf, uint64(len(states)))
+	type entry struct {
+		key   string
+		state V
+	}
+	var kvs []entry
+	for _, op = range sortedKeys(states) {
+		spec := pipe.ops[op]
+		if spec == nil {
+			return nil, fmt.Errorf("streamrt: state for unknown operator %q", op)
+		}
+		n := 0
+		for _, part := range states[op] {
+			n += len(part)
+		}
+		kvs = slices.Grow(kvs[:0], n)
+		keyBytes := 0
+		for _, part := range states[op] {
+			for k, v := range part {
+				kvs = append(kvs, entry{k, v})
+				keyBytes += len(k)
+			}
+		}
+		slices.SortFunc(kvs, func(a, b entry) int { return strings.Compare(a.key, b.key) })
+		// Room for the keys and, as a guess, 8 bytes of lengths and state
+		// a key: the buffer grows once per operator, not per doubling.
+		buf = slices.Grow(buf, keyBytes+8*n)
 		buf = appendSpString(buf, op)
-		kv := sp.States[op]
-		buf = binary.AppendUvarint(buf, uint64(len(kv)))
-		for _, k := range sortedKeys(kv) {
-			buf = appendSpString(buf, k)
-			buf = binary.AppendUvarint(buf, uint64(len(kv[k])))
-			buf = append(buf, kv[k]...)
+		buf = binary.AppendUvarint(buf, uint64(len(kvs)))
+		for _, e := range kvs {
+			key = e.key
+			b, err := enc(spec, e.state)
+			if err != nil {
+				return nil, fmt.Errorf("streamrt: encoding %s[%q]: %w", op, key, err)
+			}
+			buf = appendSpString(buf, key)
+			buf = binary.AppendUvarint(buf, uint64(len(b)))
+			buf = append(buf, b...)
 		}
 	}
-	return binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
+	return binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf)), nil
 }
 
 // spReader is the structural decoder's cursor; every read names the
@@ -384,8 +426,8 @@ func decodeSavepoint(data []byte) (*savepointData, error) {
 	return sp, nil
 }
 
-// phasePersist is the savepoint-only trace phase: the store write,
-// between snapshot and restart.
+// phasePersist is the savepoint-only trace phase: the store write and
+// nothing else, between snapshot (which builds the file) and restart.
 const phasePersist = "persist"
 
 // savepointHist resolves the savepoint duration histogram (nil when

@@ -114,8 +114,8 @@ type drainReq struct {
 }
 
 type drainResp struct {
-	// States is the drained instances' keyed state, encoded, one map
-	// per instance.
+	// States is the drained instances' keyed state, encoded, indexed by
+	// instance (null for the instances other workers host).
 	States parts[[]byte] `json:"states,omitempty"`
 	// Seqs reports the worker's per-source local sequence counters at
 	// the drain, so a coordinator cutting a savepoint can persist the
@@ -680,7 +680,7 @@ func (r *remote) deploy(gen uint32, par dataflow.Parallelism, snap *snapshot, tr
 	assign := PlanPlacement(par, workers)
 	var tables map[string]map[string]int
 	var shares parts[[]byte]
-	tr.phase(phaseRouterRebuild, func(uint64) { tables, shares = dealAll(r.pipe, enc, par) })
+	tr.phase(phaseRouterRebuild, func(uint64) { tables, shares = dealAll(r.pipe, enc, snap.ran, par) })
 	// Per-worker restore counters: rank i of a source maps to the i'th
 	// sorted hosting worker under the new placement.
 	perWorkerSeqs := make([]map[string]int64, workers)

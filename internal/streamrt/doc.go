@@ -97,23 +97,29 @@
 // the sources, drain the pipeline (channels close in cascade once all
 // upstream instances exit, so every in-flight record is processed),
 // take the keyed state of every stateful instance as it lies — one map
-// per instance, nothing merged — and restart fresh instances on it.
-// State changes hands once in between: deal (router.go) sorts the keys,
-// cuts them into one contiguous run per new instance and in one pass
-// fills the routing table and each instance's share, on the values
-// themselves in one process and on their StateCodec bytes across
-// workers, each of which receives the shares of the instances it hosts.
-// The pause
-// pollutes the running observation window, so Rescale discards it,
-// exactly like the settling EngineRuntime resets its metrics on
-// restart. Source sequence counters survive the cycle, so every
-// generated record is processed exactly once across rescales.
+// per instance, nothing merged — and restart fresh instances on it. In
+// one process an operator whose parallelism does not change is not
+// repartitioned: its instances start again on the very maps and routing
+// table they held. Any other state changes hands once in between: deal
+// (router.go) sorts the keys, cuts them into one contiguous run per new
+// instance and in one pass fills the routing table and each instance's
+// share, on the values themselves in one process and — for every keyed
+// operator, since the state has travelled to the coordinator anyway — on
+// their StateCodec bytes across workers, each of which receives the
+// shares of the instances it hosts. The pause pollutes the running
+// observation window, so Rescale discards it, exactly like the settling
+// EngineRuntime resets its metrics on restart. Source sequence counters
+// survive the cycle, so every generated record is processed exactly
+// once across rescales.
 //
-// Job.Savepoint is the same cycle at the current parallelism with a
-// persist phase spliced in: the snapshot and the sequence counters are
-// encoded into a versioned, CRC-guarded binary blob (see checkpoint.go
-// for the format) and stored under a name in a CheckpointStore
-// (DirStore publishes atomically via write-fsync-rename). The job
+// Job.Savepoint is the same cycle at the current parallelism — so in
+// one process it repartitions nothing — with the file built in the
+// snapshot phase and a persist phase for the store write: the drained
+// state and the sequence counters are encoded in one pass (keys sorted,
+// each state through its StateCodec once) into a versioned, CRC-guarded
+// binary blob (see checkpoint.go for the format) and stored under a name in a
+// CheckpointStore (DirStore publishes atomically via write-fsync-rename
+// and leaves no temp file behind when any of the three fails). The job
 // restarts even when the store write fails, or a StateCodec panics on
 // the state it is handed. NewJobFromSavepoint and
 // NewClusterFromSavepoint deploy a fresh job from such a blob:

@@ -85,6 +85,9 @@ type deployment struct {
 	stopSources chan struct{}
 	wg          sync.WaitGroup // every instance goroutine
 	insts       map[string][]*instance
+	// routers holds every keyed operator's router: a drain reports them
+	// as what the generation ran under.
+	routers map[string]*router
 	// first resolves when the deployment processes its first record —
 	// the end of a rescale's downtime window. Always allocated (one
 	// channel per deploy); cancelled at teardown so waiters never leak.
@@ -101,6 +104,7 @@ func (h *host) deployLocked(gen uint32, par dataflow.Parallelism, tables map[str
 	dep := &deployment{
 		stopSources: make(chan struct{}),
 		insts:       make(map[string][]*instance, g.NumOperators()),
+		routers:     make(map[string]*router),
 		first:       newFirstRecord(),
 	}
 
@@ -114,7 +118,7 @@ func (h *host) deployLocked(gen uint32, par dataflow.Parallelism, tables map[str
 	// shares were dealt by, so a key's records and its state can never
 	// disagree on the owning instance — in any process: the table is the
 	// same everywhere. Unseen keys use rendezvous hashing.
-	routers := make(map[string]*router)
+	routers := dep.routers
 	dc := h.dist
 	hosted := func(op string, k int) bool { return dc == nil || dc.assign[op][k] == dc.worker }
 	// In a distributed deployment a receiver's channel also buffers the
@@ -324,7 +328,8 @@ func (h *host) validate(dataflow.Parallelism) error { return nil }
 
 // deploy implements placement: state arrives as values (decoded here
 // only when it came from a savepoint file) and the one trace phase is
-// "restart" — the deal and the start of every instance.
+// "restart" — the deal of the operators par repartitions and the start
+// of every instance.
 func (h *host) deploy(gen uint32, par dataflow.Parallelism, snap *snapshot, tr *rescaleTrace) error {
 	vals, err := snap.values(h.pipe)
 	if err != nil {
@@ -336,7 +341,7 @@ func (h *host) deploy(gen uint32, par dataflow.Parallelism, snap *snapshot, tr *
 		atomic.StoreInt64(h.seqs[src], ranks[0])
 	}
 	tr.phase(phaseRestart, func(uint64) {
-		tables, shares := dealAll(h.pipe, vals, par)
+		tables, shares := dealAll(h.pipe, vals, snap.ran, par)
 		h.deployLocked(gen, par, tables, shares)
 	})
 	return nil
@@ -344,9 +349,10 @@ func (h *host) deploy(gen uint32, par dataflow.Parallelism, snap *snapshot, tr *
 
 // drain implements placement: stop the sources and wait for the close
 // cascade to process every in-flight record. The quiesced instances'
-// state maps go into the snapshot one part each — their goroutines have
-// exited, so the maps are safe to read — with this process's sequence
-// counters as rank 0.
+// state maps go into the snapshot indexed by instance — their goroutines
+// have exited, so the maps are safe to read, and nil marks an instance
+// another worker hosts — beside the routers they ran under and this
+// process's sequence counters as rank 0.
 func (h *host) drain(*rescaleTrace, uint64) (*snapshot, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -356,13 +362,13 @@ func (h *host) drain(*rescaleTrace, uint64) (*snapshot, error) {
 		close(dep.stopSources)
 		dep.wg.Wait()
 		h.dep = nil
-		for name, list := range dep.insts {
-			if spec := h.pipe.ops[name]; spec == nil || !spec.Keyed {
-				continue
+		snap.ran = dep.routers
+		for name, r := range dep.routers {
+			list := make([]map[string]any, r.n)
+			for _, in := range dep.insts[name] {
+				list[in.idx] = in.state
 			}
-			for _, in := range list {
-				snap.vals[name] = append(snap.vals[name], in.state)
-			}
+			snap.vals[name] = list
 		}
 	}
 	for src, p := range h.seqs {

@@ -247,7 +247,10 @@ func (j *Job) failLocked(err error) error {
 // Rescale redeploys the job at a new parallelism via the paper's
 // savepoint-and-restore shape: drain, snapshot keyed state,
 // repartition it under the new configuration, restart — across worker
-// processes the state moves over the framed transport. The pause
+// processes the state moves over the framed transport. In one process
+// only operators whose parallelism changes are repartitioned; the
+// others' instances start again on the maps and routing table they
+// held. The pause
 // pollutes the open observation window, so the window is discarded and
 // restarted at the new deployment (settle semantics — the next
 // interval starts clean, as the Flink integration's §4.1 metrics
@@ -262,14 +265,17 @@ func (j *Job) Rescale(newP dataflow.Parallelism) error {
 	return j.reconfigure(newP, nil, "")
 }
 
-// Savepoint drains the job, snapshots and encodes its keyed state and
-// source sequence counters, persists the blob under name, and
-// restarts the job at its current parallelism — the rescale cycle
-// with a persist phase spliced in, traced the same way (the timeline
-// appears on the rescale trace ring as "savepoint-N") and observed
-// into streamrt_savepoint_seconds. The restart happens even when the
-// store write fails: a failed persist returns the error but never
-// leaves the job drained.
+// Savepoint cuts the job durably: it drains the job, encodes its keyed
+// state and source sequence counters into one savepoint file, persists
+// the file under name, and starts the job again at the parallelism it
+// had — in one process on the very maps and routing tables the instances
+// held, nothing repartitioned; across worker processes the state has
+// travelled to the coordinator for the file and is dealt back like a
+// rescale's. It is traced like a rescale (the timeline appears on the
+// rescale trace ring as "savepoint-N", with a persist phase for the
+// store write) and observed into streamrt_savepoint_seconds. The job
+// starts again even when the encode or the store write fails: the error
+// is returned but the job is never left drained.
 func (j *Job) Savepoint(store CheckpointStore, name string) error {
 	if store == nil {
 		return errors.New("streamrt: nil checkpoint store")
@@ -281,10 +287,10 @@ func (j *Job) Savepoint(store CheckpointStore, name string) error {
 }
 
 // reconfigure is the one reconfiguration mechanism (§4.1–4.2): drain,
-// snapshot, persist when a store is given, deploy. newP nil keeps the
-// current parallelism. A placement failure in drain or deploy is
-// sticky (see Job.err); a failed persist is not — the job restarts and
-// the error is returned.
+// snapshot (the savepoint file, when a store is given), persist it,
+// deploy. newP nil keeps the current parallelism. A placement failure
+// in drain or deploy is sticky (see Job.err); a failed encode or persist
+// is not — the job restarts and the error is returned.
 func (j *Job) reconfigure(newP dataflow.Parallelism, store CheckpointStore, name string) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -307,28 +313,23 @@ func (j *Job) reconfigure(newP dataflow.Parallelism, store CheckpointStore, name
 	if err != nil {
 		return j.failLocked(err)
 	}
-	// A savepoint file holds one encoded map per operator; a plain
-	// rescale needs nothing of the drained parts before they are dealt.
-	var states map[string]map[string][]byte
+	// A savepoint's snapshot is the file; a plain rescale needs nothing of
+	// the drained parts before they are dealt.
+	var file []byte
 	var perr error
 	tr.phase(phaseSnapshot, func(uint64) {
 		if store != nil {
-			var enc parts[[]byte]
-			enc, perr = snap.bytes(j.pipe)
-			states = mergeParts(enc)
-		}
-	})
-	if store != nil && perr == nil {
-		tr.phase(phasePersist, func(uint64) {
-			perr = store.Save(name, encodeSavepoint(&savepointData{
+			file, perr = snap.file(j.pipe, &savepointData{
 				Workload: j.workload,
 				Workers:  j.pl.workers(),
 				SeqBlock: j.cfg.SourceSeqBlock,
 				Elapsed:  j.Now(),
 				Seqs:     snap.seqs,
-				States:   states,
-			}))
-		})
+			})
+		}
+	})
+	if store != nil && perr == nil {
+		tr.phase(phasePersist, func(uint64) { perr = store.Save(name, file) })
 	}
 	j.gen++
 	if err := j.pl.deploy(j.gen, newP, snap, tr); err != nil {

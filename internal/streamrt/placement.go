@@ -48,8 +48,11 @@ type placement interface {
 }
 
 // parts is keyed state on its way between generations: per operator, a
-// list of key -> state maps with disjoint keys. A drain fills it with one
-// map per quiesced instance, a savepoint file holds one map per operator,
+// list of key -> state maps with disjoint keys. A local drain fills it
+// with one map per quiesced instance, indexed by instance (a worker's
+// drain leaves nil the instances it does not host, and the coordinator
+// strings the workers' lists together), a savepoint file holds one map
+// per operator,
 // and deal turns it into one map per instance of the next generation,
 // indexed by instance.
 type parts[V any] map[string][]map[string]V
@@ -64,6 +67,12 @@ type parts[V any] map[string][]map[string]V
 type snapshot struct {
 	vals parts[any]
 	enc  parts[[]byte]
+	// ran holds, for the operators whose parts are the drained instances'
+	// own maps in instance order, the router they ran under: deployed
+	// again at the parallelism ran[op].n, such an operator keeps maps and
+	// table (see dealAll). A savepoint file, and a drain that had to move
+	// the state to hand it back, leave it empty.
+	ran map[string]*router
 	// seqs holds per source the local counter of every rank (position
 	// in the sorted list of workers hosting the source).
 	seqs map[string][]int64
@@ -87,21 +96,34 @@ func (s *snapshot) bytes(pipe *Pipeline) (parts[[]byte], error) {
 	return convertParts(pipe, "encoding", s.vals, encodeOpState)
 }
 
+// file returns the state as a savepoint file under header sp (see
+// encodeSavepoint), running the StateCodecs only if it was drained as
+// values.
+func (s *snapshot) file(pipe *Pipeline, sp *savepointData) ([]byte, error) {
+	if s.vals == nil {
+		return encodeSavepoint(pipe, sp, s.enc, func(_ *OperatorSpec, b []byte) ([]byte, error) { return b, nil })
+	}
+	return encodeSavepoint(pipe, sp, s.vals, encodeOpState)
+}
+
+// recoverCodec, deferred around calls into user StateCodecs, turns a
+// panic into *err naming the operator and key being converted. User
+// codecs may panic — a DecodeState on bytes it never wrote (a savepoint
+// from an older state layout passes the CRC but not the codec), an
+// EncodeState on a state type it does not expect — and that must not
+// take the process down with the job drained.
+func recoverCodec(verb string, op, key *string, err *error) {
+	if r := recover(); r != nil {
+		*err = fmt.Errorf("streamrt: %s %s[%q]: %v", verb, *op, *key, r)
+	}
+}
+
 // convertParts runs every state in p through an operator codec,
-// keeping the shape (a nil map stays nil). User codecs may panic — a
-// DecodeState on bytes it never wrote (a savepoint from an older state
-// layout passes the CRC but not the codec), an EncodeState on a state
-// type it does not expect; the recover turns that into an error naming
-// operator and key instead of taking the process down with the job
-// drained.
-func convertParts[A, B any](pipe *Pipeline, verb string, p parts[A], conv func(*OperatorSpec, A) (B, error)) (out parts[B], err error) {
+// keeping the shape (a nil map stays nil).
+func convertParts[A, B any](pipe *Pipeline, verb string, p parts[A], conv func(*OperatorSpec, A) (B, error)) (_ parts[B], err error) {
 	var op, key string
-	defer func() {
-		if r := recover(); r != nil {
-			out, err = nil, fmt.Errorf("streamrt: %s %s[%q]: %v", verb, op, key, r)
-		}
-	}()
-	out = make(parts[B], len(p))
+	defer recoverCodec(verb, &op, &key, &err)
+	out := make(parts[B], len(p))
 	for name, list := range p {
 		op = name
 		spec := pipe.ops[op]
@@ -146,14 +168,23 @@ func mergeParts[V any](p parts[V]) map[string]map[string]V {
 	return merged
 }
 
-// dealAll deals every keyed operator's state to its par[op] instances
-// (see deal): the routing tables and the per-instance shares that
-// host.deployLocked starts a generation from.
-func dealAll[V any](pipe *Pipeline, p parts[V], par dataflow.Parallelism) (map[string]map[string]int, parts[V]) {
+// dealAll turns drained state into what host.deployLocked starts a
+// generation from: per keyed operator the routing table and the
+// per-instance shares. It is the one place that decides what is
+// repartitioned: an operator that ran under ran[op] and deploys at that
+// router's parallelism is not — its parts are the next instances' shares
+// as they lie and the table is kept, so every key, routed by table or by
+// the fallback, stays where it is. Any other is dealt (see deal).
+func dealAll[V any](pipe *Pipeline, p parts[V], ran map[string]*router, par dataflow.Parallelism) (map[string]map[string]int, parts[V]) {
 	tables := make(map[string]map[string]int)
 	shares := make(parts[V])
 	for name, spec := range pipe.ops {
-		if spec.Keyed {
+		if !spec.Keyed {
+			continue
+		}
+		if r := ran[name]; r != nil && r.n == par[name] {
+			tables[name], shares[name] = r.table, p[name]
+		} else {
 			tables[name], shares[name] = deal(p[name], par[name])
 		}
 	}

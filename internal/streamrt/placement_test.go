@@ -215,6 +215,147 @@ func TestRemotePlacementCodecCalls(t *testing.T) {
 	}
 }
 
+// stayKey is the key of the seq-th record of stayPipeline: the universe
+// grows by one key every 256 records, so at any deal some keys are known
+// (table-routed afterwards) and new ones keep arriving (rendezvous-
+// routed until the next deal).
+func stayKey(seq int64) string { return fmt.Sprintf("k%03d", seq%(16+seq/256)) }
+
+// stayPipeline is src -> work -> count: a stateless pass-through in
+// front of a keyed counter, paced so that a bounded run lasts long enough
+// to be reconfigured several times on the way.
+func stayPipeline(t *testing.T, limit int64, codec StateCodec) *Pipeline {
+	t.Helper()
+	p, err := NewPipeline().
+		AddSource("src", SourceSpec{
+			Rate:  func(float64) float64 { return 20000 },
+			Next:  func(seq int64) (string, any) { return stayKey(seq), "" },
+			Limit: limit,
+		}).
+		AddOperator("work", OperatorSpec{
+			Process: func(_ any, key string, v any, emit Emit) any { emit(key, v); return nil },
+			Codec:   StringCodec{},
+		}).
+		AddOperator("count", OperatorSpec{
+			Keyed: true,
+			Process: func(state any, _ string, _ any, _ Emit) any {
+				c, _ := state.(int)
+				return c + 1
+			},
+			Codec: StringCodec{},
+			State: codec,
+		}).
+		AddEdge("src", "work").
+		AddEdge("work", "count").
+		Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// stayCounts replays stayPipeline's source: the exact final counts.
+func stayCounts(limit int64) map[string]any {
+	want := make(map[string]any)
+	for seq := int64(0); seq < limit; seq++ {
+		c, _ := want[stayKey(seq)].(int)
+		want[stayKey(seq)] = c + 1
+	}
+	return want
+}
+
+// TestUnchangedParallelismMovesNoState: across a Savepoint, and across a
+// Rescale that changes another operator only, every count instance keeps
+// the very map it held and the router the very table — nothing is dealt;
+// a Rescale of count itself deals. The run is bounded and its final
+// counts are exact.
+func TestUnchangedParallelismMovesNoState(t *testing.T) {
+	const limit = 16000
+	pipe := stayPipeline(t, limit, IntStateCodec{})
+	job, err := NewJob(pipe, dataflow.Parallelism{"src": 1, "work": 1, "count": 2}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := job.pl.(*host)
+	// held returns the identity of every count instance's state map, by
+	// instance, and of the routing table.
+	held := func() (maps []uintptr, table map[string]int) {
+		h.mu.Lock()
+		defer h.mu.Unlock()
+		for _, in := range h.dep.insts["count"] {
+			maps = append(maps, reflect.ValueOf(in.state).Pointer())
+		}
+		return maps, h.dep.routers["count"].table
+	}
+	same := func(a, b map[string]int) bool { return reflect.ValueOf(a).Pointer() == reflect.ValueOf(b).Pointer() }
+	emitted := func(n int64) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); atomic.LoadInt64(h.seqs["src"]) < n; {
+			if time.Now().After(deadline) {
+				t.Fatalf("source emitted %d of the %d records waited for", atomic.LoadInt64(h.seqs["src"]), n)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	emitted(2000)
+	if err := job.Rescale(dataflow.Parallelism{"src": 1, "work": 1, "count": 3}); err != nil {
+		t.Fatal(err)
+	}
+	maps0, table0 := held()
+	if len(maps0) != 3 || len(table0) == 0 {
+		t.Fatalf("after the deal: %d instances, %d table entries", len(maps0), len(table0))
+	}
+	emitted(atomic.LoadInt64(h.seqs["src"]) + 1500) // keys the table does not know
+
+	store := NewMemoryStore()
+	if err := job.Savepoint(store, "cut"); err != nil {
+		t.Fatal(err)
+	}
+	if maps, table := held(); !reflect.DeepEqual(maps, maps0) || !same(table, table0) {
+		t.Fatalf("Savepoint moved state: maps %v -> %v, same table %v", maps0, maps, same(table, table0))
+	}
+	// The cut held both kinds of key: dealt ones and later arrivals.
+	data, err := store.Load("cut")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, err := decodeSavepoint(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cut := len(sp.States["count"]); cut <= len(table0) {
+		t.Fatalf("savepoint holds %d keys, the table %d: no key arrived after the deal", cut, len(table0))
+	}
+
+	if err := job.Rescale(dataflow.Parallelism{"src": 1, "work": 2, "count": 3}); err != nil {
+		t.Fatal(err)
+	}
+	if maps, table := held(); !reflect.DeepEqual(maps, maps0) || !same(table, table0) {
+		t.Fatalf("Rescale of work moved count's state: maps %v -> %v, same table %v", maps0, maps, same(table, table0))
+	}
+
+	if err := job.Rescale(dataflow.Parallelism{"src": 1, "work": 2, "count": 2}); err != nil {
+		t.Fatal(err)
+	}
+	maps, table := held()
+	if len(maps) != 2 || same(table, table0) || len(table) <= len(table0) {
+		t.Fatalf("Rescale of count: %d instances, %d table entries (was %d), same table %v", len(maps), len(table), len(table0), same(table, table0))
+	}
+	for _, m := range maps {
+		for _, m0 := range maps0 {
+			if m == m0 {
+				t.Fatal("Rescale of count kept an instance's map instead of dealing")
+			}
+		}
+	}
+
+	job.Wait()
+	if got := job.Stop()["count"]; !reflect.DeepEqual(got, stayCounts(limit)) {
+		t.Fatalf("final counts diverged from the replay:\n got: %v\nwant: %v", got, stayCounts(limit))
+	}
+}
+
 // fakePlacement succeeds at everything except the one call named in
 // failOn, and counts the calls that reach it.
 type fakePlacement struct {
