@@ -16,12 +16,12 @@ test: vet
 race:
 	$(GO) test -race ./...
 
-# The live record path's 0-allocs/record pins (internal/nexmark) and the
-# paced source's per-sleep one (internal/streamrt) skip themselves under
-# -race (the detector allocates), so `make race` never runs them; this
-# does.
+# The live record path's 0-allocs/record pins (internal/nexmark), the
+# paced source's per-sleep one and the savepoint decoder's one-per-key
+# one (internal/streamrt) skip themselves under -race (the detector
+# allocates), so `make race` never runs them; this does.
 alloc-pins:
-	$(GO) test -run AllocFree ./internal/streamrt ./internal/nexmark
+	$(GO) test -run 'AllocFree|DecodeAllocs' ./internal/streamrt ./internal/nexmark
 
 # benchmarks/ is a nested module: `go build ./... && go test ./...`
 # and `go vet ./...` from the root never compile it, so a change to the

@@ -11,7 +11,6 @@ import (
 	"path/filepath"
 	"slices"
 	"sort"
-	"strings"
 	"sync"
 
 	"ds2/internal/dataflow"
@@ -134,6 +133,10 @@ func (s *DirStore) Load(name string) ([]byte, error) {
 //	nOps ×  (name string, nKeys uvarint, nKeys × (key string, blob))
 //	crc32    u32              // IEEE, over everything above
 //
+// Names and keys are written in strictly increasing order, and the
+// reader requires it of keys: a restore cuts each operator's keys as
+// they lie in the file, without sorting them again.
+//
 // Per-key state blobs are encodeOpState's output — the operator's
 // StateCodec bytes, wrapped in the canonical window encoding for
 // windowed operators — i.e. exactly what crosses the wire during a
@@ -156,9 +159,10 @@ type savepointData struct {
 	SeqBlock int64
 	Elapsed  float64
 	Seqs     map[string][]int64 // source -> per-rank local counters
-	// States is operator -> key -> encoded state, as decodeSavepoint
-	// read it; encodeSavepoint takes the state as drained parts instead.
-	States map[string]map[string][]byte
+	// States is, per operator, the file's run of (key, encoded state) in
+	// strictly increasing key order, as decodeSavepoint read it; the
+	// states alias the file. encodeSavepoint takes drained parts instead.
+	States map[string][]entry[[]byte]
 }
 
 func sortedKeys[V any](m map[string]V) []string {
@@ -201,37 +205,25 @@ func encodeSavepoint[V any](pipe *Pipeline, sp *savepointData, states parts[V], 
 		}
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(states)))
-	type entry struct {
-		key   string
-		state V
-	}
-	var kvs []entry
 	for _, op = range sortedKeys(states) {
 		spec := pipe.ops[op]
 		if spec == nil {
 			return nil, fmt.Errorf("streamrt: state for unknown operator %q", op)
 		}
-		n := 0
-		for _, part := range states[op] {
-			n += len(part)
-		}
-		kvs = slices.Grow(kvs[:0], n)
+		run := gather(states[op])
+		sortRun(run)
 		keyBytes := 0
-		for _, part := range states[op] {
-			for k, v := range part {
-				kvs = append(kvs, entry{k, v})
-				keyBytes += len(k)
-			}
+		for _, e := range run {
+			keyBytes += len(e.key)
 		}
-		slices.SortFunc(kvs, func(a, b entry) int { return strings.Compare(a.key, b.key) })
 		// Room for the keys and, as a guess, 8 bytes of lengths and state
 		// a key: the buffer grows once per operator, not per doubling.
-		buf = slices.Grow(buf, keyBytes+8*n)
+		buf = slices.Grow(buf, keyBytes+8*len(run))
 		buf = appendSpString(buf, op)
-		buf = binary.AppendUvarint(buf, uint64(len(kvs)))
-		for _, e := range kvs {
+		buf = binary.AppendUvarint(buf, uint64(len(run)))
+		for _, e := range run {
 			key = e.key
-			b, err := enc(spec, e.state)
+			b, err := enc(spec, e.val)
 			if err != nil {
 				return nil, fmt.Errorf("streamrt: encoding %s[%q]: %w", op, key, err)
 			}
@@ -280,24 +272,21 @@ func (r *spReader) count(field string) (int, error) {
 	return int(v), nil
 }
 
-func (r *spReader) str(field string) (string, error) {
-	n, err := r.count(field + " length")
-	if err != nil {
-		return "", err
-	}
-	s := string(r.b[:n])
-	r.b = r.b[n:]
-	return s, nil
-}
-
+// blob reads a length-prefixed byte string, field naming the length. It
+// aliases the file, capped so that an append cannot overwrite the rest.
 func (r *spReader) blob(field string) ([]byte, error) {
-	n, err := r.count(field + " length")
+	n, err := r.count(field)
 	if err != nil {
 		return nil, err
 	}
-	b := append([]byte(nil), r.b[:n]...)
+	b := r.b[:n:n]
 	r.b = r.b[n:]
 	return b, nil
+}
+
+func (r *spReader) str(field string) (string, error) {
+	b, err := r.blob(field)
+	return string(b), err
 }
 
 func (r *spReader) f64(field string) (float64, error) {
@@ -311,7 +300,10 @@ func (r *spReader) f64(field string) (float64, error) {
 
 // decodeSavepoint parses and validates one savepoint file. It is
 // purely structural — no user codec runs — and total: any input either
-// decodes or returns an error naming the failing field.
+// decodes or returns an error naming the failing field. Each operator's
+// state is the file's run, its states aliasing data, and a key not
+// greater than the one before it is refused. Per key it allocates the
+// key string only: field names are formatted only when a read fails.
 func decodeSavepoint(data []byte) (*savepointData, error) {
 	header := len(savepointMagic) + 2
 	if len(data) < header+4 {
@@ -330,7 +322,7 @@ func decodeSavepoint(data []byte) (*savepointData, error) {
 	r := &spReader{b: body[header:]}
 	sp := &savepointData{}
 	var err error
-	if sp.Workload, err = r.str("workload"); err != nil {
+	if sp.Workload, err = r.str("workload length"); err != nil {
 		return nil, err
 	}
 	workers, err := r.uvarint("worker count")
@@ -361,7 +353,7 @@ func decodeSavepoint(data []byte) (*savepointData, error) {
 	}
 	sp.Seqs = make(map[string][]int64, nSrc)
 	for i := 0; i < nSrc; i++ {
-		name, err := r.str("source name")
+		name, err := r.str("source name length")
 		if err != nil {
 			return nil, err
 		}
@@ -392,9 +384,9 @@ func decodeSavepoint(data []byte) (*savepointData, error) {
 	if err != nil {
 		return nil, err
 	}
-	sp.States = make(map[string]map[string][]byte, nOps)
+	sp.States = make(map[string][]entry[[]byte], nOps)
 	for i := 0; i < nOps; i++ {
-		op, err := r.str("operator name")
+		op, err := r.str("operator name length")
 		if err != nil {
 			return nil, err
 		}
@@ -405,20 +397,25 @@ func decodeSavepoint(data []byte) (*savepointData, error) {
 		if err != nil {
 			return nil, err
 		}
-		kv := make(map[string][]byte, nKeys)
-		for k := 0; k < nKeys; k++ {
-			key, err := r.str(fmt.Sprintf("operator %q state key", op))
+		run := make([]entry[[]byte], nKeys)
+		for k := range run {
+			key, err := r.str("state key length")
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("%w (operator %q, key #%d)", err, op, k)
 			}
-			if _, dup := kv[key]; dup {
-				return nil, fmt.Errorf("streamrt: savepoint: operator %q has duplicate key %q", op, key)
+			if k > 0 && key <= run[k-1].key {
+				if key == run[k-1].key {
+					return nil, fmt.Errorf("streamrt: savepoint: operator %q has duplicate key %q", op, key)
+				}
+				return nil, fmt.Errorf("streamrt: savepoint: operator %q has key %q out of order, after %q", op, key, run[k-1].key)
 			}
-			if kv[key], err = r.blob(fmt.Sprintf("operator %q state for key %q", op, key)); err != nil {
-				return nil, err
+			blob, err := r.blob("state length")
+			if err != nil {
+				return nil, fmt.Errorf("%w (operator %q, key %q)", err, op, key)
 			}
+			run[k] = entry[[]byte]{key, blob}
 		}
-		sp.States[op] = kv
+		sp.States[op] = run
 	}
 	if len(r.b) != 0 {
 		return nil, fmt.Errorf("streamrt: savepoint: %d trailing bytes after the last operator", len(r.b))

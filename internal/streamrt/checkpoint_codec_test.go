@@ -6,6 +6,7 @@ package streamrt
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"math"
@@ -13,9 +14,13 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"sort"
 	"strings"
 	"testing"
 	"time"
+
+	"ds2/internal/dataflow"
 )
 
 func sampleSavepoint() *savepointData {
@@ -28,8 +33,8 @@ func sampleSavepoint() *savepointData {
 			"src":   {4096, 2048},
 			"ticks": {17},
 		},
-		States: map[string]map[string][]byte{
-			"count": {"k00": {1, 2, 3}, "k01": {7}, "k02": {0xFF}},
+		States: map[string][]entry[[]byte]{
+			"count": {{"k00", []byte{1, 2, 3}}, {"k01", []byte{7}}, {"k02", []byte{0xFF}}},
 			"join":  {},
 		},
 	}
@@ -41,8 +46,12 @@ func sampleSavepoint() *savepointData {
 func encodeDecoded(sp *savepointData) []byte {
 	pipe := &Pipeline{ops: make(map[string]*OperatorSpec, len(sp.States))}
 	states := make(parts[[]byte], len(sp.States))
-	for op, kv := range sp.States {
+	for op, run := range sp.States {
 		pipe.ops[op] = &OperatorSpec{}
+		kv := make(map[string][]byte, len(run))
+		for _, e := range run {
+			kv[e.key] = e.val
+		}
 		states[op] = []map[string][]byte{kv}
 	}
 	data, err := encodeSavepoint(pipe, sp, states, func(_ *OperatorSpec, b []byte) ([]byte, error) { return b, nil })
@@ -130,6 +139,8 @@ func TestSavepointDecodeRejectsCorruption(t *testing.T) {
 			sp.Workers = 1 // fewer workers than src's two seq ranks
 			return refixCRC(encodeDecoded(sp))
 		}(), `source "src" has 2 seq ranks for 1 workers`},
+		{"duplicate key", renameKey(valid, "k01", "k00"), `operator "count" has duplicate key "k00"`},
+		{"keys out of order", renameKey(valid, "k00", "k05"), `operator "count" has key "k01" out of order`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -144,12 +155,20 @@ func TestSavepointDecodeRejectsCorruption(t *testing.T) {
 	}
 }
 
+// renameKey rewrites the first occurrence of key from in a savepoint file
+// as to, of the same length, and refixes the CRC.
+func renameKey(data []byte, from, to string) []byte {
+	d := append([]byte(nil), data...)
+	copy(d[bytes.Index(d, []byte(from)):], to)
+	return refixCRC(d)
+}
+
 func FuzzSavepointDecode(f *testing.F) {
 	f.Add(encodeDecoded(sampleSavepoint()))
 	f.Add(encodeDecoded(&savepointData{
 		Workers: 1, SeqBlock: 1,
 		Seqs:   map[string][]int64{"s": {0}},
-		States: map[string]map[string][]byte{},
+		States: map[string][]entry[[]byte]{},
 	}))
 	valid := encodeDecoded(sampleSavepoint())
 	f.Add(valid[:len(valid)-6])
@@ -157,6 +176,8 @@ func FuzzSavepointDecode(f *testing.F) {
 	for _, cut := range []int{0, 1, 9, 11} {
 		f.Add(valid[:cut])
 	}
+	f.Add(renameKey(valid, "k01", "k00"))
+	f.Add(renameKey(valid, "k00", "k05"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Total: any input either decodes or errors — never panics.
 		sp, err := decodeSavepoint(data)
@@ -180,10 +201,17 @@ func FuzzSavepointDecode(f *testing.F) {
 // part into a parts[[]byte], merge the parts into one map per operator,
 // then sort each map's keys and look every key up again.
 
+// savepointMapData is a savepoint with its state as the map-based chains
+// held it: operator -> key -> encoded state.
+type savepointMapData struct {
+	savepointData
+	States map[string]map[string][]byte
+}
+
 // encodeSavepointMap serializes sp. Map keys are sorted into the encoding
 // so identical snapshots produce identical bytes regardless of map
 // iteration order.
-func encodeSavepointMap(sp *savepointData) []byte {
+func encodeSavepointMap(sp *savepointMapData) []byte {
 	buf := make([]byte, 0, 1024)
 	buf = append(buf, savepointMagic[:]...)
 	buf = binary.BigEndian.AppendUint16(buf, savepointVersion)
@@ -219,8 +247,7 @@ func refSavepointFile(t *testing.T, pipe *Pipeline, hdr savepointData, snap *sna
 	if err != nil {
 		t.Fatal(err)
 	}
-	hdr.States = mergeParts(enc)
-	return encodeSavepointMap(&hdr)
+	return encodeSavepointMap(&savepointMapData{hdr, mergeParts(enc)})
 }
 
 // TestSavepointFileIsTheOldFile: over seeded random state — a plain and
@@ -301,6 +328,296 @@ func mustBytes(t *testing.T, pipe *Pipeline, vals parts[any]) parts[[]byte] {
 		t.Fatal(err)
 	}
 	return enc
+}
+
+// decodeSavepointMap and dealSearch are the restore chain that cutting
+// the file's runs replaced, kept word for word as its reference: decode
+// every key into a map, decode every state into a second map
+// (convertParts, still the worker's decode), then sort the keys again and
+// binary-search every key's owner.
+
+// decodeSavepointMap parses and validates one savepoint file. It is
+// purely structural — no user codec runs — and total: any input either
+// decodes or returns an error naming the failing field.
+func decodeSavepointMap(data []byte) (*savepointMapData, error) {
+	header := len(savepointMagic) + 2
+	if len(data) < header+4 {
+		return nil, fmt.Errorf("streamrt: savepoint: %d bytes is shorter than the smallest savepoint", len(data))
+	}
+	if !bytes.Equal(data[:len(savepointMagic)], savepointMagic[:]) {
+		return nil, errors.New("streamrt: savepoint: bad magic; not a savepoint file")
+	}
+	if v := binary.BigEndian.Uint16(data[len(savepointMagic):header]); v != savepointVersion {
+		return nil, fmt.Errorf("streamrt: savepoint: format version %d; this build reads version %d", v, savepointVersion)
+	}
+	body, sum := data[:len(data)-4], binary.BigEndian.Uint32(data[len(data)-4:])
+	if got := crc32.ChecksumIEEE(body); got != sum {
+		return nil, fmt.Errorf("streamrt: savepoint: checksum mismatch (have %08x, file says %08x); truncated or corrupted", got, sum)
+	}
+	r := &spReader{b: body[header:]}
+	sp := &savepointMapData{}
+	var err error
+	if sp.Workload, err = r.str("workload"); err != nil {
+		return nil, err
+	}
+	workers, err := r.uvarint("worker count")
+	if err != nil {
+		return nil, err
+	}
+	if workers < 1 || workers > 0xFFFF {
+		return nil, fmt.Errorf("streamrt: savepoint: worker count %d outside [1, 65535]", workers)
+	}
+	sp.Workers = int(workers)
+	seqBlock, err := r.uvarint("seq block size")
+	if err != nil {
+		return nil, err
+	}
+	if seqBlock < 1 || seqBlock > math.MaxInt64 {
+		return nil, fmt.Errorf("streamrt: savepoint: seq block size %d outside [1, 2^63)", seqBlock)
+	}
+	sp.SeqBlock = int64(seqBlock)
+	if sp.Elapsed, err = r.f64("elapsed time"); err != nil {
+		return nil, err
+	}
+	if math.IsNaN(sp.Elapsed) || sp.Elapsed < 0 {
+		return nil, fmt.Errorf("streamrt: savepoint: elapsed time %v is not a non-negative duration", sp.Elapsed)
+	}
+	nSrc, err := r.count("source count")
+	if err != nil {
+		return nil, err
+	}
+	sp.Seqs = make(map[string][]int64, nSrc)
+	for i := 0; i < nSrc; i++ {
+		name, err := r.str("source name")
+		if err != nil {
+			return nil, err
+		}
+		if _, dup := sp.Seqs[name]; dup {
+			return nil, fmt.Errorf("streamrt: savepoint: duplicate source %q", name)
+		}
+		nRanks, err := r.count(fmt.Sprintf("source %q rank count", name))
+		if err != nil {
+			return nil, err
+		}
+		if nRanks < 1 || nRanks > sp.Workers {
+			return nil, fmt.Errorf("streamrt: savepoint: source %q has %d seq ranks for %d workers", name, nRanks, sp.Workers)
+		}
+		counters := make([]int64, nRanks)
+		for rank := range counters {
+			c, err := r.varint(fmt.Sprintf("source %q rank %d counter", name, rank))
+			if err != nil {
+				return nil, err
+			}
+			if c < 0 {
+				return nil, fmt.Errorf("streamrt: savepoint: source %q rank %d counter %d is negative", name, rank, c)
+			}
+			counters[rank] = c
+		}
+		sp.Seqs[name] = counters
+	}
+	nOps, err := r.count("operator count")
+	if err != nil {
+		return nil, err
+	}
+	sp.States = make(map[string]map[string][]byte, nOps)
+	for i := 0; i < nOps; i++ {
+		op, err := r.str("operator name")
+		if err != nil {
+			return nil, err
+		}
+		if _, dup := sp.States[op]; dup {
+			return nil, fmt.Errorf("streamrt: savepoint: duplicate operator %q", op)
+		}
+		nKeys, err := r.count(fmt.Sprintf("operator %q key count", op))
+		if err != nil {
+			return nil, err
+		}
+		kv := make(map[string][]byte, nKeys)
+		for k := 0; k < nKeys; k++ {
+			key, err := r.str(fmt.Sprintf("operator %q state key", op))
+			if err != nil {
+				return nil, err
+			}
+			if _, dup := kv[key]; dup {
+				return nil, fmt.Errorf("streamrt: savepoint: operator %q has duplicate key %q", op, key)
+			}
+			if kv[key], err = r.blob(fmt.Sprintf("operator %q state for key %q", op, key)); err != nil {
+				return nil, err
+			}
+		}
+		sp.States[op] = kv
+	}
+	if len(r.b) != 0 {
+		return nil, fmt.Errorf("streamrt: savepoint: %d trailing bytes after the last operator", len(r.b))
+	}
+	return sp, nil
+}
+
+// dealSearch hands the keyed state in drained to the n instances of the
+// next generation: the key universe is sorted once and cut into n
+// contiguous runs, len/n keys each and one more for the first len%n
+// instances; one pass over the maps then files every key under the run
+// it falls in, in the table and in its owner's share.
+func dealSearch[V any](drained []map[string]V, n int) (table map[string]int, shares []map[string]V) {
+	total := 0
+	for _, p := range drained {
+		total += len(p)
+	}
+	var cuts []string // cuts[i] is the first key of instance i+1's run
+	if n > 1 && total > 0 {
+		keys := make([]string, 0, total)
+		for _, p := range drained {
+			for k := range p {
+				keys = append(keys, k)
+			}
+		}
+		sort.Strings(keys)
+		base, extra := total/n, total%n
+		for inst := 1; inst < n; inst++ {
+			// Instances past the last key own nothing and need no cut.
+			if at := inst*base + min(inst, extra); at < total {
+				cuts = append(cuts, keys[at])
+			}
+		}
+		table = make(map[string]int, total)
+	}
+	shares = make([]map[string]V, n)
+	for i := range shares {
+		shares[i] = make(map[string]V, total/n+1)
+	}
+	for _, p := range drained {
+		for k, v := range p {
+			// The owner is the number of cuts at or below k.
+			inst := sort.Search(len(cuts), func(i int) bool { return cuts[i] > k })
+			if table != nil {
+				table[k] = inst
+			}
+			shares[inst][k] = v
+		}
+	}
+	return table, shares
+}
+
+// TestRestoreDealIsTheOldDeal: over seeded savepoint files — a plain and
+// a windowed operator, 0..2000 keys, now and then an operator the file
+// does not hold — cutting the file's runs at every parallelism from 1 to
+// 33 gives the routing tables and shares the old chain gave: as values,
+// what the local placement deploys, and as bytes, what the remote one
+// ships.
+func TestRestoreDealIsTheOldDeal(t *testing.T) {
+	pipe := &Pipeline{ops: map[string]*OperatorSpec{
+		"plain": {Keyed: true, State: IntStateCodec{}},
+		"win":   {Keyed: true, State: IntStateCodec{}, Window: &WindowSpec{Size: time.Second}},
+	}}
+	rng := rand.New(rand.NewSource(27))
+	for round := 0; round < 24; round++ {
+		keys := rng.Intn(2001)
+		if round%8 == 0 {
+			keys = 0
+		}
+		plain, win := make(map[string]any, keys), make(map[string]any, keys/4)
+		for k := 0; k < keys; k++ {
+			plain[fmt.Sprintf("p-%d", rng.Int63())] = rng.Intn(1 << 30)
+		}
+		for k := 0; k < keys/4; k++ {
+			ws := &WindowState{NextFire: rng.Int63n(1000) - 500, Panes: make(map[int64]any)}
+			for p := rng.Intn(6); p > 0; p-- {
+				ws.Panes[rng.Int63n(2000)-1000] = rng.Intn(1 << 20)
+			}
+			win[fmt.Sprintf("w-%d", rng.Int63())] = ws
+		}
+		vals := parts[any]{"plain": {plain}, "win": {win}}
+		if round%5 == 2 {
+			delete(vals, "win")
+		}
+		file, err := (&snapshot{vals: vals}).file(pipe, &savepointData{Workers: 1, SeqBlock: 1, Seqs: map[string][]int64{}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp, err := decodeSavepoint(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := decodeSavepointMap(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		enc := make(parts[[]byte], len(ref.States))
+		for op, kv := range ref.States {
+			enc[op] = []map[string][]byte{kv}
+		}
+		dec, err := convertParts(pipe, "decoding", enc, decodeOpState)
+		if err != nil {
+			t.Fatal(err)
+		}
+		restore := &snapshot{runs: sp.States}
+		for n := 1; n <= 33; n++ {
+			par := dataflow.Parallelism{"plain": n, "win": 1 + (n*7)%33}
+			tables, shares, err := dealAll(pipe, restore, nil, par, decodeOpState)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bTables, bShares, err := dealAll(pipe, restore, nil, par, sameBytes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for op := range pipe.ops {
+				wantTable, wantShares := dealSearch(dec[op], par[op])
+				if !reflect.DeepEqual(tables[op], wantTable) || !reflect.DeepEqual(shares[op], wantShares) {
+					t.Fatalf("round %d (%d keys), %s at %d instances: values dealt unlike the old chain", round, keys, op, par[op])
+				}
+				wantTable, wantBytes := dealSearch(enc[op], par[op])
+				if !reflect.DeepEqual(bTables[op], wantTable) || !reflect.DeepEqual(bShares[op], wantBytes) {
+					t.Fatalf("round %d (%d keys), %s at %d instances: bytes dealt unlike the old chain", round, keys, op, par[op])
+				}
+			}
+		}
+	}
+}
+
+// TestSavepointDecodeAllocs pins what decoding a savepoint allocates: one
+// key string per key and a bounded number of objects per operator and
+// source — no field name formatted, no state copied, no map built per key.
+func TestSavepointDecodeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; allocation pin runs without -race")
+	}
+	const keys = 20000
+	sp := &savepointData{Workers: 1, SeqBlock: 1, Seqs: map[string][]int64{"src": {7}}, States: map[string][]entry[[]byte]{}}
+	for _, op := range []string{"count", "win"} {
+		for k := 0; k < keys/2; k++ {
+			sp.States[op] = append(sp.States[op], entry[[]byte]{fmt.Sprintf("key-%06d", k), []byte{byte(k), 1, 2}})
+		}
+	}
+	data := encodeDecoded(sp)
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := decodeSavepoint(data); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("decoding %d keys over 2 operators: %.0f allocations (%.2f a key)", keys, allocs, allocs/keys)
+	if allocs > keys+32 {
+		t.Errorf("%.0f allocations, want at most one a key plus 32", allocs)
+	}
+}
+
+// TestDecodeWindowStateBoundsPaneCount: a window state blob whose pane
+// count the bytes after it cannot hold — what a CRC-valid savepoint of an
+// older state layout can carry — fails naming the count, before the count
+// sizes anything.
+func TestDecodeWindowStateBoundsPaneCount(t *testing.T) {
+	spec := &OperatorSpec{Keyed: true, State: IntStateCodec{}, Window: &WindowSpec{Size: time.Second}}
+	blob := binary.AppendUvarint(binary.AppendVarint(nil, 0), 1<<27)
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	_, err := decodeOpState(spec, blob)
+	runtime.ReadMemStats(&m1)
+	if err == nil || !strings.Contains(err.Error(), "pane count 134217728") {
+		t.Fatalf("decoding a %d-byte blob claiming 2^27 panes: error %v, want one naming the pane count", len(blob), err)
+	}
+	if got := m1.TotalAlloc - m0.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("decoding a %d-byte blob allocated %d bytes", len(blob), got)
+	}
 }
 
 func TestMemoryStore(t *testing.T) {

@@ -664,23 +664,22 @@ func (r *remote) each(f func(cc *ctrlClient) error) error {
 }
 
 // deploy pushes one new generation: placement, the deal (routing tables
-// — identical on every worker — and per-instance shares, over the state
-// as bytes), then the two-phase deploy/start barrier, each worker
-// receiving the tables and the shares of the instances it hosts.
+// — identical on every worker — and per-instance shares, over the bytes
+// the workers drained or a savepoint file's runs), then the two-phase
+// deploy/start barrier, each worker receiving the tables and the shares
+// of the instances it hosts.
 // snap.seqs, on a restore, carries per-rank source counters; each
 // hosting worker receives its rank's counter. tr, when non-nil, times
 // the router_rebuild/transfer/restart phases with per-worker child
 // spans (nil on the initial deploy — only reconfigurations are traced).
 func (r *remote) deploy(gen uint32, par dataflow.Parallelism, snap *snapshot, tr *rescaleTrace) error {
-	enc, err := snap.bytes(r.pipe)
-	if err != nil {
-		return err
-	}
 	workers := len(r.ctrls)
 	assign := PlanPlacement(par, workers)
 	var tables map[string]map[string]int
 	var shares parts[[]byte]
-	tr.phase(phaseRouterRebuild, func(uint64) { tables, shares = dealAll(r.pipe, enc, snap.ran, par) })
+	var err error
+	// Bytes go through no codec, so the deal cannot fail.
+	tr.phase(phaseRouterRebuild, func(uint64) { tables, shares, _ = dealAll(r.pipe, snap, snap.enc, par, sameBytes) })
 	// Per-worker restore counters: rank i of a source maps to the i'th
 	// sorted hosting worker under the new placement.
 	perWorkerSeqs := make([]map[string]int64, workers)

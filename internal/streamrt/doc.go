@@ -101,16 +101,16 @@
 // one process an operator whose parallelism does not change is not
 // repartitioned: its instances start again on the very maps and routing
 // table they held. Any other state changes hands once in between: deal
-// (router.go) sorts the keys, cuts them into one contiguous run per new
-// instance and in one pass fills the routing table and each instance's
-// share, on the values themselves in one process and — for every keyed
-// operator, since the state has travelled to the coordinator anyway — on
-// their StateCodec bytes across workers, each of which receives the
-// shares of the instances it hosts. The pause pollutes the running
-// observation window, so Rescale discards it, exactly like the settling
-// EngineRuntime resets its metrics on restart. Source sequence counters
-// survive the cycle, so every generated record is processed exactly
-// once across rescales.
+// (router.go) gathers the (key, state) pairs into one run and sorts it,
+// and cut cuts the run into one contiguous run per new instance, filling
+// the routing table and each instance's share — on the values themselves
+// in one process and, for every keyed operator, since the state has
+// travelled to the coordinator anyway, on their StateCodec bytes across
+// workers, each of which receives the shares of the instances it hosts.
+// The pause pollutes the running observation window, so Rescale discards
+// it, exactly like the settling EngineRuntime resets its metrics on
+// restart. Source sequence counters survive the cycle, so every
+// generated record is processed exactly once across rescales.
 //
 // Job.Savepoint is the same cycle at the current parallelism — so in
 // one process it repartitions nothing — with the file built in the
@@ -122,12 +122,15 @@
 // and leaves no temp file behind when any of the three fails). The job
 // restarts even when the store write fails, or a StateCodec panics on
 // the state it is handed. NewJobFromSavepoint and
-// NewClusterFromSavepoint deploy a fresh job from such a blob:
-// operator parallelism may differ from the cut, the worker count may
-// not (source sequences are striped per worker), and sources resume
-// exactly where they stopped, so a bounded stream savepointed, killed,
-// and restored produces byte-identical final state to an
-// uninterrupted run.
+// NewClusterFromSavepoint deploy a fresh job from such a blob. The
+// file's keys are in order, and the decoder requires it, so each
+// operator's state is cut as it lies in the file — no map, no second
+// sort — and in one process each state is decoded straight into its
+// owner's share. Operator parallelism may differ from the cut, the
+// worker count may not (source sequences are striped per worker), and
+// sources resume exactly where they stopped, so a bounded stream
+// savepointed, killed, and restored produces byte-identical final state
+// to an uninterrupted run.
 //
 // A placement failure during the cycle (or in Wait) is sticky: the
 // first error is recorded, every later NextInterval, Collect, Rescale

@@ -326,25 +326,24 @@ func (h *host) workers() int { return 1 }
 
 func (h *host) validate(dataflow.Parallelism) error { return nil }
 
-// deploy implements placement: state arrives as values (decoded here
-// only when it came from a savepoint file) and the one trace phase is
-// "restart" — the deal of the operators par repartitions and the start
-// of every instance.
-func (h *host) deploy(gen uint32, par dataflow.Parallelism, snap *snapshot, tr *rescaleTrace) error {
-	vals, err := snap.values(h.pipe)
-	if err != nil {
-		return err
-	}
+// deploy implements placement: state arrives as the values this host
+// drained, or as a savepoint file's runs, decoded into the instances'
+// shares as they are dealt. The one trace phase is "restart" — the deal
+// of the operators par repartitions and the start of every instance.
+func (h *host) deploy(gen uint32, par dataflow.Parallelism, snap *snapshot, tr *rescaleTrace) (err error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	for src, ranks := range snap.seqs {
 		atomic.StoreInt64(h.seqs[src], ranks[0])
 	}
 	tr.phase(phaseRestart, func(uint64) {
-		tables, shares := dealAll(h.pipe, vals, snap.ran, par)
-		h.deployLocked(gen, par, tables, shares)
+		var tables map[string]map[string]int
+		var shares parts[any]
+		if tables, shares, err = dealAll(h.pipe, snap, snap.vals, par, decodeOpState); err == nil {
+			h.deployLocked(gen, par, tables, shares)
+		}
 	})
-	return nil
+	return err
 }
 
 // drain implements placement: stop the sources and wait for the close

@@ -127,8 +127,8 @@ func NewCluster(pipe *Pipeline, workload string, initial dataflow.Parallelism, a
 
 // start builds a coordinator and pushes its first generation — from
 // nothing, or, with a store, from the savepoint held under name: load,
-// decode, check it fits this pipeline and worker count, deploy. A nil
-// addrs selects the local placement.
+// decode, check it fits this pipeline and worker count, deploy the
+// file's key-ordered runs. A nil addrs selects the local placement.
 func start(pipe *Pipeline, workload string, initial dataflow.Parallelism, addrs []string, cfg Config, store CheckpointStore, name string) (*Job, error) {
 	if pipe == nil {
 		return nil, errors.New("streamrt: nil pipeline")
@@ -155,11 +155,7 @@ func start(pipe *Pipeline, workload string, initial dataflow.Parallelism, addrs 
 		j.cfg.SourceSeqBlock = sp.SeqBlock
 		j.epoch = j.epoch.Add(-time.Duration(sp.Elapsed * float64(time.Second)))
 		j.winStart = sp.Elapsed
-		snap.seqs = sp.Seqs
-		snap.enc = make(parts[[]byte], len(sp.States))
-		for op, kv := range sp.States {
-			snap.enc[op] = []map[string][]byte{kv}
-		}
+		snap.seqs, snap.runs = sp.Seqs, sp.States
 	}
 	if j.cfg.Metrics != nil {
 		j.obs = newJobObs(j.cfg.Metrics, pipe, j.Rescales)

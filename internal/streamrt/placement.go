@@ -51,22 +51,23 @@ type placement interface {
 // list of key -> state maps with disjoint keys. A local drain fills it
 // with one map per quiesced instance, indexed by instance (a worker's
 // drain leaves nil the instances it does not host, and the coordinator
-// strings the workers' lists together), a savepoint file holds one map
-// per operator,
-// and deal turns it into one map per instance of the next generation,
-// indexed by instance.
+// strings the workers' lists together), and deal turns it into one map
+// per instance of the next generation, indexed by instance.
 type parts[V any] map[string][]map[string]V
 
 // snapshot is what a drain hands back and a deploy starts from: the
 // keyed state of every stateful operator plus the source sequence
 // counters. State stays in the one form the placement produced it —
 // decoded values from the local one, StateCodec bytes from the remote
-// one or a savepoint file — and is converted only when someone asks for
-// the other form, so a local rescale never calls a codec and the
+// one, each deploying its own form — and is converted only when someone
+// asks for the other, so a local rescale never calls a codec and the
 // coordinator of a remote job never decodes state it only forwards.
 type snapshot struct {
 	vals parts[any]
 	enc  parts[[]byte]
+	// runs is a restore's state instead: per operator the savepoint file's
+	// key-ordered run of StateCodec bytes, which alias the loaded file.
+	runs map[string][]entry[[]byte]
 	// ran holds, for the operators whose parts are the drained instances'
 	// own maps in instance order, the router they ran under: deployed
 	// again at the parallelism ran[op].n, such an operator keeps maps and
@@ -78,8 +79,8 @@ type snapshot struct {
 	seqs map[string][]int64
 }
 
-// values returns the state decoded, running the operators' StateCodecs
-// only if it was drained or loaded as bytes.
+// values returns the drained state decoded, running the operators'
+// StateCodecs only if it was drained as bytes.
 func (s *snapshot) values(pipe *Pipeline) (parts[any], error) {
 	if s.enc == nil {
 		return s.vals, nil
@@ -101,10 +102,13 @@ func (s *snapshot) bytes(pipe *Pipeline) (parts[[]byte], error) {
 // values.
 func (s *snapshot) file(pipe *Pipeline, sp *savepointData) ([]byte, error) {
 	if s.vals == nil {
-		return encodeSavepoint(pipe, sp, s.enc, func(_ *OperatorSpec, b []byte) ([]byte, error) { return b, nil })
+		return encodeSavepoint(pipe, sp, s.enc, sameBytes)
 	}
 	return encodeSavepoint(pipe, sp, s.vals, encodeOpState)
 }
+
+// sameBytes is the codec of state that stays StateCodec bytes.
+func sameBytes(_ *OperatorSpec, b []byte) ([]byte, error) { return b, nil }
 
 // recoverCodec, deferred around calls into user StateCodecs, turns a
 // panic into *err naming the operator and key being converted. User
@@ -168,25 +172,41 @@ func mergeParts[V any](p parts[V]) map[string]map[string]V {
 	return merged
 }
 
-// dealAll turns drained state into what host.deployLocked starts a
-// generation from: per keyed operator the routing table and the
-// per-instance shares. It is the one place that decides what is
-// repartitioned: an operator that ran under ran[op] and deploys at that
-// router's parallelism is not — its parts are the next instances' shares
-// as they lie and the table is kept, so every key, routed by table or by
-// the fallback, stays where it is. Any other is dealt (see deal).
-func dealAll[V any](pipe *Pipeline, p parts[V], ran map[string]*router, par dataflow.Parallelism) (map[string]map[string]int, parts[V]) {
+// dealAll turns snap into what host.deployLocked starts a generation at
+// par from: per keyed operator the routing table and the per-instance
+// shares, as values locally and StateCodec bytes remotely — p is snap's
+// drained state in that form, decode turns a file's bytes into it. It is
+// the one place that decides what is repartitioned. A restore's runs are
+// cut as they lie, each state decoded on its way into its owner's share.
+// An operator that ran under snap.ran[op] and deploys at that router's
+// parallelism is not repartitioned: its parts are the next shares as
+// they lie and the table is kept, so every key stays where it is. Any
+// other is dealt (see deal).
+func dealAll[V any](pipe *Pipeline, snap *snapshot, p parts[V], par dataflow.Parallelism, decode func(*OperatorSpec, []byte) (V, error)) (_ map[string]map[string]int, _ parts[V], err error) {
+	var op, key string
+	defer recoverCodec("decoding", &op, &key, &err)
 	tables := make(map[string]map[string]int)
 	shares := make(parts[V])
 	for name, spec := range pipe.ops {
 		if !spec.Keyed {
 			continue
 		}
-		if r := ran[name]; r != nil && r.n == par[name] {
+		op = name
+		r := snap.ran[name]
+		switch {
+		case snap.runs != nil:
+			tables[name], shares[name], err = cut(snap.runs[name], par[name], func(k string, b []byte) (V, error) {
+				key = k
+				return decode(spec, b)
+			})
+			if err != nil {
+				return nil, nil, fmt.Errorf("streamrt: decoding %s[%q]: %w", op, key, err)
+			}
+		case r != nil && r.n == par[name]:
 			tables[name], shares[name] = r.table, p[name]
-		} else {
+		default:
 			tables[name], shares[name] = deal(p[name], par[name])
 		}
 	}
-	return tables, shares
+	return tables, shares, nil
 }

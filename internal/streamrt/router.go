@@ -1,6 +1,9 @@
 package streamrt
 
-import "sort"
+import (
+	"slices"
+	"strings"
+)
 
 // router decides which instance of a keyed operator owns each key for
 // one deployment generation. Its table comes out of the same deal that
@@ -21,59 +24,81 @@ type router struct {
 	table map[string]int
 }
 
+// entry is one key's state. A run is a slice of them: what deal sorts
+// and cuts, and what a savepoint file holds per operator, in key order.
+type entry[V any] struct {
+	key string
+	val V
+}
+
+// gather collects the (key, state) pairs of every map in ps into one run,
+// in no particular order.
+func gather[V any](ps []map[string]V) []entry[V] {
+	n := 0
+	for _, p := range ps {
+		n += len(p)
+	}
+	run := make([]entry[V], 0, n)
+	for _, p := range ps {
+		for k, v := range p {
+			run = append(run, entry[V]{k, v})
+		}
+	}
+	return run
+}
+
+func sortRun[V any](run []entry[V]) {
+	slices.SortFunc(run, func(a, b entry[V]) int { return strings.Compare(a.key, b.key) })
+}
+
 // deal hands the keyed state in drained — the quiesced instances' maps,
 // keys disjoint by the previous generation's router — to the n instances
 // of the next one: the routing table and, per instance, the share of the
-// state it starts from (never nil: an instance writes into it from the
-// first record on). The key universe is sorted once and cut into n
-// contiguous runs, len/n keys each and one more for the first len%n
-// instances; one pass over the maps then files every key under the run
-// it falls in, in the table and in its owner's share. With one instance,
-// or no state, there is no table: everything is instance 0's, as the
-// router's fallback has it.
-//
-// It is the only place known keys are assigned. The local placement
-// calls it on the values themselves, the remote one on their StateCodec
-// bytes, shipping each worker the table and the shares of the instances
-// it hosts.
+// state it starts from. The maps are gathered into one run, sorted (one
+// instance owns every key, in any order) and cut (see cut).
 func deal[V any](drained []map[string]V, n int) (table map[string]int, shares []map[string]V) {
-	total := 0
-	for _, p := range drained {
-		total += len(p)
+	run := gather(drained)
+	if n > 1 {
+		sortRun(run)
 	}
-	var cuts []string // cuts[i] is the first key of instance i+1's run
-	if n > 1 && total > 0 {
-		keys := make([]string, 0, total)
-		for _, p := range drained {
-			for k := range p {
-				keys = append(keys, k)
-			}
-		}
-		sort.Strings(keys)
-		base, extra := total/n, total%n
-		for inst := 1; inst < n; inst++ {
-			// Instances past the last key own nothing and need no cut.
-			if at := inst*base + min(inst, extra); at < total {
-				cuts = append(cuts, keys[at])
-			}
-		}
-		table = make(map[string]int, total)
-	}
-	shares = make([]map[string]V, n)
-	for i := range shares {
-		shares[i] = make(map[string]V, total/n+1)
-	}
-	for _, p := range drained {
-		for k, v := range p {
-			// The owner is the number of cuts at or below k.
-			inst := sort.Search(len(cuts), func(i int) bool { return cuts[i] > k })
-			if table != nil {
-				table[k] = inst
-			}
-			shares[inst][k] = v
-		}
-	}
+	table, shares, _ = cut(run, n, func(_ string, v V) (V, error) { return v, nil })
 	return table, shares
+}
+
+// cut is the one rule that assigns known keys: it cuts a key-ordered run
+// into n contiguous runs, len/n keys each and one more for the first
+// len%n instances, and files every key in the routing table and in its
+// owner's share (never nil: an instance writes into it from the first
+// record on), converted by conv, whose first error ends the cut. With one
+// instance, or no state, there is no table: everything is instance 0's,
+// as the router's fallback has it. Drained state comes through deal; a
+// savepoint file's runs, in key order already, straight from dealAll.
+func cut[A, B any](run []entry[A], n int, conv func(key string, a A) (B, error)) (map[string]int, []map[string]B, error) {
+	var table map[string]int
+	if n > 1 && len(run) > 0 {
+		table = make(map[string]int, len(run))
+	}
+	shares := make([]map[string]B, n)
+	base, extra := len(run)/n, len(run)%n
+	for inst := range shares {
+		size := base
+		if inst < extra {
+			size++
+		}
+		share := make(map[string]B, size)
+		for _, e := range run[:size] {
+			v, err := conv(e.key, e.val)
+			if err != nil {
+				return nil, nil, err
+			}
+			if table != nil {
+				table[e.key] = inst
+			}
+			share[e.key] = v
+		}
+		shares[inst], run = share, run[size:]
+	}
+	return table, shares, nil
 }
 
 // owner returns the instance index owning key.

@@ -58,6 +58,11 @@ func decodeOpState(spec *OperatorSpec, b []byte) (any, error) {
 		return nil, fmt.Errorf("streamrt: corrupt window state: pane count")
 	}
 	b = b[n:]
+	// A pane takes at least two bytes (index and length), so a count the
+	// bytes left cannot hold is refused before it sizes the map.
+	if numPanes > uint64(len(b))/2 {
+		return nil, fmt.Errorf("streamrt: corrupt window state: pane count %d exceeds what the %d bytes left can hold", numPanes, len(b))
+	}
 	ws := &WindowState{NextFire: nextFire, Panes: make(map[int64]any, numPanes)}
 	for p := uint64(0); p < numPanes; p++ {
 		idx, n := binary.Varint(b)
