@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race alloc-pins bench-test bench-smoke bench-pairs vet loc live-smoke dist-smoke savepoint-smoke profile-live
+.PHONY: build test race alloc-pins fuzz-smoke bench-test bench-smoke bench-pairs vet loc live-smoke dist-smoke savepoint-smoke profile-live
 
 build:
 	$(GO) build ./...
@@ -22,6 +22,13 @@ race:
 # allocates), so `make race` never runs them; this does.
 alloc-pins:
 	$(GO) test -run 'AllocFree|DecodeAllocs' ./internal/streamrt ./internal/nexmark
+
+# Ten seconds of fuzzing each for the two decoders of outside bytes:
+# transport frames and savepoint files. `go test` alone runs only their
+# seed corpora.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzFrameDecode$$' -fuzztime 10s ./internal/streamrt
+	$(GO) test -run '^$$' -fuzz '^FuzzSavepointDecode$$' -fuzztime 10s ./internal/streamrt
 
 # benchmarks/ is a nested module: `go build ./... && go test ./...`
 # and `go vet ./...` from the root never compile it, so a change to the

@@ -18,9 +18,9 @@ import (
 // (the coordinator, living in the controller process) drives N Worker
 // processes, each running a subset of the pipeline's operator instances
 // on a host. Everything rides the framed transport (frame.go,
-// transport.go): batches as DATA frames between workers, flow-control
-// CREDIT frames back, DONE frames for the cross-process close cascade,
-// and a JSON control protocol from the coordinator, whose client side
+// transport.go): batches as DATA frames between workers (an empty one is
+// an end-of-stream marker), flow-control CREDIT frames back, and a JSON
+// control protocol from the coordinator, whose client side
 // (remote) and server side (Worker.handleControl) are both in this
 // file. The coordinator, the interval build and the routing tables are
 // the single-process job's — so DS2 decisions, convergence behaviour
@@ -396,8 +396,8 @@ func (w *Worker) start(body []byte) ([]byte, error) {
 }
 
 // drain stops this worker's share of the current generation — the
-// coordinator broadcasts drains, so the cross-process close cascade
-// completes everywhere — and returns its keyed state, encoded, with the
+// coordinator broadcasts drains, so every worker's instances get their
+// remote end-of-stream markers — and returns its keyed state, encoded, with the
 // local sequence counters: this worker's exact resume points, which a
 // savepointing coordinator persists. A traced request additionally
 // gets the teardown/encode phase spans. A worker with nothing deployed

@@ -9,6 +9,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -269,5 +270,153 @@ func TestClusterRescaleMigratesState(t *testing.T) {
 	got := cluster.Stop()
 	if want := expectedCounts(limit); !reflect.DeepEqual(got["count"], want) {
 		t.Fatalf("post-rescale counts diverged from the replay oracle:\n got: %v\nwant: %v", got["count"], want)
+	}
+}
+
+// countSource emits key(seq) for every seq below limit at rate, with a
+// value the counter checks.
+func countSource(rate float64, limit int64, key func(int64) string) streamrt.SourceSpec {
+	return streamrt.SourceSpec{
+		Rate:  func(float64) float64 { return rate },
+		Next:  func(seq int64) (string, any) { return key(seq), "w" },
+		Limit: limit,
+	}
+}
+
+// counter counts every intact record per key, across processes.
+var counter = streamrt.OperatorSpec{
+	Keyed: true,
+	Process: func(state any, _ string, v any, _ streamrt.Emit) any {
+		c, _ := state.(int)
+		if v.(string) == "w" {
+			c++
+		}
+		return c
+	},
+	Codec: streamrt.StringCodec{},
+	State: intStateCodec{},
+}
+
+// replayCounts adds to m what counter holds after key(seq) for every
+// seq below limit.
+func replayCounts(m map[string]any, limit int64, key func(int64) string) map[string]any {
+	for seq := int64(0); seq < limit; seq++ {
+		c, _ := m[key(seq)].(int)
+		m[key(seq)] = c + 1
+	}
+	return m
+}
+
+// TestClusterFanInRescale: a keyed counter with two upstream operators
+// counts each record of both exactly once over two workers, across a
+// mid-stream rescale of the counter and of one source. Each counter
+// instance awaits end-of-stream markers from local and remote senders on
+// both inputs.
+func TestClusterFanInRescale(t *testing.T) {
+	const limitA, limitB = 4000, 2000
+	keyA := func(seq int64) string { return fmt.Sprintf("k%02d", seq%64) }
+	keyB := func(seq int64) string { return fmt.Sprintf("k%02d", seq*7%64) }
+	want := replayCounts(replayCounts(map[string]any{}, limitA, keyA), limitB, keyB)
+	build := func(rateA, rateB float64) *streamrt.Pipeline {
+		p, err := streamrt.NewPipeline().
+			AddSource("a", countSource(rateA, limitA, keyA)).
+			AddSource("b", countSource(rateB, limitB, keyB)).
+			AddOperator("count", counter).
+			AddEdge("a", "count").
+			AddEdge("b", "count").
+			Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	par := dataflow.Parallelism{"a": 3, "b": 1, "count": 2}
+
+	job, err := streamrt.NewJob(build(1e12, 1e12), par, streamrt.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	job.Wait()
+	local := job.Stop()
+	if !reflect.DeepEqual(local["count"], want) {
+		t.Fatalf("local job diverged from the replay oracle:\n got: %v\nwant: %v", local["count"], want)
+	}
+
+	pipe := build(8000, 4000)
+	addrs := startWorkers(t, 2, map[string]*streamrt.Pipeline{"fanin": pipe})
+	cluster, err := streamrt.NewCluster(pipe, "fanin", par, addrs, streamrt.Config{SourceSeqBlock: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	time.Sleep(200 * time.Millisecond)
+	if err := cluster.Rescale(dataflow.Parallelism{"a": 2, "b": 1, "count": 3}); err != nil {
+		t.Fatalf("rescale: %v", err)
+	}
+	cluster.Wait()
+	got := cluster.Stop()
+	if !reflect.DeepEqual(got["count"], want) {
+		t.Fatalf("post-rescale counts diverged from the replay oracle:\n got: %v\nwant: %v", got["count"], want)
+	}
+	if !reflect.DeepEqual(got, local) {
+		t.Fatalf("distributed final state diverged from local job:\n got: %v\nwant: %v", got, local)
+	}
+}
+
+// TestClusterCarriesLongKeys: a key longer than 65 535 bytes crosses
+// workers as any other does. Both workers emit it, so it reaches its
+// owner over a link whichever worker that is. A lost record or marker
+// would hang the drain, hence the deadline.
+func TestClusterCarriesLongKeys(t *testing.T) {
+	const limit = 2000
+	long := strings.Repeat("x", 70000)
+	key := func(seq int64) string {
+		if seq%500 == 7 { // seqs 7, 507, 1007, 1507: blocks 0, 5, 10, 15
+			return long
+		}
+		return fmt.Sprintf("k%02d", seq%64)
+	}
+	build := func() *streamrt.Pipeline {
+		p, err := streamrt.NewPipeline().
+			AddSource("src", countSource(1e12, limit, key)).
+			AddOperator("count", counter).
+			AddEdge("src", "count").
+			Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	par := dataflow.Parallelism{"src": 2, "count": 2}
+
+	job, err := streamrt.NewJob(build(), par, streamrt.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	job.Wait()
+	want := job.Stop()
+	if got := want["count"][long]; got != 4 {
+		t.Fatalf("local job counted the long key %v times, want 4", got)
+	}
+
+	pipe := build()
+	addrs := startWorkers(t, 2, map[string]*streamrt.Pipeline{"long": pipe})
+	cluster, err := streamrt.NewCluster(pipe, "long", par, addrs, streamrt.Config{SourceSeqBlock: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	done := make(chan map[string]map[string]any, 1)
+	go func() {
+		cluster.Wait()
+		done <- cluster.Stop()
+	}()
+	select {
+	case got := <-done:
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("distributed final state diverged from local job (long key counted %v times, want 4)", got["count"][long])
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("cluster did not drain within 30 s")
 	}
 }

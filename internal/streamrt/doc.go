@@ -94,8 +94,10 @@
 // # Rescaling and savepoints
 //
 // Job.Rescale performs the savepoint-and-restore cycle of §4.1: stop
-// the sources, drain the pipeline (channels close in cascade once all
-// upstream instances exit, so every in-flight record is processed),
+// the sources, drain the pipeline (every exiting instance sends each
+// downstream instance an end-of-stream marker behind its last batch, and
+// an instance exits once it has one per upstream instance, so every
+// in-flight record is processed),
 // take the keyed state of every stateful instance as it lies — one map
 // per instance, nothing merged — and restart fresh instances on it. In
 // one process an operator whose parallelism does not change is not

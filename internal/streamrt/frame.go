@@ -14,29 +14,31 @@ import (
 //	frame   := u32le length | u8 type | payload
 //
 // length counts the type byte plus the payload, so a receiver reads
-// exactly 4+length bytes per frame. The data plane reuses the PR 6
-// batch wire format verbatim: a DATA frame is one exchange batch,
+// exactly 4+length bytes per frame. A DATA frame is one exchange batch,
 // whose records carry the AppendEncoder bytes framed by the batch
 // header rather than by per-record prefixes inside the value stream:
 //
 //	data    := u32 gen | u16 op | u16 inst | u32 count | count×record
-//	record  := u16 keyLen | key | i64 srcUnixNano | u32 valLen | val
+//	record  := u32 keyLen | key | i64 srcUnixNano | u32 valLen | val
 //
 //	hello   := u32 proto | u32 sender   (sender 0xFFFFFFFF = coordinator)
 //	credit  := u32 gen | u16 op | u16 inst | u32 credits
-//	done    := u32 gen | u16 op
 //	control := u32 req | u8 kind | JSON
 //	reply   := u32 req | u8 ok  | JSON
 //
-// gen tags every data-plane frame with the deployment generation, so
-// frames straggling across a rescale are discarded instead of
-// corrupting the next deployment's credit accounting. All integers are
-// little-endian. Decoding is pure slice arithmetic with explicit bounds
-// checks — a truncated, oversized, or corrupt-length frame errors
-// cleanly and never over-reads (pinned by FuzzFrameDecode).
+// A DATA frame with no records is one upstream instance's end-of-stream
+// marker for (op, inst); it takes and returns no credit. gen tags every
+// data-plane frame with the deployment generation, so frames straggling
+// across a rescale are discarded instead of corrupting the next
+// deployment's credit accounting. All integers are little-endian.
+// Decoding is pure slice arithmetic with explicit bounds checks — a
+// truncated, oversized, or corrupt-length frame errors cleanly and never
+// over-reads (pinned by FuzzFrameDecode).
 
 // frameProto is the transport protocol version carried in hello frames.
-const frameProto = 1
+// Version 2 widened keyLen to u32 and replaced the DONE frame with the
+// empty DATA frame.
+const frameProto = 2
 
 // helloCoordinator is the hello sender value identifying the
 // coordinator's control connection (data links carry the dialing
@@ -50,12 +52,11 @@ const helloCoordinator = 0xFFFFFFFF
 // stream.
 const maxFrameLen = 16 << 20
 
-// Frame types.
+// Frame types. 4 was protocol 1's DONE; it is retired, not reused.
 const (
 	frameHello   = byte(1)
 	frameData    = byte(2)
 	frameCredit  = byte(3)
-	frameDone    = byte(4)
 	frameControl = byte(5)
 	frameReply   = byte(6)
 )
@@ -155,11 +156,11 @@ func parseDataHeader(p []byte) (dataHeader, []byte, error) {
 // nextRecord splits one record off the front of a DATA frame's record
 // bytes. Returned slices alias p.
 func nextRecord(p []byte) (key []byte, srcNano int64, val, rest []byte, err error) {
-	if len(p) < 2 {
+	if len(p) < 4 {
 		return nil, 0, nil, nil, fmt.Errorf("%w: record key length", errFrameShort)
 	}
-	klen := int(binary.LittleEndian.Uint16(p))
-	p = p[2:]
+	klen := int(binary.LittleEndian.Uint32(p))
+	p = p[4:]
 	if len(p) < klen+8+4 {
 		return nil, 0, nil, nil, fmt.Errorf("%w: record body", errFrameShort)
 	}
@@ -204,29 +205,6 @@ func parseCredit(p []byte) (creditMsg, error) {
 		inst:    binary.LittleEndian.Uint16(p[6:]),
 		credits: binary.LittleEndian.Uint32(p[8:]),
 	}, nil
-}
-
-// doneMsg is a DONE frame payload: one upstream instance of op exited.
-type doneMsg struct {
-	gen uint32
-	op  uint16
-}
-
-const doneLen = 4 + 2
-
-func appendDone(dst []byte, m doneMsg) []byte {
-	var off int
-	dst, off = beginFrame(dst, frameDone)
-	dst = appendU32(dst, m.gen)
-	dst = appendU16(dst, m.op)
-	return endFrame(dst, off)
-}
-
-func parseDone(p []byte) (doneMsg, error) {
-	if len(p) != doneLen {
-		return doneMsg{}, fmt.Errorf("%w: done payload %d != %d bytes", errFrameShort, len(p), doneLen)
-	}
-	return doneMsg{gen: binary.LittleEndian.Uint32(p), op: binary.LittleEndian.Uint16(p[4:])}, nil
 }
 
 // helloMsg is a HELLO frame payload, the first frame on every

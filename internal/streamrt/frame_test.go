@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"strings"
 	"testing"
 	"time"
 )
@@ -19,7 +20,7 @@ func buildDataFrame(gen uint32, op, inst uint16, recs [][3]string) []byte {
 	dst = appendU16(dst, inst)
 	dst = appendU32(dst, uint32(len(recs)))
 	for _, r := range recs {
-		dst = appendU16(dst, uint16(len(r[0])))
+		dst = appendU32(dst, uint32(len(r[0])))
 		dst = append(dst, r[0]...)
 		dst = appendU64(dst, uint64(time.Now().UnixNano()))
 		dst = appendU32(dst, uint32(len(r[1])))
@@ -27,6 +28,9 @@ func buildDataFrame(gen uint32, op, inst uint16, recs [][3]string) []byte {
 	}
 	return endFrame(dst, off)
 }
+
+// longKey is longer than protocol 1's u16 key length could carry.
+var longKey = strings.Repeat("k", 70000)
 
 // decodeAll drives the full receive-side decode surface over a byte
 // stream, the shared core of the fuzz target and the error-path tests.
@@ -59,8 +63,6 @@ func decodeAll(data []byte) error {
 			}
 		case frameCredit:
 			parseCredit(payload)
-		case frameDone:
-			parseDone(payload)
 		case frameControl, frameReply:
 			parseCtrl(payload)
 		}
@@ -78,7 +80,7 @@ func FuzzFrameDecode(f *testing.F) {
 	// corruptions.
 	valid := appendHello(nil, helloMsg{proto: frameProto, sender: 3})
 	valid = appendCredit(valid, creditMsg{gen: 1, op: 2, inst: 3, credits: 4})
-	valid = appendDone(valid, doneMsg{gen: 1, op: 2})
+	valid = append(valid, buildDataFrame(1, 2, 0, nil)...) // end-of-stream marker
 	valid = appendCtrl(valid, frameControl, ctrlMsg{req: 9, kind: ctrlDeploy, body: []byte(`{"workload":"x"}`)})
 	valid = append(valid, buildDataFrame(7, 1, 0, [][3]string{{"k1", "v1"}, {"", "v2"}, {"k3", ""}})...)
 	f.Add(valid)
@@ -94,6 +96,7 @@ func FuzzFrameDecode(f *testing.F) {
 	overVal := buildDataFrame(1, 0, 0, [][3]string{{"k", "v"}})
 	binary.LittleEndian.PutUint32(overVal[len(overVal)-5:], 1<<30)
 	f.Add(overVal)
+	f.Add(buildDataFrame(1, 0, 0, [][3]string{{longKey, "v"}}))
 	f.Add([]byte{})
 	f.Add([]byte{5})
 
@@ -120,7 +123,8 @@ func TestFrameDecodeErrors(t *testing.T) {
 		}
 	}
 	// A clean boundary after valid frames is io.EOF, not an error.
-	ok := appendDone(nil, doneMsg{gen: 1, op: 2})
+	ok := buildDataFrame(1, 2, 0, nil)
+	ok = append(ok, buildDataFrame(1, 2, 1, [][3]string{{longKey, "v"}})...)
 	if err := decodeAll(ok); !errors.Is(err, io.EOF) {
 		t.Errorf("clean stream: got %v, want io.EOF", err)
 	}
@@ -128,15 +132,21 @@ func TestFrameDecodeErrors(t *testing.T) {
 	if err := decodeAll(ok[:len(ok)-1]); !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Errorf("cut stream: got %v, want io.ErrUnexpectedEOF", err)
 	}
+	// A record whose key runs past the payload is a short frame.
+	payload := ok[len(buildDataFrame(1, 2, 0, nil))+5:]
+	_, recs, _ := parseDataHeader(payload[:dataHeaderLen+4+len(longKey)/2])
+	if _, _, _, _, err := nextRecord(recs); !errors.Is(err, errFrameShort) {
+		t.Errorf("key past payload: got %v, want errFrameShort", err)
+	}
 }
 
 func TestFrameRoundTrip(t *testing.T) {
 	var stream []byte
 	stream = appendHello(stream, helloMsg{proto: frameProto, sender: 12})
 	stream = appendCredit(stream, creditMsg{gen: 5, op: 6, inst: 7, credits: 8})
-	stream = appendDone(stream, doneMsg{gen: 5, op: 6})
+	stream = append(stream, buildDataFrame(5, 6, 7, nil)...)
 	stream = appendCtrl(stream, frameReply, ctrlMsg{req: 44, kind: 1, body: []byte(`{}`)})
-	recs := [][3]string{{"alpha", "one"}, {"beta", ""}, {"", "three"}}
+	recs := [][3]string{{"alpha", "one"}, {"beta", ""}, {"", "three"}, {longKey, "four"}}
 	stream = append(stream, buildDataFrame(3, 1, 2, recs)...)
 
 	r := bytes.NewReader(stream)
@@ -156,21 +166,21 @@ func TestFrameRoundTrip(t *testing.T) {
 	if c, err := parseCredit(next(frameCredit)); err != nil || c != (creditMsg{gen: 5, op: 6, inst: 7, credits: 8}) {
 		t.Fatalf("credit: %+v %v", c, err)
 	}
-	if d, err := parseDone(next(frameDone)); err != nil || d != (doneMsg{gen: 5, op: 6}) {
-		t.Fatalf("done: %+v %v", d, err)
+	if h, rest, err := parseDataHeader(next(frameData)); err != nil || h != (dataHeader{gen: 5, op: 6, inst: 7}) || len(rest) != 0 {
+		t.Fatalf("end-of-stream: %+v %d %v", h, len(rest), err)
 	}
 	if m, err := parseCtrl(next(frameReply)); err != nil || m.req != 44 || m.kind != 1 || string(m.body) != `{}` {
 		t.Fatalf("ctrl: %+v %v", m, err)
 	}
 	h, rest, err := parseDataHeader(next(frameData))
-	if err != nil || h.gen != 3 || h.op != 1 || h.inst != 2 || h.count != 3 {
+	if err != nil || h.gen != 3 || h.op != 1 || h.inst != 2 || h.count != uint32(len(recs)) {
 		t.Fatalf("data header: %+v %v", h, err)
 	}
 	for i, want := range recs {
 		key, _, val, r2, err := nextRecord(rest)
 		rest = r2
 		if err != nil || string(key) != want[0] || string(val) != want[1] {
-			t.Fatalf("record %d: key=%q val=%q err=%v", i, key, val, err)
+			t.Fatalf("record %d: %d-byte key, val=%q err=%v", i, len(key), val, err)
 		}
 	}
 	if len(rest) != 0 {

@@ -108,12 +108,8 @@ func (h *host) deployLocked(gen uint32, par dataflow.Parallelism, tables map[str
 		first:       newFirstRecord(),
 	}
 
-	// Input queues and close-cascade bookkeeping: each non-source
-	// operator's channels close once all of its upstream instances
-	// have exited, so records drain fully before downstream workers
-	// stop.
+	// Input queues, one per hosted non-source instance.
 	chans := make(map[string][]chan *batch, g.NumOperators())
-	inWGs := make(map[string]*sync.WaitGroup, g.NumOperators())
 	// One router per keyed operator per deployment, over the table the
 	// shares were dealt by, so a key's records and its state can never
 	// disagree on the owning instance — in any process: the table is the
@@ -122,19 +118,16 @@ func (h *host) deployLocked(gen uint32, par dataflow.Parallelism, tables map[str
 	dc := h.dist
 	hosted := func(op string, k int) bool { return dc == nil || dc.assign[op][k] == dc.worker }
 	// In a distributed deployment a receiver's channel also buffers the
-	// remote senders' credit windows: the transport read loop must be
-	// able to deliver every in-flight remote batch without blocking, so
-	// a slow consumer stalls its senders through the credit gate, never
-	// the shared read loop.
+	// remote senders' credit windows, so remote batches in flight alone
+	// never fill it. Local senders share it, though: behind a slow
+	// consumer the transport read loop can wait for a slot as they do.
 	capacity := h.cfg.ChannelCapacity
 	if dc != nil {
 		capacity += remoteWindow(&h.cfg) * (dc.workers - 1)
 	}
-	// Per downstream operator, the sender-side remote machinery: credit
-	// gates toward remotely hosted instances and the links that carry
-	// the close cascade's DONE frames.
+	// Per downstream operator, the sender-side credit gates toward
+	// remotely hosted instances.
 	remotes := make(map[string][]*remoteDest)
-	doneTo := make(map[string][]*link)
 	for i := 0; i < g.NumOperators(); i++ {
 		op := g.Operator(i)
 		if op.Role == dataflow.RoleSource {
@@ -144,17 +137,14 @@ func (h *host) deployLocked(gen uint32, par dataflow.Parallelism, tables map[str
 			routers[op.Name] = &router{n: par[op.Name], table: tables[op.Name]}
 		}
 		cs := make([]chan *batch, par[op.Name])
-		anyLocal := false
 		for k := range cs {
 			if hosted(op.Name, k) {
 				cs[k] = make(chan *batch, capacity)
-				anyLocal = true
 			}
 		}
 		chans[op.Name] = cs
 		if dc != nil {
 			rds := make([]*remoteDest, par[op.Name])
-			seenPeer := make(map[int]bool)
 			for k := range rds {
 				w := dc.assign[op.Name][k]
 				if w == dc.worker {
@@ -165,31 +155,9 @@ func (h *host) deployLocked(gen uint32, par dataflow.Parallelism, tables map[str
 					tokens <- struct{}{}
 				}
 				rds[k] = &remoteDest{link: dc.peers[w], opID: uint16(i), inst: uint16(k), tokens: tokens}
-				if !seenPeer[w] {
-					seenPeer[w] = true
-					doneTo[op.Name] = append(doneTo[op.Name], dc.peers[w])
-				}
 			}
 			remotes[op.Name] = rds
 		}
-		if !anyLocal {
-			continue // close cascade and input wiring live where the instances do
-		}
-		up := 0
-		for _, u := range g.Upstream(i) {
-			up += par[g.Operator(u).Name]
-		}
-		wg := new(sync.WaitGroup)
-		wg.Add(up)
-		inWGs[op.Name] = wg
-		go func(wg *sync.WaitGroup, cs []chan *batch) {
-			wg.Wait()
-			for _, c := range cs {
-				if c != nil {
-					close(c)
-				}
-			}
-		}(wg, cs)
 	}
 
 	for i := 0; i < g.NumOperators(); i++ {
@@ -205,13 +173,10 @@ func (h *host) deployLocked(gen uint32, par dataflow.Parallelism, tables map[str
 				enc:    appendEncoder(spec.Codec),
 				router: routers[down.Name],
 				chans:  chans[down.Name],
-				done:   inWGs[down.Name],
 			}
 			if dc != nil {
-				oe.opID = uint16(d)
 				oe.gen = dc.gen
 				oe.remote = remotes[down.Name]
-				oe.doneLinks = doneTo[down.Name]
 			}
 			outs = append(outs, oe)
 		}
@@ -267,6 +232,9 @@ func (h *host) deployLocked(gen uint32, par dataflow.Parallelism, tables map[str
 			} else {
 				in.spec = h.pipe.ops[op.Name]
 				in.in = chans[op.Name][k]
+				for _, u := range g.Upstream(i) {
+					in.upstream += par[g.Operator(u).Name]
+				}
 				if in.spec.Keyed {
 					in.state = shares[op.Name][k]
 				}
@@ -276,23 +244,20 @@ func (h *host) deployLocked(gen uint32, par dataflow.Parallelism, tables map[str
 	}
 
 	if dc != nil {
-		// Publish the receive table before any instance runs: DATA,
-		// DONE and CREDIT frames for this generation may arrive the
-		// moment the coordinator releases the start gates, and the
-		// transport's read loops resolve everything through this one
-		// atomic pointer.
+		// Publish the receive table before any instance runs: DATA and
+		// CREDIT frames for this generation may arrive the moment the
+		// coordinator releases the start gates, and the transport's read
+		// loops resolve everything through this one atomic pointer.
 		numOps := g.NumOperators()
 		rt := &recvTable{
 			gen:     dc.gen,
 			host:    h,
 			chans:   make([][]chan *batch, numOps),
-			wgs:     make([]*sync.WaitGroup, numOps),
 			credits: make([][]chan struct{}, numOps),
 		}
 		for i := 0; i < numOps; i++ {
 			name := g.Operator(i).Name
 			rt.chans[i] = chans[name]
-			rt.wgs[i] = inWGs[name]
 			if rds := remotes[name]; rds != nil {
 				pools := make([]chan struct{}, len(rds))
 				for k, rd := range rds {
@@ -346,8 +311,9 @@ func (h *host) deploy(gen uint32, par dataflow.Parallelism, snap *snapshot, tr *
 	return err
 }
 
-// drain implements placement: stop the sources and wait for the close
-// cascade to process every in-flight record. The quiesced instances'
+// drain implements placement: stop the sources and wait for every
+// instance to exit, each once its upstream instances' end-of-stream
+// markers are in, so every in-flight record is processed. The quiesced instances'
 // state maps go into the snapshot indexed by instance — their goroutines
 // have exited, so the maps are safe to read, and nil marks an instance
 // another worker hosts — beside the routers they ran under and this

@@ -153,10 +153,6 @@ func (l *link) sendCredit(m creditMsg) {
 	l.send(func(dst []byte) []byte { return appendCredit(dst, m) })
 }
 
-func (l *link) sendDone(m doneMsg) {
-	l.send(func(dst []byte) []byte { return appendDone(dst, m) })
-}
-
 func (l *link) sendHello(m helloMsg) {
 	l.send(func(dst []byte) []byte { return appendHello(dst, m) })
 }
@@ -169,8 +165,9 @@ func (l *link) sendCtrl(typ byte, m ctrlMsg) {
 // buffer — the encode-at-flush path of the in-process exchange, with
 // the socket buffer as the destination. Values still held as `any` are
 // appended through the receiving operator's encoder; already-encoded
-// records are copied from the batch buffer.
-func (l *link) sendData(gen uint32, opID, inst uint16, b *batch, enc AppendEncoder) error {
+// records are copied from the batch buffer. endOfStream, which holds no
+// records, goes out as the frame with none.
+func (l *link) sendData(gen uint32, opID, inst uint16, b *batch, enc AppendEncoder) {
 	l.mu.Lock()
 	dst, off := beginFrame(l.wbuf, frameData)
 	dst = appendU32(dst, gen)
@@ -179,13 +176,7 @@ func (l *link) sendData(gen uint32, opID, inst uint16, b *batch, enc AppendEncod
 	dst = appendU32(dst, uint32(len(b.msgs)))
 	for k := range b.msgs {
 		m := &b.msgs[k]
-		if len(m.key) > 0xFFFF {
-			l.mu.Unlock()
-			err := fmt.Errorf("streamrt: record key %d bytes exceeds frame limit", len(m.key))
-			l.close(err)
-			return err
-		}
-		dst = appendU16(dst, uint16(len(m.key)))
+		dst = appendU32(dst, uint32(len(m.key)))
 		dst = append(dst, m.key...)
 		var nano int64
 		if !m.src.IsZero() {
@@ -205,7 +196,6 @@ func (l *link) sendData(gen uint32, opID, inst uint16, b *batch, enc AppendEncod
 	l.mu.Unlock()
 	l.stats.txFrames.Inc()
 	l.signal()
-	return nil
 }
 
 func putU32(dst []byte, v uint32) {
@@ -251,22 +241,20 @@ type recvOrigin struct {
 }
 
 // recvTable is one deployment generation's receive-side routing: which
-// channel each (operator, instance) hosted here feeds, which WaitGroup
-// counts upstream exits, and which token pools take returned credits.
-// The transport swaps it atomically at deploy, so read loops never take
-// a lock.
+// channel each (operator, instance) hosted here feeds, and which token
+// pools take returned credits. The transport swaps it atomically at
+// deploy, so read loops never take a lock.
 type recvTable struct {
 	gen     uint32
 	host    *host
 	chans   [][]chan *batch   // [opID][globalInstance]; nil when not hosted here
-	wgs     []*sync.WaitGroup // [opID]; nil when op not hosted here
 	credits [][]chan struct{} // [opID][globalInstance]; sender-side token pools
 }
 
 // transport owns a worker's listener and its links: dialed data links
-// to peers (data+done out, credits in), accepted data links from peers
-// (data+done in, credits out), and accepted control connections from
-// the coordinator.
+// to peers (data out, credits in), accepted data links from peers (data
+// in, credits out), and accepted control connections from the
+// coordinator.
 type transport struct {
 	worker uint32
 	lis    net.Listener
@@ -432,8 +420,8 @@ func (tr *transport) dialPeer(peer uint32, addr string) (*link, error) {
 	return l, nil
 }
 
-// dataReadLoop consumes DATA and DONE frames from an accepted peer
-// link, decoding batches into the current deployment's input channels.
+// dataReadLoop consumes DATA frames from an accepted peer link,
+// decoding them into the current deployment's input channels.
 func (tr *transport) dataReadLoop(l *link, br *bufio.Reader, buf []byte) {
 	intern := make(map[string]string)
 	for {
@@ -445,38 +433,22 @@ func (tr *transport) dataReadLoop(l *link, br *bufio.Reader, buf []byte) {
 		}
 		l.stats.rxBytes.Add(uint64(len(payload) + 5))
 		l.stats.rxFrames.Inc()
-		switch typ {
-		case frameData:
-			if err := tr.handleData(l, payload, intern); err != nil {
-				l.close(err)
-				return
-			}
-		case frameDone:
-			m, err := parseDone(payload)
-			if err != nil {
-				l.close(err)
-				return
-			}
-			rt := tr.recv.Load()
-			if rt == nil || m.gen != rt.gen {
-				continue // straggler from a drained generation
-			}
-			if int(m.op) >= len(rt.wgs) || rt.wgs[m.op] == nil {
-				l.close(fmt.Errorf("streamrt: DONE for unhosted operator %d", m.op))
-				return
-			}
-			rt.wgs[m.op].Done()
-		default:
+		if typ != frameData {
 			l.close(fmt.Errorf("streamrt: unexpected frame type %d on data link", typ))
+			return
+		}
+		if err := tr.handleData(l, payload, intern); err != nil {
+			l.close(err)
 			return
 		}
 	}
 }
 
-// handleData decodes one DATA frame into a pooled batch and delivers it
-// to the destination instance's input channel. Credit sizing guarantees
-// channel space, so the send cannot block behind a slow consumer for
-// longer than the consumer itself takes.
+// handleData delivers one DATA frame to the destination instance's input
+// channel: its records as a pooled batch, or, for a frame with none, the
+// end-of-stream marker. The send waits for a channel slot as a local
+// sender's does: credit sizing keeps remote batches in flight from
+// filling the channel, but not the local senders that share it.
 func (tr *transport) handleData(l *link, payload []byte, intern map[string]string) error {
 	h, recs, err := parseDataHeader(payload)
 	if err != nil {
@@ -487,13 +459,18 @@ func (tr *transport) handleData(l *link, payload []byte, intern map[string]strin
 		return nil // straggler from a drained generation: drop
 	}
 	if h.gen > rt.gen {
-		return fmt.Errorf("streamrt: data frame for future generation %d (at %d)", h.gen, rt.gen)
+		return fmt.Errorf("streamrt: data frame for operator %d instance %d: future generation %d (at %d)", h.op, h.inst, h.gen, rt.gen)
 	}
 	if int(h.op) >= len(rt.chans) || rt.chans[h.op] == nil {
-		return fmt.Errorf("streamrt: data frame for unhosted operator %d", h.op)
+		return fmt.Errorf("streamrt: data frame for operator %d instance %d: operator not hosted here", h.op, h.inst)
 	}
 	if int(h.inst) >= len(rt.chans[h.op]) || rt.chans[h.op][h.inst] == nil {
-		return fmt.Errorf("streamrt: data frame for unhosted instance %d/%d", h.op, h.inst)
+		return fmt.Errorf("streamrt: data frame for operator %d instance %d: instance not hosted here", h.op, h.inst)
+	}
+	if h.count == 0 && len(recs) == 0 {
+		// Carries no origin: a marker took no credit and returns none.
+		rt.chans[h.op][h.inst] <- endOfStream
+		return nil
 	}
 	b := rt.host.getBatch()
 	for i := uint32(0); i < h.count; i++ {

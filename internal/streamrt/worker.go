@@ -37,17 +37,24 @@ type batch struct {
 	from recvOrigin
 }
 
+// endOfStream is the end-of-stream marker. An exiting instance sends it
+// to every instance of every downstream operator after its last flush —
+// down the channel, or as a DATA frame with no records — and an instance
+// exits once it has received one per upstream instance. It is shared by
+// every channel, so it never enters the pool (putBatch), and it is not a
+// windowed tick's empty batch, which does.
+var endOfStream = &batch{}
+
 // outEdge is one instance's view of a downstream operator: where to
-// send, how to partition, and how to signal exit for the close
-// cascade. Each instance owns its copy (the round-robin cursor and the
-// pending batches are worker-goroutine state and must not be shared).
+// send and how to partition. Each instance owns its copy (the
+// round-robin cursor and the pending batches are worker-goroutine state
+// and must not be shared).
 type outEdge struct {
 	op     string
 	keyed  bool
 	enc    AppendEncoder // the receiving operator's codec (see appendEncoder); nil without one
 	router *router       // key -> instance, shared with state repartitioning
 	chans  []chan *batch
-	done   *sync.WaitGroup
 	rr     int
 	// Distributed deployments only. remote[k] is the credit gate for
 	// target instance k when it lives on another worker (nil for local
@@ -56,13 +63,9 @@ type outEdge struct {
 	// included — favouring local targets would concentrate load on the
 	// sender's worker and break the uniform per-instance rates the
 	// policy model assumes (a lone source would starve every remote
-	// instance of its downstream operator). doneLinks are the links to
-	// every peer worker hosting the downstream operator, for the close
-	// cascade; done is nil when no downstream instance is local.
-	opID      uint16
-	gen       uint32
-	remote    []*remoteDest
-	doneLinks []*link
+	// instance of its downstream operator).
+	gen    uint32
+	remote []*remoteDest
 	// pend holds the partially filled outgoing batch per target
 	// instance. A batch is flushed when it reaches Config.BatchSize,
 	// when the sender goes idle or sleeps, when FlushInterval has
@@ -189,9 +192,10 @@ type instance struct {
 	startGate <-chan struct{}
 
 	// operators
-	spec  *OperatorSpec
-	in    chan *batch
-	state map[string]any // keyed per-key state (this instance's share)
+	spec     *OperatorSpec
+	in       chan *batch
+	upstream int            // upstream instances: the end-of-stream markers to await
+	state    map[string]any // keyed per-key state (this instance's share)
 
 	outs []outEdge
 
@@ -250,25 +254,25 @@ func (in *instance) work(cost time.Duration) {
 }
 
 // drainExit is every worker loop's deferred epilogue: push out partial
-// batches (exactly-once across rescales requires the drain cascade to
-// flush batches in flight before the snapshot) and the remaining local
-// instrumentation, then run the instance's side of the close cascade:
-// one Done per downstream operator, matching the Add of its
-// upstream-instance count.
+// batches (exactly-once across rescales requires the drain to flush
+// batches in flight before the snapshot) and the remaining local
+// instrumentation, then send every downstream instance its
+// end-of-stream marker. Channels and links are FIFO, so a marker cannot
+// overtake the flushes just made.
 func (in *instance) drainExit() {
 	in.flushPending(flushExit)
 	in.acc.merge(&in.local)
 	for i := range in.outs {
 		oe := &in.outs[i]
-		if oe.done != nil {
-			oe.done.Done()
-		}
-		// Cross-process close cascade: every peer worker hosting the
-		// downstream operator counts this instance in its WaitGroup
-		// too. Links are FIFO, so the DONE frame cannot overtake the
-		// flushes just written.
-		for _, l := range oe.doneLinks {
-			l.sendDone(doneMsg{gen: oe.gen, op: oe.opID})
+		for k, c := range oe.chans {
+			if c != nil {
+				c <- endOfStream
+				continue
+			}
+			// A marker takes no credit: it is one frame per upstream
+			// instance, sent once.
+			rd := oe.remote[k]
+			rd.link.sendData(oe.gen, rd.opID, rd.inst, endOfStream, nil)
 		}
 	}
 }
@@ -409,19 +413,20 @@ func (in *instance) idleFlush() {
 // nextBatch returns the next input batch, flushing pending output and
 // local instrumentation before blocking. When tick (a windowed
 // instance's; nil otherwise) fires first the batch is an empty one: its
-// record step adds nothing and fires what has come due.
-func (in *instance) nextBatch(tick <-chan time.Time) (*batch, bool) {
+// record step adds nothing and fires what has come due. The batch may be
+// endOfStream.
+func (in *instance) nextBatch(tick <-chan time.Time) *batch {
 	select {
-	case b, ok := <-in.in:
-		return b, ok
+	case b := <-in.in:
+		return b
 	default:
 	}
 	in.idleFlush()
 	select {
-	case b, ok := <-in.in:
-		return b, ok
+	case b := <-in.in:
+		return b
 	case <-tick:
-		return in.host.getBatch(), true
+		return in.host.getBatch()
 	}
 }
 
@@ -512,15 +517,20 @@ func (in *instance) runOperator() {
 		defer ticker.Stop()
 		step, tick = in.paneRecords, ticker.C
 	}
+	owed := in.upstream
 	for {
 		t0 := time.Now()
-		b, ok := in.nextBatch(tick)
+		b := in.nextBatch(tick)
 		t1 := time.Now()
 		in.local.Dur.WaitingInput += t1.Sub(t0)
-		if !ok {
-			// Drain. Open panes stay in the keyed state: the teardown
-			// snapshot (rescale or stop) carries them on.
-			return
+		if b == endOfStream {
+			// Drained once every upstream instance has exited. Open
+			// panes stay in the keyed state: the teardown snapshot
+			// (rescale or stop) carries them on.
+			if owed--; owed == 0 {
+				return
+			}
+			continue
 		}
 		vals, t1 := in.decodeBatch(b, t1)
 		emitted0 := in.emitted()
