@@ -39,10 +39,13 @@ bench-test:
 	cd benchmarks && $(GO) vet ./... && $(GO) test ./...
 
 # One iteration of every paper-figure and micro benchmark in
-# bench_test.go — the CI guard that keeps the reproduction suite
-# compiling and running without paying full measurement time.
+# bench_test.go, and of the reconfiguration path's per-layer benchmarks
+# in internal/streamrt (deal, savepoint encode; ns/key) — the CI guard
+# that keeps them compiling and running without paying full
+# measurement time.
 bench-smoke:
 	$(GO) test -run XXX -bench . -benchtime 1x -benchmem .
+	$(GO) test -run XXX -bench 'Deal|SavepointEncode' -benchtime 1x ./internal/streamrt
 
 # The numbers a PR that touches performance reports: N alternating pairs
 # of `benchmarks/run.sh --workload $(W)` runs, a clone of BASE against

@@ -426,7 +426,7 @@ func main() {
 			len(workerMetricsURLs), len(want))
 	}
 	if *requireRescaleTrace {
-		phases := []string{"drain", "snapshot", "restart", "first_record"}
+		phases := []string{"drain", "snapshot", "router_rebuild", "restart", "first_record"}
 		if *workers > 0 {
 			phases = []string{"drain", "snapshot", "router_rebuild", "transfer", "restart", "first_record"}
 		}

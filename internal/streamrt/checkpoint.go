@@ -66,9 +66,10 @@ func (s *MemoryStore) Load(name string) ([]byte, error) {
 }
 
 // DirStore is a directory-backed CheckpointStore. Save writes the blob
-// to a temporary file in the same directory, fsyncs it, and renames it
-// into place — the atomic-publish idiom, so a crash mid-save leaves
-// the previous savepoint intact and a Load never observes a torn file.
+// to a temporary file in the same directory, fsyncs it, renames it into
+// place and fsyncs the directory — the atomic-publish idiom, so a crash
+// mid-save leaves the previous savepoint intact, a Load never observes a
+// torn file, and a savepoint Save reported survives a power loss.
 type DirStore struct{ dir string }
 
 // NewDirStore creates dir if needed and returns a store over it.
@@ -106,7 +107,23 @@ func (s *DirStore) Save(name string, data []byte) (err error) {
 	if err != nil {
 		return err
 	}
-	return os.Rename(tmp, filepath.Join(s.dir, name))
+	if err := os.Rename(tmp, filepath.Join(s.dir, name)); err != nil {
+		return err
+	}
+	return syncDir(s.dir)
+}
+
+// syncDir fsyncs directory dir, making the renames into it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // Load implements CheckpointStore.
@@ -133,9 +150,12 @@ func (s *DirStore) Load(name string) ([]byte, error) {
 //	nOps ×  (name string, nKeys uvarint, nKeys × (key string, blob))
 //	crc32    u32              // IEEE, over everything above
 //
-// Names and keys are written in strictly increasing order, and the
-// reader requires it of keys: a restore cuts each operator's keys as
-// they lie in the file, without sorting them again.
+// Names are written in strictly increasing order, and an operator's keys
+// in strictly increasing (keyGroup(key), key) order, which the reader
+// requires: identical state gives identical bytes. The group count and
+// keyGroup are part of the format, so changing either is a version bump.
+// Version 1, whose keys are in strictly increasing key order, is still
+// read; a restore cuts either version's keys as they lie (see cut).
 //
 // Per-key state blobs are encodeOpState's output — the operator's
 // StateCodec bytes, wrapped in the canonical window encoding for
@@ -150,7 +170,9 @@ func (s *DirStore) Load(name string) ([]byte, error) {
 
 var savepointMagic = [8]byte{'D', 'S', '2', 'S', 'A', 'V', 'E', '0'}
 
-const savepointVersion = 1
+// savepointVersion is the version encodeSavepoint writes; decodeSavepoint
+// also reads version 1.
+const savepointVersion = 2
 
 // savepointData is the decoded form of one savepoint file.
 type savepointData struct {
@@ -160,8 +182,8 @@ type savepointData struct {
 	Elapsed  float64
 	Seqs     map[string][]int64 // source -> per-rank local counters
 	// States is, per operator, the file's run of (key, encoded state) in
-	// strictly increasing key order, as decodeSavepoint read it; the
-	// states alias the file. encodeSavepoint takes drained parts instead.
+	// the file's order, as decodeSavepoint read it; the states alias the
+	// file. encodeSavepoint takes drained parts instead.
 	States map[string][]entry[[]byte]
 }
 
@@ -181,11 +203,12 @@ func appendSpString(buf []byte, s string) []byte {
 
 // encodeSavepoint serializes the header fields of sp and the drained
 // state in one pass: per operator the (key, state) pairs of every part
-// are collected and sorted once — identical state gives identical bytes
-// whatever the part boundaries and map iteration order — and each state
-// goes through enc (encodeOpState for values, the identity for bytes a
-// worker already encoded) straight into the file buffer. A failing or
-// panicking StateCodec is reported naming operator and key.
+// are collected and put in (group, key) order once (byGroup) — identical
+// state gives identical bytes whatever the part boundaries and map
+// iteration order — and each state goes through enc (encodeOpState for
+// values, the identity for bytes a worker already encoded) straight into
+// the file buffer. A failing or panicking StateCodec is reported naming
+// operator and key.
 func encodeSavepoint[V any](pipe *Pipeline, sp *savepointData, states parts[V], enc func(*OperatorSpec, V) ([]byte, error)) (_ []byte, err error) {
 	var op, key string
 	defer recoverCodec("encoding", &op, &key, &err)
@@ -211,7 +234,7 @@ func encodeSavepoint[V any](pipe *Pipeline, sp *savepointData, states parts[V], 
 			return nil, fmt.Errorf("streamrt: state for unknown operator %q", op)
 		}
 		run := gather(states[op])
-		sortRun(run)
+		byGroup(run)
 		keyBytes := 0
 		for _, e := range run {
 			keyBytes += len(e.key)
@@ -298,12 +321,13 @@ func (r *spReader) f64(field string) (float64, error) {
 	return v, nil
 }
 
-// decodeSavepoint parses and validates one savepoint file. It is
-// purely structural — no user codec runs — and total: any input either
-// decodes or returns an error naming the failing field. Each operator's
-// state is the file's run, its states aliasing data, and a key not
-// greater than the one before it is refused. Per key it allocates the
-// key string only: field names are formatted only when a read fails.
+// decodeSavepoint parses and validates one savepoint file of version 1
+// or 2. It is purely structural — no user codec runs — and total: any
+// input either decodes or returns an error naming the failing field.
+// Each operator's state is the file's run, its states aliasing data, and
+// a key not after the one before it in the version's order is refused.
+// Per key it allocates the key string only: field names are formatted
+// only when a read fails.
 func decodeSavepoint(data []byte) (*savepointData, error) {
 	header := len(savepointMagic) + 2
 	if len(data) < header+4 {
@@ -312,8 +336,9 @@ func decodeSavepoint(data []byte) (*savepointData, error) {
 	if !bytes.Equal(data[:len(savepointMagic)], savepointMagic[:]) {
 		return nil, errors.New("streamrt: savepoint: bad magic; not a savepoint file")
 	}
-	if v := binary.BigEndian.Uint16(data[len(savepointMagic):header]); v != savepointVersion {
-		return nil, fmt.Errorf("streamrt: savepoint: format version %d; this build reads version %d", v, savepointVersion)
+	version := binary.BigEndian.Uint16(data[len(savepointMagic):header])
+	if version != 1 && version != savepointVersion {
+		return nil, fmt.Errorf("streamrt: savepoint: format version %d; this build reads versions 1 and %d", version, savepointVersion)
 	}
 	body, sum := data[:len(data)-4], binary.BigEndian.Uint32(data[len(data)-4:])
 	if got := crc32.ChecksumIEEE(body); got != sum {
@@ -398,17 +423,23 @@ func decodeSavepoint(data []byte) (*savepointData, error) {
 			return nil, err
 		}
 		run := make([]entry[[]byte], nKeys)
+		// Version 1 orders keys alone: every key counts as group 0.
+		group, prev := 0, 0
 		for k := range run {
 			key, err := r.str("state key length")
 			if err != nil {
 				return nil, fmt.Errorf("%w (operator %q, key #%d)", err, op, k)
 			}
-			if k > 0 && key <= run[k-1].key {
+			if version != 1 {
+				group = keyGroup(key)
+			}
+			if k > 0 && (group < prev || group == prev && key <= run[k-1].key) {
 				if key == run[k-1].key {
 					return nil, fmt.Errorf("streamrt: savepoint: operator %q has duplicate key %q", op, key)
 				}
 				return nil, fmt.Errorf("streamrt: savepoint: operator %q has key %q out of order, after %q", op, key, run[k-1].key)
 			}
+			prev = group
 			blob, err := r.blob("state length")
 			if err != nil {
 				return nil, fmt.Errorf("%w (operator %q, key %q)", err, op, key)

@@ -5,8 +5,8 @@ package streamrt
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"math"
@@ -15,7 +15,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
-	"sort"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -34,16 +34,30 @@ func sampleSavepoint() *savepointData {
 			"ticks": {17},
 		},
 		States: map[string][]entry[[]byte]{
-			"count": {{"k00", []byte{1, 2, 3}}, {"k01", []byte{7}}, {"k02", []byte{0xFF}}},
+			"count": inGroupOrder([]entry[[]byte]{{"k00", []byte{1, 2, 3}}, {"k01", []byte{7}}, {"k02", []byte{0xFF}}}),
 			"join":  {},
 		},
 	}
 }
 
+// inGroupOrder sorts run by (key group, key), the order a version 2 file
+// holds an operator's keys in.
+func inGroupOrder[V any](run []entry[V]) []entry[V] {
+	slices.SortFunc(run, func(a, b entry[V]) int {
+		return cmp.Or(cmp.Compare(keyGroup(a.key), keyGroup(b.key)), strings.Compare(a.key, b.key))
+	})
+	return run
+}
+
 // encodeDecoded runs the encoder over a decoded savepoint the way the
 // remote placement does: the States are bytes already, one part per
 // operator, and every operator they name exists.
-func encodeDecoded(sp *savepointData) []byte {
+func encodeDecoded(sp *savepointData) []byte { return encodeDecodedBy(encodeSavepoint[[]byte], sp) }
+
+// encodeDecodedV1 is encodeDecoded writing a version 1 file.
+func encodeDecodedV1(sp *savepointData) []byte { return encodeDecodedBy(encodeSavepointV1[[]byte], sp) }
+
+func encodeDecodedBy(encode func(*Pipeline, *savepointData, parts[[]byte], func(*OperatorSpec, []byte) ([]byte, error)) ([]byte, error), sp *savepointData) []byte {
 	pipe := &Pipeline{ops: make(map[string]*OperatorSpec, len(sp.States))}
 	states := make(parts[[]byte], len(sp.States))
 	for op, run := range sp.States {
@@ -54,7 +68,7 @@ func encodeDecoded(sp *savepointData) []byte {
 		}
 		states[op] = []map[string][]byte{kv}
 	}
-	data, err := encodeSavepoint(pipe, sp, states, func(_ *OperatorSpec, b []byte) ([]byte, error) { return b, nil })
+	data, err := encode(pipe, sp, states, sameBytes)
 	if err != nil {
 		panic(err)
 	}
@@ -86,7 +100,10 @@ func refixCRC(data []byte) []byte {
 }
 
 func TestSavepointDecodeRejectsCorruption(t *testing.T) {
-	valid := encodeDecoded(sampleSavepoint())
+	valid := encodeDecodedV1(sampleSavepoint())
+	validV2 := encodeDecoded(sampleSavepoint())
+	// The first two keys of the version 2 file, in its order.
+	k0, k1 := sampleSavepoint().States["count"][0].key, sampleSavepoint().States["count"][1].key
 	cases := []struct {
 		name string
 		data []byte
@@ -109,7 +126,7 @@ func TestSavepointDecodeRejectsCorruption(t *testing.T) {
 			d := append([]byte(nil), valid...)
 			binary.BigEndian.PutUint16(d[8:10], savepointVersion+1)
 			return refixCRC(d)
-		}(), "format version 2; this build reads version 1"},
+		}(), "format version 3; this build reads versions 1 and 2"},
 		{"trailing bytes", refixCRC(append(append([]byte(nil), valid[:len(valid)-4]...), 0, 0, 0, 0xAA, 0xBB, 0xCC, 0xDD)), "trailing bytes"},
 		{"oversized count", func() []byte {
 			// Workload "", 1 worker, block 1, elapsed 0, then a source
@@ -126,21 +143,23 @@ func TestSavepointDecodeRejectsCorruption(t *testing.T) {
 		{"zero workers", func() []byte {
 			sp := sampleSavepoint()
 			sp.Workers = 0
-			return refixCRC(encodeDecoded(sp))
+			return refixCRC(encodeDecodedV1(sp))
 		}(), "worker count 0 outside [1, 65535]"},
 		{"negative counter", func() []byte {
 			sp := sampleSavepoint()
 			sp.Seqs = map[string][]int64{"src": {-3}}
 			sp.Workers = 1
-			return refixCRC(encodeDecoded(sp))
+			return refixCRC(encodeDecodedV1(sp))
 		}(), `source "src" rank 0 counter -3 is negative`},
 		{"rank overflow", func() []byte {
 			sp := sampleSavepoint()
 			sp.Workers = 1 // fewer workers than src's two seq ranks
-			return refixCRC(encodeDecoded(sp))
+			return refixCRC(encodeDecodedV1(sp))
 		}(), `source "src" has 2 seq ranks for 1 workers`},
 		{"duplicate key", renameKey(valid, "k01", "k00"), `operator "count" has duplicate key "k00"`},
 		{"keys out of order", renameKey(valid, "k00", "k05"), `operator "count" has key "k01" out of order`},
+		{"out of group order", swapKeys(validV2, k0, k1), fmt.Sprintf(`operator "count" has key %q out of order, after %q`, k0, k1)},
+		{"duplicate key within a group", renameKey(validV2, k1, k0), fmt.Sprintf(`operator "count" has duplicate key %q`, k0)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -163,14 +182,24 @@ func renameKey(data []byte, from, to string) []byte {
 	return refixCRC(d)
 }
 
+// swapKeys exchanges the names of keys a and b, of the same length, in a
+// savepoint file and refixes the CRC.
+func swapKeys(data []byte, a, b string) []byte {
+	d := append([]byte(nil), data...)
+	i, j := bytes.Index(d, []byte(a)), bytes.Index(d, []byte(b))
+	copy(d[i:], b)
+	copy(d[j:], a)
+	return refixCRC(d)
+}
+
 func FuzzSavepointDecode(f *testing.F) {
-	f.Add(encodeDecoded(sampleSavepoint()))
-	f.Add(encodeDecoded(&savepointData{
+	f.Add(encodeDecodedV1(sampleSavepoint()))
+	f.Add(encodeDecodedV1(&savepointData{
 		Workers: 1, SeqBlock: 1,
 		Seqs:   map[string][]int64{"s": {0}},
 		States: map[string][]entry[[]byte]{},
 	}))
-	valid := encodeDecoded(sampleSavepoint())
+	valid := encodeDecodedV1(sampleSavepoint())
 	f.Add(valid[:len(valid)-6])
 	f.Add(refixCRC(append(append([]byte(nil), valid[:len(valid)-4]...), 0x01)))
 	for _, cut := range []int{0, 1, 9, 11} {
@@ -178,15 +207,20 @@ func FuzzSavepointDecode(f *testing.F) {
 	}
 	f.Add(renameKey(valid, "k01", "k00"))
 	f.Add(renameKey(valid, "k00", "k05"))
+	f.Add(encodeDecoded(sampleSavepoint()))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Total: any input either decodes or errors — never panics.
 		sp, err := decodeSavepoint(data)
 		if err != nil {
 			return
 		}
-		// Anything accepted must re-encode canonically and survive a
-		// second decode unchanged.
-		again, err := decodeSavepoint(encodeDecoded(sp))
+		// Anything accepted must re-encode canonically in its version and
+		// survive a second decode unchanged.
+		encode := encodeDecoded
+		if binary.BigEndian.Uint16(data[8:10]) == 1 {
+			encode = encodeDecodedV1
+		}
+		again, err := decodeSavepoint(encode(sp))
 		if err != nil {
 			t.Fatalf("re-encode of an accepted savepoint failed to decode: %v", err)
 		}
@@ -196,10 +230,86 @@ func FuzzSavepointDecode(f *testing.F) {
 	})
 }
 
+// encodeSavepointV1 and sortRun are the version 1 encoder, kept word for
+// word as the reference for the files every earlier build wrote: gather
+// each operator's pairs, sort them by key, write them.
+
+// savepointV1 is the version encodeSavepointV1 writes.
+const savepointV1 = 1
+
+func sortRun[V any](run []entry[V]) {
+	slices.SortFunc(run, func(a, b entry[V]) int { return strings.Compare(a.key, b.key) })
+}
+
+// encodeSavepointV1 serializes the header fields of sp and the drained
+// state in one pass: per operator the (key, state) pairs of every part
+// are collected and sorted once — identical state gives identical bytes
+// whatever the part boundaries and map iteration order — and each state
+// goes through enc (encodeOpState for values, the identity for bytes a
+// worker already encoded) straight into the file buffer. A failing or
+// panicking StateCodec is reported naming operator and key.
+func encodeSavepointV1[V any](pipe *Pipeline, sp *savepointData, states parts[V], enc func(*OperatorSpec, V) ([]byte, error)) (_ []byte, err error) {
+	var op, key string
+	defer recoverCodec("encoding", &op, &key, &err)
+	buf := make([]byte, 0, 1024)
+	buf = append(buf, savepointMagic[:]...)
+	buf = binary.BigEndian.AppendUint16(buf, savepointV1)
+	buf = appendSpString(buf, sp.Workload)
+	buf = binary.AppendUvarint(buf, uint64(sp.Workers))
+	buf = binary.AppendUvarint(buf, uint64(sp.SeqBlock))
+	buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(sp.Elapsed))
+	buf = binary.AppendUvarint(buf, uint64(len(sp.Seqs)))
+	for _, name := range sortedKeys(sp.Seqs) {
+		buf = appendSpString(buf, name)
+		buf = binary.AppendUvarint(buf, uint64(len(sp.Seqs[name])))
+		for _, c := range sp.Seqs[name] {
+			buf = binary.AppendVarint(buf, c)
+		}
+	}
+	buf = binary.AppendUvarint(buf, uint64(len(states)))
+	for _, op = range sortedKeys(states) {
+		spec := pipe.ops[op]
+		if spec == nil {
+			return nil, fmt.Errorf("streamrt: state for unknown operator %q", op)
+		}
+		run := gather(states[op])
+		sortRun(run)
+		keyBytes := 0
+		for _, e := range run {
+			keyBytes += len(e.key)
+		}
+		// Room for the keys and, as a guess, 8 bytes of lengths and state
+		// a key: the buffer grows once per operator, not per doubling.
+		buf = slices.Grow(buf, keyBytes+8*len(run))
+		buf = appendSpString(buf, op)
+		buf = binary.AppendUvarint(buf, uint64(len(run)))
+		for _, e := range run {
+			key = e.key
+			b, err := enc(spec, e.val)
+			if err != nil {
+				return nil, fmt.Errorf("streamrt: encoding %s[%q]: %w", op, key, err)
+			}
+			buf = appendSpString(buf, key)
+			buf = binary.AppendUvarint(buf, uint64(len(b)))
+			buf = append(buf, b...)
+		}
+	}
+	return binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf)), nil
+}
+
+// fileV1 is snapshot.file writing a version 1 file.
+func fileV1(pipe *Pipeline, snap *snapshot, sp *savepointData) ([]byte, error) {
+	if snap.vals == nil {
+		return encodeSavepointV1(pipe, sp, snap.enc, sameBytes)
+	}
+	return encodeSavepointV1(pipe, sp, snap.vals, encodeOpState)
+}
+
 // encodeSavepointMap and refSavepointFile are the chain the one-pass
-// encoder replaced, kept word for word as its reference: encode every
-// part into a parts[[]byte], merge the parts into one map per operator,
-// then sort each map's keys and look every key up again.
+// encoder replaced, kept as its reference: encode every part into a
+// parts[[]byte], merge the parts into one map per operator, then order
+// each map's keys — by key for version 1, by (group, key) for version 2 —
+// and look every key up again.
 
 // savepointMapData is a savepoint with its state as the map-based chains
 // held it: operator -> key -> encoded state.
@@ -208,13 +318,13 @@ type savepointMapData struct {
 	States map[string]map[string][]byte
 }
 
-// encodeSavepointMap serializes sp. Map keys are sorted into the encoding
-// so identical snapshots produce identical bytes regardless of map
-// iteration order.
-func encodeSavepointMap(sp *savepointMapData) []byte {
+// encodeSavepointMap serializes sp as a file of the given version. Map
+// keys are ordered into the encoding so identical snapshots produce
+// identical bytes regardless of map iteration order.
+func encodeSavepointMap(sp *savepointMapData, version uint16) []byte {
 	buf := make([]byte, 0, 1024)
 	buf = append(buf, savepointMagic[:]...)
-	buf = binary.BigEndian.AppendUint16(buf, savepointVersion)
+	buf = binary.BigEndian.AppendUint16(buf, version)
 	buf = appendSpString(buf, sp.Workload)
 	buf = binary.AppendUvarint(buf, uint64(sp.Workers))
 	buf = binary.AppendUvarint(buf, uint64(sp.SeqBlock))
@@ -232,7 +342,11 @@ func encodeSavepointMap(sp *savepointMapData) []byte {
 		buf = appendSpString(buf, op)
 		kv := sp.States[op]
 		buf = binary.AppendUvarint(buf, uint64(len(kv)))
-		for _, k := range sortedKeys(kv) {
+		keys := sortedKeys(kv)
+		if version != 1 {
+			slices.SortStableFunc(keys, func(a, b string) int { return cmp.Compare(keyGroup(a), keyGroup(b)) })
+		}
+		for _, k := range keys {
 			buf = appendSpString(buf, k)
 			buf = binary.AppendUvarint(buf, uint64(len(kv[k])))
 			buf = append(buf, kv[k]...)
@@ -241,27 +355,45 @@ func encodeSavepointMap(sp *savepointMapData) []byte {
 	return binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
 }
 
-func refSavepointFile(t *testing.T, pipe *Pipeline, hdr savepointData, snap *snapshot) []byte {
+func refSavepointFile(t *testing.T, pipe *Pipeline, hdr savepointData, snap *snapshot, version uint16) []byte {
 	t.Helper()
 	enc, err := snap.bytes(pipe)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return encodeSavepointMap(&savepointMapData{hdr, mergeParts(enc)})
+	return encodeSavepointMap(&savepointMapData{hdr, mergeParts(enc)}, version)
+}
+
+// randomState draws a plain and a windowed operator's state: keys
+// distinct plain keys and keys/4 windowed ones.
+func randomState(rng *rand.Rand, keys int) (plain, win map[string]any) {
+	plain, win = make(map[string]any, keys), make(map[string]any, keys/4)
+	for k := 0; k < keys; k++ {
+		plain[fmt.Sprintf("p-%d", rng.Int63())] = rng.Intn(1 << 30)
+	}
+	for k := 0; k < keys/4; k++ {
+		ws := &WindowState{NextFire: rng.Int63n(1000) - 500, Panes: make(map[int64]any)}
+		for p := rng.Intn(6); p > 0; p-- {
+			ws.Panes[rng.Int63n(2000)-1000] = rng.Intn(1 << 20)
+		}
+		win[fmt.Sprintf("w-%d", rng.Int63())] = ws
+	}
+	return plain, win
 }
 
 // TestSavepointFileIsTheOldFile: over seeded random state — a plain and
 // a windowed operator, 0..5 parts each with empty and nil maps among
 // them, as values and as bytes — the one-pass encoder writes the file the
-// old chain wrote, byte for byte.
+// old chain writes in (group, key) order, byte for byte, and the version 1
+// encoder the one it writes in key order.
 func TestSavepointFileIsTheOldFile(t *testing.T) {
 	pipe := &Pipeline{ops: map[string]*OperatorSpec{
 		"plain": {Keyed: true, State: IntStateCodec{}},
 		"win":   {Keyed: true, State: IntStateCodec{}, Window: &WindowSpec{Size: time.Second}},
 	}}
 	rng := rand.New(rand.NewSource(24))
-	// randomParts spreads keys distinct keys of op over 0..5 parts.
-	randomParts := func(op string, keys int, state func() any) []map[string]any {
+	// randomParts spreads the keys of kv over 0..5 parts.
+	randomParts := func(kv map[string]any) []map[string]any {
 		list := make([]map[string]any, rng.Intn(6))
 		for i := range list {
 			if rng.Intn(4) > 0 {
@@ -274,8 +406,10 @@ func TestSavepointFileIsTheOldFile(t *testing.T) {
 				open = append(open, kv)
 			}
 		}
-		for k := 0; k < keys && len(open) > 0; k++ {
-			open[rng.Intn(len(open))][fmt.Sprintf("%s-%d", op, rng.Int63())] = state()
+		for _, k := range sortedKeys(kv) {
+			if len(open) > 0 {
+				open[rng.Intn(len(open))][k] = kv[k]
+			}
 		}
 		return list
 	}
@@ -291,31 +425,32 @@ func TestSavepointFileIsTheOldFile(t *testing.T) {
 			Elapsed:  rng.Float64() * 100,
 			Seqs:     map[string][]int64{"src": {rng.Int63n(1 << 40)}, "aux": {0}},
 		}
-		vals := parts[any]{
-			"plain": randomParts("plain", keys, func() any { return rng.Intn(1 << 30) }),
-			"win": randomParts("win", keys/4, func() any {
-				ws := &WindowState{NextFire: rng.Int63n(1000) - 500, Panes: make(map[int64]any)}
-				for p := rng.Intn(6); p > 0; p-- {
-					ws.Panes[rng.Int63n(2000)-1000] = rng.Intn(1 << 20)
-				}
-				return ws
-			}),
-		}
+		plain, win := randomState(rng, keys)
+		vals := parts[any]{"plain": randomParts(plain), "win": randomParts(win)}
 		if round%7 == 3 {
 			delete(vals, "win") // an operator no instance reported
 		}
 		for _, snap := range []*snapshot{{vals: vals}, {enc: mustBytes(t, pipe, vals)}} {
-			want := refSavepointFile(t, pipe, hdr, snap)
 			got, err := snap.file(pipe, &hdr)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(got, want) {
+			gotV1, err := fileV1(pipe, snap, &hdr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := refSavepointFile(t, pipe, hdr, snap, savepointVersion); !bytes.Equal(got, want) {
 				t.Fatalf("round %d (%d keys, values=%v): one-pass file differs from the old chain's (%d vs %d bytes)",
 					round, keys, snap.vals != nil, len(got), len(want))
 			}
-			if _, err := decodeSavepoint(got); err != nil {
-				t.Fatalf("round %d: %v", round, err)
+			if want := refSavepointFile(t, pipe, hdr, snap, 1); !bytes.Equal(gotV1, want) {
+				t.Fatalf("round %d (%d keys, values=%v): version 1 file differs from the old chain's (%d vs %d bytes)",
+					round, keys, snap.vals != nil, len(gotV1), len(want))
+			}
+			for _, file := range [][]byte{got, gotV1} {
+				if _, err := decodeSavepoint(file); err != nil {
+					t.Fatalf("round %d: %v", round, err)
+				}
 			}
 		}
 	}
@@ -330,245 +465,73 @@ func mustBytes(t *testing.T, pipe *Pipeline, vals parts[any]) parts[[]byte] {
 	return enc
 }
 
-// decodeSavepointMap and dealSearch are the restore chain that cutting
-// the file's runs replaced, kept word for word as its reference: decode
-// every key into a map, decode every state into a second map
-// (convertParts, still the worker's decode), then sort the keys again and
-// binary-search every key's owner.
-
-// decodeSavepointMap parses and validates one savepoint file. It is
-// purely structural — no user codec runs — and total: any input either
-// decodes or returns an error naming the failing field.
-func decodeSavepointMap(data []byte) (*savepointMapData, error) {
-	header := len(savepointMagic) + 2
-	if len(data) < header+4 {
-		return nil, fmt.Errorf("streamrt: savepoint: %d bytes is shorter than the smallest savepoint", len(data))
-	}
-	if !bytes.Equal(data[:len(savepointMagic)], savepointMagic[:]) {
-		return nil, errors.New("streamrt: savepoint: bad magic; not a savepoint file")
-	}
-	if v := binary.BigEndian.Uint16(data[len(savepointMagic):header]); v != savepointVersion {
-		return nil, fmt.Errorf("streamrt: savepoint: format version %d; this build reads version %d", v, savepointVersion)
-	}
-	body, sum := data[:len(data)-4], binary.BigEndian.Uint32(data[len(data)-4:])
-	if got := crc32.ChecksumIEEE(body); got != sum {
-		return nil, fmt.Errorf("streamrt: savepoint: checksum mismatch (have %08x, file says %08x); truncated or corrupted", got, sum)
-	}
-	r := &spReader{b: body[header:]}
-	sp := &savepointMapData{}
-	var err error
-	if sp.Workload, err = r.str("workload"); err != nil {
-		return nil, err
-	}
-	workers, err := r.uvarint("worker count")
-	if err != nil {
-		return nil, err
-	}
-	if workers < 1 || workers > 0xFFFF {
-		return nil, fmt.Errorf("streamrt: savepoint: worker count %d outside [1, 65535]", workers)
-	}
-	sp.Workers = int(workers)
-	seqBlock, err := r.uvarint("seq block size")
-	if err != nil {
-		return nil, err
-	}
-	if seqBlock < 1 || seqBlock > math.MaxInt64 {
-		return nil, fmt.Errorf("streamrt: savepoint: seq block size %d outside [1, 2^63)", seqBlock)
-	}
-	sp.SeqBlock = int64(seqBlock)
-	if sp.Elapsed, err = r.f64("elapsed time"); err != nil {
-		return nil, err
-	}
-	if math.IsNaN(sp.Elapsed) || sp.Elapsed < 0 {
-		return nil, fmt.Errorf("streamrt: savepoint: elapsed time %v is not a non-negative duration", sp.Elapsed)
-	}
-	nSrc, err := r.count("source count")
-	if err != nil {
-		return nil, err
-	}
-	sp.Seqs = make(map[string][]int64, nSrc)
-	for i := 0; i < nSrc; i++ {
-		name, err := r.str("source name")
-		if err != nil {
-			return nil, err
-		}
-		if _, dup := sp.Seqs[name]; dup {
-			return nil, fmt.Errorf("streamrt: savepoint: duplicate source %q", name)
-		}
-		nRanks, err := r.count(fmt.Sprintf("source %q rank count", name))
-		if err != nil {
-			return nil, err
-		}
-		if nRanks < 1 || nRanks > sp.Workers {
-			return nil, fmt.Errorf("streamrt: savepoint: source %q has %d seq ranks for %d workers", name, nRanks, sp.Workers)
-		}
-		counters := make([]int64, nRanks)
-		for rank := range counters {
-			c, err := r.varint(fmt.Sprintf("source %q rank %d counter", name, rank))
-			if err != nil {
-				return nil, err
-			}
-			if c < 0 {
-				return nil, fmt.Errorf("streamrt: savepoint: source %q rank %d counter %d is negative", name, rank, c)
-			}
-			counters[rank] = c
-		}
-		sp.Seqs[name] = counters
-	}
-	nOps, err := r.count("operator count")
-	if err != nil {
-		return nil, err
-	}
-	sp.States = make(map[string]map[string][]byte, nOps)
-	for i := 0; i < nOps; i++ {
-		op, err := r.str("operator name")
-		if err != nil {
-			return nil, err
-		}
-		if _, dup := sp.States[op]; dup {
-			return nil, fmt.Errorf("streamrt: savepoint: duplicate operator %q", op)
-		}
-		nKeys, err := r.count(fmt.Sprintf("operator %q key count", op))
-		if err != nil {
-			return nil, err
-		}
-		kv := make(map[string][]byte, nKeys)
-		for k := 0; k < nKeys; k++ {
-			key, err := r.str(fmt.Sprintf("operator %q state key", op))
-			if err != nil {
-				return nil, err
-			}
-			if _, dup := kv[key]; dup {
-				return nil, fmt.Errorf("streamrt: savepoint: operator %q has duplicate key %q", op, key)
-			}
-			if kv[key], err = r.blob(fmt.Sprintf("operator %q state for key %q", op, key)); err != nil {
-				return nil, err
-			}
-		}
-		sp.States[op] = kv
-	}
-	if len(r.b) != 0 {
-		return nil, fmt.Errorf("streamrt: savepoint: %d trailing bytes after the last operator", len(r.b))
-	}
-	return sp, nil
-}
-
-// dealSearch hands the keyed state in drained to the n instances of the
-// next generation: the key universe is sorted once and cut into n
-// contiguous runs, len/n keys each and one more for the first len%n
-// instances; one pass over the maps then files every key under the run
-// it falls in, in the table and in its owner's share.
-func dealSearch[V any](drained []map[string]V, n int) (table map[string]int, shares []map[string]V) {
-	total := 0
-	for _, p := range drained {
-		total += len(p)
-	}
-	var cuts []string // cuts[i] is the first key of instance i+1's run
-	if n > 1 && total > 0 {
-		keys := make([]string, 0, total)
-		for _, p := range drained {
-			for k := range p {
-				keys = append(keys, k)
-			}
-		}
-		sort.Strings(keys)
-		base, extra := total/n, total%n
-		for inst := 1; inst < n; inst++ {
-			// Instances past the last key own nothing and need no cut.
-			if at := inst*base + min(inst, extra); at < total {
-				cuts = append(cuts, keys[at])
-			}
-		}
-		table = make(map[string]int, total)
-	}
-	shares = make([]map[string]V, n)
-	for i := range shares {
-		shares[i] = make(map[string]V, total/n+1)
-	}
-	for _, p := range drained {
-		for k, v := range p {
-			// The owner is the number of cuts at or below k.
-			inst := sort.Search(len(cuts), func(i int) bool { return cuts[i] > k })
-			if table != nil {
-				table[k] = inst
-			}
-			shares[inst][k] = v
-		}
-	}
-	return table, shares
-}
-
-// TestRestoreDealIsTheOldDeal: over seeded savepoint files — a plain and
-// a windowed operator, 0..2000 keys, now and then an operator the file
-// does not hold — cutting the file's runs at every parallelism from 1 to
-// 33 gives the routing tables and shares the old chain gave: as values,
-// what the local placement deploys, and as bytes, what the remote one
-// ships.
-func TestRestoreDealIsTheOldDeal(t *testing.T) {
+// TestRestoreFileVersionsDealAlike: over seeded state — a plain and a
+// windowed operator, 0..2000 keys, now and then an operator the file does
+// not hold — a version 1 file and a version 2 file of it both restore, at
+// every parallelism from 1 to 33, to the routers and shares a rescale
+// deals the drained state to: as values (what the local placement
+// deploys) and as bytes (what the remote one ships).
+func TestRestoreFileVersionsDealAlike(t *testing.T) {
 	pipe := &Pipeline{ops: map[string]*OperatorSpec{
 		"plain": {Keyed: true, State: IntStateCodec{}},
 		"win":   {Keyed: true, State: IntStateCodec{}, Window: &WindowSpec{Size: time.Second}},
 	}}
 	rng := rand.New(rand.NewSource(27))
+	hdr := &savepointData{Workers: 1, SeqBlock: 1, Seqs: map[string][]int64{}}
 	for round := 0; round < 24; round++ {
 		keys := rng.Intn(2001)
 		if round%8 == 0 {
 			keys = 0
 		}
-		plain, win := make(map[string]any, keys), make(map[string]any, keys/4)
-		for k := 0; k < keys; k++ {
-			plain[fmt.Sprintf("p-%d", rng.Int63())] = rng.Intn(1 << 30)
-		}
-		for k := 0; k < keys/4; k++ {
-			ws := &WindowState{NextFire: rng.Int63n(1000) - 500, Panes: make(map[int64]any)}
-			for p := rng.Intn(6); p > 0; p-- {
-				ws.Panes[rng.Int63n(2000)-1000] = rng.Intn(1 << 20)
-			}
-			win[fmt.Sprintf("w-%d", rng.Int63())] = ws
-		}
+		plain, win := randomState(rng, keys)
 		vals := parts[any]{"plain": {plain}, "win": {win}}
 		if round%5 == 2 {
 			delete(vals, "win")
 		}
-		file, err := (&snapshot{vals: vals}).file(pipe, &savepointData{Workers: 1, SeqBlock: 1, Seqs: map[string][]int64{}})
+		snap := &snapshot{vals: vals}
+		v1, err := fileV1(pipe, snap, hdr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sp, err := decodeSavepoint(file)
+		v2, err := snap.file(pipe, hdr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, err := decodeSavepointMap(file)
-		if err != nil {
-			t.Fatal(err)
+		var restores []*snapshot
+		for _, file := range [][]byte{v1, v2} {
+			sp, err := decodeSavepoint(file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			restores = append(restores, &snapshot{runs: sp.States})
 		}
-		enc := make(parts[[]byte], len(ref.States))
-		for op, kv := range ref.States {
-			enc[op] = []map[string][]byte{kv}
-		}
-		dec, err := convertParts(pipe, "decoding", enc, decodeOpState)
-		if err != nil {
-			t.Fatal(err)
-		}
-		restore := &snapshot{runs: sp.States}
+		enc := mustBytes(t, pipe, vals)
 		for n := 1; n <= 33; n++ {
 			par := dataflow.Parallelism{"plain": n, "win": 1 + (n*7)%33}
-			tables, shares, err := dealAll(pipe, restore, nil, par, decodeOpState)
-			if err != nil {
-				t.Fatal(err)
-			}
-			bTables, bShares, err := dealAll(pipe, restore, nil, par, sameBytes)
-			if err != nil {
-				t.Fatal(err)
-			}
+			dealt, dealtBytes := make(map[string]*router), make(parts[[]byte])
+			vshares := make(parts[any])
 			for op := range pipe.ops {
-				wantTable, wantShares := dealSearch(dec[op], par[op])
-				if !reflect.DeepEqual(tables[op], wantTable) || !reflect.DeepEqual(shares[op], wantShares) {
-					t.Fatalf("round %d (%d keys), %s at %d instances: values dealt unlike the old chain", round, keys, op, par[op])
+				dealt[op], vshares[op] = deal(vals[op], par[op])
+				_, dealtBytes[op] = deal(enc[op], par[op])
+			}
+			for i, restore := range restores {
+				routers, shares, err := dealAll(pipe, restore, nil, par, decodeOpState)
+				if err != nil {
+					t.Fatal(err)
 				}
-				wantTable, wantBytes := dealSearch(enc[op], par[op])
-				if !reflect.DeepEqual(bTables[op], wantTable) || !reflect.DeepEqual(bShares[op], wantBytes) {
-					t.Fatalf("round %d (%d keys), %s at %d instances: bytes dealt unlike the old chain", round, keys, op, par[op])
+				bRouters, bShares, err := dealAll(pipe, restore, nil, par, sameBytes)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for op := range pipe.ops {
+					if !reflect.DeepEqual(routers[op].bounds, dealt[op].bounds) || !reflect.DeepEqual(bRouters[op].bounds, dealt[op].bounds) {
+						t.Fatalf("round %d (%d keys), %s at %d instances: version %d file restores to bounds %v and %v, the drained state deals to %v",
+							round, keys, op, par[op], i+1, routers[op].bounds, bRouters[op].bounds, dealt[op].bounds)
+					}
+					if !reflect.DeepEqual(shares[op], vshares[op]) || !reflect.DeepEqual(bShares[op], dealtBytes[op]) {
+						t.Fatalf("round %d (%d keys), %s at %d instances: version %d file restores to other shares than the drained state deals to",
+							round, keys, op, par[op], i+1)
+					}
 				}
 			}
 		}
@@ -710,5 +673,18 @@ func TestDirStoreFailedSaveLeavesNothing(t *testing.T) {
 	}
 	if got, err := s.Load("prior"); err != nil || string(got) != "v1" {
 		t.Fatalf("Load(prior) = %q, %v after a failed Save of another name", got, err)
+	}
+}
+
+// TestSyncDirFailsOnMissingDir: the directory fsync that makes a Save's
+// rename durable reports a directory it cannot open instead of passing
+// the Save.
+func TestSyncDirFailsOnMissingDir(t *testing.T) {
+	dir := t.TempDir()
+	if err := syncDir(dir); err != nil {
+		t.Fatalf("syncDir(%s): %v", dir, err)
+	}
+	if err := syncDir(filepath.Join(dir, "missing")); err == nil {
+		t.Fatal("syncDir of a directory that does not exist succeeded")
 	}
 }

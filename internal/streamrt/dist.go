@@ -22,7 +22,7 @@ import (
 // an end-of-stream marker), flow-control CREDIT frames back, and a JSON
 // control protocol from the coordinator, whose client side
 // (remote) and server side (Worker.handleControl) are both in this
-// file. The coordinator, the interval build and the routing tables are
+// file. The coordinator, the interval build and the key-group routers are
 // the single-process job's — so DS2 decisions, convergence behaviour
 // and sink results are identical whether a pipeline runs in one process
 // or many.
@@ -84,12 +84,12 @@ type deployReq struct {
 	Peers       []string         `json:"peers"` // data addr per worker index
 	Parallelism map[string]int   `json:"parallelism"`
 	Assign      map[string][]int `json:"assign"`
-	// Tables and Shares are the coordinator's deal: every keyed
-	// operator's routing table — the same on every worker — and, indexed
-	// by instance, the encoded state of the instances this worker hosts
-	// (null for the others).
-	Tables map[string]map[string]int `json:"tables,omitempty"`
-	Shares parts[[]byte]             `json:"shares,omitempty"`
+	// Bounds and Shares are the coordinator's deal: every keyed
+	// operator's n+1 key-group bounds (see router) — the same on every
+	// worker — and, indexed by instance, the encoded state of the
+	// instances this worker hosts (null for the others).
+	Bounds map[string][]int `json:"bounds,omitempty"`
+	Shares parts[[]byte]    `json:"shares,omitempty"`
 	// Seqs, when present, overwrites this worker's per-source local
 	// sequence counters before the generation starts. A restore from a
 	// savepoint is what that matters for; after a drain it writes back
@@ -309,6 +309,10 @@ func (w *Worker) deploy(body []byte) ([]byte, error) {
 	if req.Worker != w.index {
 		return nil, fmt.Errorf("streamrt: deploy addressed to worker %d, this is worker %d", req.Worker, w.index)
 	}
+	routers, err := routersFrom(pipe, par, req.Bounds)
+	if err != nil {
+		return nil, err
+	}
 	shares, err := convertParts(pipe, "decoding", req.Shares, decodeOpState)
 	if err != nil {
 		return nil, err
@@ -363,7 +367,7 @@ func (w *Worker) deploy(body []byte) ([]byte, error) {
 			atomic.StoreInt64(p, v)
 		}
 	}
-	h.deployLocked(req.Gen, par, req.Tables, shares)
+	h.deployLocked(req.Gen, par, routers, shares)
 	h.mu.Unlock()
 	w.host, w.winStart = h, req.Elapsed
 	w.workload, w.seqs = req.Workload, h.seqs
@@ -663,11 +667,11 @@ func (r *remote) each(f func(cc *ctrlClient) error) error {
 	return errors.Join(errs...)
 }
 
-// deploy pushes one new generation: placement, the deal (routing tables
-// — identical on every worker — and per-instance shares, over the bytes
-// the workers drained or a savepoint file's runs), then the two-phase
-// deploy/start barrier, each worker receiving the tables and the shares
-// of the instances it hosts.
+// deploy pushes one new generation: placement, the deal (key-group
+// bounds — identical on every worker — and per-instance shares, over the
+// bytes the workers drained or a savepoint file's runs), then the
+// two-phase deploy/start barrier, each worker receiving the bounds and
+// the shares of the instances it hosts.
 // snap.seqs, on a restore, carries per-rank source counters; each
 // hosting worker receives its rank's counter. tr, when non-nil, times
 // the router_rebuild/transfer/restart phases with per-worker child
@@ -675,11 +679,15 @@ func (r *remote) each(f func(cc *ctrlClient) error) error {
 func (r *remote) deploy(gen uint32, par dataflow.Parallelism, snap *snapshot, tr *rescaleTrace) error {
 	workers := len(r.ctrls)
 	assign := PlanPlacement(par, workers)
-	var tables map[string]map[string]int
+	var routers map[string]*router
 	var shares parts[[]byte]
 	var err error
 	// Bytes go through no codec, so the deal cannot fail.
-	tr.phase(phaseRouterRebuild, func(uint64) { tables, shares, _ = dealAll(r.pipe, snap, snap.enc, par, sameBytes) })
+	tr.phase(phaseRouterRebuild, func(uint64) { routers, shares, _ = dealAll(r.pipe, snap, snap.enc, par, sameBytes) })
+	bounds := make(map[string][]int, len(routers))
+	for op, rt := range routers {
+		bounds[op] = rt.bounds
+	}
 	// Per-worker restore counters: rank i of a source maps to the i'th
 	// sorted hosting worker under the new placement.
 	perWorkerSeqs := make([]map[string]int64, workers)
@@ -705,7 +713,7 @@ func (r *remote) deploy(gen uint32, par dataflow.Parallelism, snap *snapshot, tr
 				Peers:       r.addrs,
 				Parallelism: par,
 				Assign:      assign,
-				Tables:      tables,
+				Bounds:      bounds,
 				Shares:      hostedShares(shares, assign, cc.worker),
 				Seqs:        perWorkerSeqs[cc.worker],
 				Elapsed:     elapsed,

@@ -101,14 +101,17 @@
 // take the keyed state of every stateful instance as it lies — one map
 // per instance, nothing merged — and restart fresh instances on it. In
 // one process an operator whose parallelism does not change is not
-// repartitioned: its instances start again on the very maps and routing
-// table they held. Any other state changes hands once in between: deal
-// (router.go) gathers the (key, state) pairs into one run and sorts it,
-// and cut cuts the run into one contiguous run per new instance, filling
-// the routing table and each instance's share — on the values themselves
-// in one process and, for every keyed operator, since the state has
-// travelled to the coordinator anyway, on their StateCodec bytes across
-// workers, each of which receives the shares of the instances it hosts.
+// repartitioned: its instances start again on the very maps and router
+// they held. Any other state changes hands once in between: keys hash
+// into 1 << 15 key groups, and deal (router.go) gathers the (key, state)
+// pairs into one run that cut counts into groups and cuts into one
+// contiguous group range per new instance — the router, n+1 group
+// bounds — putting each key into its owner's share. That is the only
+// rule that assigns keys, seen or not: on the values themselves in one
+// process and, for every keyed operator, since the state has travelled
+// to the coordinator anyway, on their StateCodec bytes across workers,
+// each of which receives the bounds and the shares of the instances it
+// hosts.
 // The pause pollutes the running observation window, so Rescale discards
 // it, exactly like the settling EngineRuntime resets its metrics on
 // restart. Source sequence counters survive the cycle, so every
@@ -117,18 +120,18 @@
 // Job.Savepoint is the same cycle at the current parallelism — so in
 // one process it repartitions nothing — with the file built in the
 // snapshot phase and a persist phase for the store write: the drained
-// state and the sequence counters are encoded in one pass (keys sorted,
-// each state through its StateCodec once) into a versioned, CRC-guarded
-// binary blob (see checkpoint.go for the format) and stored under a name in a
-// CheckpointStore (DirStore publishes atomically via write-fsync-rename
-// and leaves no temp file behind when any of the three fails). The job
-// restarts even when the store write fails, or a StateCodec panics on
-// the state it is handed. NewJobFromSavepoint and
-// NewClusterFromSavepoint deploy a fresh job from such a blob. The
-// file's keys are in order, and the decoder requires it, so each
-// operator's state is cut as it lies in the file — no map, no second
-// sort — and in one process each state is decoded straight into its
-// owner's share. Operator parallelism may differ from the cut, the
+// state and the sequence counters are encoded in one pass (keys in
+// (group, key) order, each state through its StateCodec once) into a
+// versioned, CRC-guarded binary blob (see checkpoint.go for the format)
+// and stored under a name in a CheckpointStore (DirStore publishes
+// atomically and durably via write, fsync, rename and a directory fsync,
+// and leaves no temp file behind when any step fails). The job restarts
+// even when the store write fails, or a StateCodec panics on the state
+// it is handed. NewJobFromSavepoint and NewClusterFromSavepoint deploy a
+// fresh job from such a blob, of this version or of version 1 (keys in
+// key order). The decoder requires the version's order, and each
+// operator's state is cut as it lies in the file — no map, no sort — and
+// in one process each state is decoded straight into its owner's share. Operator parallelism may differ from the cut, the
 // worker count may not (source sequences are striped per worker), and
 // sources resume exactly where they stopped, so a bounded stream
 // savepointed, killed, and restored produces byte-identical final state

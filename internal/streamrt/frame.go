@@ -37,8 +37,9 @@ import (
 
 // frameProto is the transport protocol version carried in hello frames.
 // Version 2 widened keyLen to u32 and replaced the DONE frame with the
-// empty DATA frame.
-const frameProto = 2
+// empty DATA frame; version 3 deploys key-group bounds instead of routing
+// tables, so a worker of another version routes keys differently.
+const frameProto = 3
 
 // helloCoordinator is the hello sender value identifying the
 // coordinator's control connection (data links carry the dialing

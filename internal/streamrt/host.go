@@ -15,7 +15,7 @@ import (
 // filters the instance set by the coordinator's assignment, sends
 // remote edges through the transport and stripes the source sequence
 // space. Every dist branch in deployLocked is a nil check, and none of
-// them concerns state: routing tables and shares arrive dealt.
+// them concerns state: routers and shares arrive dealt.
 type host struct {
 	pipe  *Pipeline
 	cfg   Config
@@ -95,26 +95,23 @@ type deployment struct {
 }
 
 // deployLocked builds channels and instances for generation gen at par
-// and starts every worker. tables and shares are what deal made of the
-// previous generation's keyed state: per keyed operator the routing
-// table and, for every instance hosted here, the state it starts from.
-// Callers hold h.mu.
-func (h *host) deployLocked(gen uint32, par dataflow.Parallelism, tables map[string]map[string]int, shares parts[any]) {
+// and starts every worker. routers and shares are what the cut made of
+// the previous generation's keyed state: per keyed operator the router
+// the shares were dealt by — the same in every process, so a key's
+// records and its state can never disagree on the owning instance — and,
+// for every instance hosted here, the state it starts from. Callers hold
+// h.mu.
+func (h *host) deployLocked(gen uint32, par dataflow.Parallelism, routers map[string]*router, shares parts[any]) {
 	g := h.pipe.graph
 	dep := &deployment{
 		stopSources: make(chan struct{}),
 		insts:       make(map[string][]*instance, g.NumOperators()),
-		routers:     make(map[string]*router),
+		routers:     routers,
 		first:       newFirstRecord(),
 	}
 
 	// Input queues, one per hosted non-source instance.
 	chans := make(map[string][]chan *batch, g.NumOperators())
-	// One router per keyed operator per deployment, over the table the
-	// shares were dealt by, so a key's records and its state can never
-	// disagree on the owning instance — in any process: the table is the
-	// same everywhere. Unseen keys use rendezvous hashing.
-	routers := dep.routers
 	dc := h.dist
 	hosted := func(op string, k int) bool { return dc == nil || dc.assign[op][k] == dc.worker }
 	// In a distributed deployment a receiver's channel also buffers the
@@ -132,9 +129,6 @@ func (h *host) deployLocked(gen uint32, par dataflow.Parallelism, tables map[str
 		op := g.Operator(i)
 		if op.Role == dataflow.RoleSource {
 			continue
-		}
-		if h.pipe.ops[op.Name].Keyed {
-			routers[op.Name] = &router{n: par[op.Name], table: tables[op.Name]}
 		}
 		cs := make([]chan *batch, par[op.Name])
 		for k := range cs {
@@ -293,22 +287,23 @@ func (h *host) validate(dataflow.Parallelism) error { return nil }
 
 // deploy implements placement: state arrives as the values this host
 // drained, or as a savepoint file's runs, decoded into the instances'
-// shares as they are dealt. The one trace phase is "restart" — the deal
-// of the operators par repartitions and the start of every instance.
+// shares as they are dealt. Its trace phases are "router_rebuild", the
+// deal of the operators par repartitions, and "restart", the start of
+// every instance.
 func (h *host) deploy(gen uint32, par dataflow.Parallelism, snap *snapshot, tr *rescaleTrace) (err error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	for src, ranks := range snap.seqs {
 		atomic.StoreInt64(h.seqs[src], ranks[0])
 	}
-	tr.phase(phaseRestart, func(uint64) {
-		var tables map[string]map[string]int
-		var shares parts[any]
-		if tables, shares, err = dealAll(h.pipe, snap, snap.vals, par, decodeOpState); err == nil {
-			h.deployLocked(gen, par, tables, shares)
-		}
-	})
-	return err
+	var routers map[string]*router
+	var shares parts[any]
+	tr.phase(phaseRouterRebuild, func(uint64) { routers, shares, err = dealAll(h.pipe, snap, snap.vals, par, decodeOpState) })
+	if err != nil {
+		return err
+	}
+	tr.phase(phaseRestart, func(uint64) { h.deployLocked(gen, par, routers, shares) })
+	return nil
 }
 
 // drain implements placement: stop the sources and wait for every

@@ -128,12 +128,15 @@ func NewCluster(pipe *Pipeline, workload string, initial dataflow.Parallelism, a
 // start builds a coordinator and pushes its first generation — from
 // nothing, or, with a store, from the savepoint held under name: load,
 // decode, check it fits this pipeline and worker count, deploy the
-// file's key-ordered runs. A nil addrs selects the local placement.
+// file's runs. A nil addrs selects the local placement.
 func start(pipe *Pipeline, workload string, initial dataflow.Parallelism, addrs []string, cfg Config, store CheckpointStore, name string) (*Job, error) {
 	if pipe == nil {
 		return nil, errors.New("streamrt: nil pipeline")
 	}
 	if err := initial.Validate(pipe.graph); err != nil {
+		return nil, err
+	}
+	if err := checkKeyGroups(pipe, initial); err != nil {
 		return nil, err
 	}
 	j := &Job{pipe: pipe, workload: workload, cfg: cfg.withDefaults(), epoch: time.Now(), cur: initial.Clone()}
@@ -245,14 +248,18 @@ func (j *Job) failLocked(err error) error {
 // repartition it under the new configuration, restart — across worker
 // processes the state moves over the framed transport. In one process
 // only operators whose parallelism changes are repartitioned; the
-// others' instances start again on the maps and routing table they
-// held. The pause
+// others' instances start again on the maps and router they held. A
+// keyed operator cannot have more instances than there are key groups
+// (1 << 15). The pause
 // pollutes the open observation window, so the window is discarded and
 // restarted at the new deployment (settle semantics — the next
 // interval starts clean, as the Flink integration's §4.1 metrics
 // reset).
 func (j *Job) Rescale(newP dataflow.Parallelism) error {
 	if err := newP.Validate(j.pipe.graph); err != nil {
+		return err
+	}
+	if err := checkKeyGroups(j.pipe, newP); err != nil {
 		return err
 	}
 	if err := j.pl.validate(newP); err != nil {
@@ -264,8 +271,8 @@ func (j *Job) Rescale(newP dataflow.Parallelism) error {
 // Savepoint cuts the job durably: it drains the job, encodes its keyed
 // state and source sequence counters into one savepoint file, persists
 // the file under name, and starts the job again at the parallelism it
-// had — in one process on the very maps and routing tables the instances
-// held, nothing repartitioned; across worker processes the state has
+// had — in one process on the very maps and routers the instances held,
+// nothing repartitioned; across worker processes the state has
 // travelled to the coordinator for the file and is dealt back like a
 // rescale's. It is traced like a rescale (the timeline appears on the
 // rescale trace ring as "savepoint-N", with a persist phase for the

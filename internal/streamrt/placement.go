@@ -26,7 +26,7 @@ type placement interface {
 	// to par's instances, and the source sequence counters (after
 	// a drain the hosts still hold the very same values; a restore is
 	// what actually installs them). It times its own trace phases
-	// (restart; remotely also router_rebuild and transfer).
+	// (router_rebuild and restart; remotely also transfer).
 	deploy(gen uint32, par dataflow.Parallelism, snap *snapshot, tr *rescaleTrace) error
 	// drain stops the sources, lets every in-flight record finish, and
 	// returns the quiesced generation's state, unmerged. Child spans go
@@ -66,12 +66,12 @@ type snapshot struct {
 	vals parts[any]
 	enc  parts[[]byte]
 	// runs is a restore's state instead: per operator the savepoint file's
-	// key-ordered run of StateCodec bytes, which alias the loaded file.
+	// run of StateCodec bytes, which alias the loaded file.
 	runs map[string][]entry[[]byte]
 	// ran holds, for the operators whose parts are the drained instances'
 	// own maps in instance order, the router they ran under: deployed
 	// again at the parallelism ran[op].n, such an operator keeps maps and
-	// table (see dealAll). A savepoint file, and a drain that had to move
+	// router (see dealAll). A savepoint file, and a drain that had to move
 	// the state to hand it back, leave it empty.
 	ran map[string]*router
 	// seqs holds per source the local counter of every rank (position
@@ -173,19 +173,19 @@ func mergeParts[V any](p parts[V]) map[string]map[string]V {
 }
 
 // dealAll turns snap into what host.deployLocked starts a generation at
-// par from: per keyed operator the routing table and the per-instance
-// shares, as values locally and StateCodec bytes remotely — p is snap's
-// drained state in that form, decode turns a file's bytes into it. It is
-// the one place that decides what is repartitioned. A restore's runs are
-// cut as they lie, each state decoded on its way into its owner's share.
-// An operator that ran under snap.ran[op] and deploys at that router's
+// par from: per keyed operator the router and the per-instance shares,
+// as values locally and StateCodec bytes remotely — p is snap's drained
+// state in that form, decode turns a file's bytes into it. It is the one
+// place that decides what is repartitioned. A restore's runs are cut as
+// they lie, each state decoded on its way into its owner's share. An
+// operator that ran under snap.ran[op] and deploys at that router's
 // parallelism is not repartitioned: its parts are the next shares as
-// they lie and the table is kept, so every key stays where it is. Any
+// they lie and the router is kept, so every key stays where it is. Any
 // other is dealt (see deal).
-func dealAll[V any](pipe *Pipeline, snap *snapshot, p parts[V], par dataflow.Parallelism, decode func(*OperatorSpec, []byte) (V, error)) (_ map[string]map[string]int, _ parts[V], err error) {
+func dealAll[V any](pipe *Pipeline, snap *snapshot, p parts[V], par dataflow.Parallelism, decode func(*OperatorSpec, []byte) (V, error)) (_ map[string]*router, _ parts[V], err error) {
 	var op, key string
 	defer recoverCodec("decoding", &op, &key, &err)
-	tables := make(map[string]map[string]int)
+	routers := make(map[string]*router)
 	shares := make(parts[V])
 	for name, spec := range pipe.ops {
 		if !spec.Keyed {
@@ -195,7 +195,7 @@ func dealAll[V any](pipe *Pipeline, snap *snapshot, p parts[V], par dataflow.Par
 		r := snap.ran[name]
 		switch {
 		case snap.runs != nil:
-			tables[name], shares[name], err = cut(snap.runs[name], par[name], func(k string, b []byte) (V, error) {
+			routers[name], shares[name], err = cut(snap.runs[name], par[name], func(k string, b []byte) (V, error) {
 				key = k
 				return decode(spec, b)
 			})
@@ -203,10 +203,10 @@ func dealAll[V any](pipe *Pipeline, snap *snapshot, p parts[V], par dataflow.Par
 				return nil, nil, fmt.Errorf("streamrt: decoding %s[%q]: %w", op, key, err)
 			}
 		case r != nil && r.n == par[name]:
-			tables[name], shares[name] = r.table, p[name]
+			routers[name], shares[name] = r, p[name]
 		default:
-			tables[name], shares[name] = deal(p[name], par[name])
+			routers[name], shares[name] = deal(p[name], par[name])
 		}
 	}
-	return tables, shares, nil
+	return routers, shares, nil
 }

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -217,8 +218,8 @@ func TestRemotePlacementCodecCalls(t *testing.T) {
 
 // stayKey is the key of the seq-th record of stayPipeline: the universe
 // grows by one key every 256 records, so at any deal some keys are known
-// (table-routed afterwards) and new ones keep arriving (rendezvous-
-// routed until the next deal).
+// and new ones keep arriving, many in groups that held no key at the
+// last deal.
 func stayKey(seq int64) string { return fmt.Sprintf("k%03d", seq%(16+seq/256)) }
 
 // stayPipeline is src -> work -> count: a stateless pass-through in
@@ -266,9 +267,9 @@ func stayCounts(limit int64) map[string]any {
 
 // TestUnchangedParallelismMovesNoState: across a Savepoint, and across a
 // Rescale that changes another operator only, every count instance keeps
-// the very map it held and the router the very table — nothing is dealt;
-// a Rescale of count itself deals. The run is bounded and its final
-// counts are exact.
+// the very map it held and the deployment the very router — nothing is
+// dealt; a Rescale of count itself deals. The run is bounded and its
+// final counts are exact.
 func TestUnchangedParallelismMovesNoState(t *testing.T) {
 	const limit = 16000
 	pipe := stayPipeline(t, limit, IntStateCodec{})
@@ -278,16 +279,15 @@ func TestUnchangedParallelismMovesNoState(t *testing.T) {
 	}
 	h := job.pl.(*host)
 	// held returns the identity of every count instance's state map, by
-	// instance, and of the routing table.
-	held := func() (maps []uintptr, table map[string]int) {
+	// instance, and count's router.
+	held := func() (maps []uintptr, rt *router) {
 		h.mu.Lock()
 		defer h.mu.Unlock()
 		for _, in := range h.dep.insts["count"] {
 			maps = append(maps, reflect.ValueOf(in.state).Pointer())
 		}
-		return maps, h.dep.routers["count"].table
+		return maps, h.dep.routers["count"]
 	}
-	same := func(a, b map[string]int) bool { return reflect.ValueOf(a).Pointer() == reflect.ValueOf(b).Pointer() }
 	emitted := func(n int64) {
 		t.Helper()
 		for deadline := time.Now().Add(10 * time.Second); atomic.LoadInt64(h.seqs["src"]) < n; {
@@ -302,18 +302,20 @@ func TestUnchangedParallelismMovesNoState(t *testing.T) {
 	if err := job.Rescale(dataflow.Parallelism{"src": 1, "work": 1, "count": 3}); err != nil {
 		t.Fatal(err)
 	}
-	maps0, table0 := held()
-	if len(maps0) != 3 || len(table0) == 0 {
-		t.Fatalf("after the deal: %d instances, %d table entries", len(maps0), len(table0))
+	maps0, rt0 := held()
+	// Every key the deal knew was emitted by now.
+	known := len(stayCounts(atomic.LoadInt64(h.seqs["src"])))
+	if len(maps0) != 3 || rt0.n != 3 {
+		t.Fatalf("after the deal: %d instances, a router over %d", len(maps0), rt0.n)
 	}
-	emitted(atomic.LoadInt64(h.seqs["src"]) + 1500) // keys the table does not know
+	emitted(atomic.LoadInt64(h.seqs["src"]) + 1500) // keys the deal did not know
 
 	store := NewMemoryStore()
 	if err := job.Savepoint(store, "cut"); err != nil {
 		t.Fatal(err)
 	}
-	if maps, table := held(); !reflect.DeepEqual(maps, maps0) || !same(table, table0) {
-		t.Fatalf("Savepoint moved state: maps %v -> %v, same table %v", maps0, maps, same(table, table0))
+	if maps, rt := held(); !reflect.DeepEqual(maps, maps0) || rt != rt0 {
+		t.Fatalf("Savepoint moved state: maps %v -> %v, same router %v", maps0, maps, rt == rt0)
 	}
 	// The cut held both kinds of key: dealt ones and later arrivals.
 	data, err := store.Load("cut")
@@ -324,23 +326,23 @@ func TestUnchangedParallelismMovesNoState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cut := len(sp.States["count"]); cut <= len(table0) {
-		t.Fatalf("savepoint holds %d keys, the table %d: no key arrived after the deal", cut, len(table0))
+	if cut := len(sp.States["count"]); cut <= known {
+		t.Fatalf("savepoint holds %d keys, %d were known at the deal: no key arrived after it", cut, known)
 	}
 
 	if err := job.Rescale(dataflow.Parallelism{"src": 1, "work": 2, "count": 3}); err != nil {
 		t.Fatal(err)
 	}
-	if maps, table := held(); !reflect.DeepEqual(maps, maps0) || !same(table, table0) {
-		t.Fatalf("Rescale of work moved count's state: maps %v -> %v, same table %v", maps0, maps, same(table, table0))
+	if maps, rt := held(); !reflect.DeepEqual(maps, maps0) || rt != rt0 {
+		t.Fatalf("Rescale of work moved count's state: maps %v -> %v, same router %v", maps0, maps, rt == rt0)
 	}
 
 	if err := job.Rescale(dataflow.Parallelism{"src": 1, "work": 2, "count": 2}); err != nil {
 		t.Fatal(err)
 	}
-	maps, table := held()
-	if len(maps) != 2 || same(table, table0) || len(table) <= len(table0) {
-		t.Fatalf("Rescale of count: %d instances, %d table entries (was %d), same table %v", len(maps), len(table), len(table0), same(table, table0))
+	maps, rt := held()
+	if len(maps) != 2 || rt == rt0 || rt.n != 2 {
+		t.Fatalf("Rescale of count: %d instances, a router over %d, same router %v", len(maps), rt.n, rt == rt0)
 	}
 	for _, m := range maps {
 		for _, m0 := range maps0 {
@@ -350,6 +352,119 @@ func TestUnchangedParallelismMovesNoState(t *testing.T) {
 		}
 	}
 
+	job.Wait()
+	if got := job.Stop()["count"]; !reflect.DeepEqual(got, stayCounts(limit)) {
+		t.Fatalf("final counts diverged from the replay:\n got: %v\nwant: %v", got, stayCounts(limit))
+	}
+}
+
+// TestGroupRoutingAcrossReconfigurations: while stayPipeline's universe
+// grows through every deal, count goes 1 → 3 → 2 by rescales, is cut by
+// a savepoint, restored at 5 and rescaled to 1 — in one process and over
+// two workers — and the restored run's final counts are exact.
+func TestGroupRoutingAcrossReconfigurations(t *testing.T) {
+	const limit = 12000
+	for _, workers := range []int{0, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			pipe := stayPipeline(t, limit, IntStateCodec{})
+			// emitted counts the records the source made, over every job
+			// and worker, so each step waits for new keys to arrive.
+			var emitted atomic.Int64
+			src := pipe.sources["src"]
+			next := src.Next
+			src.Next = func(seq int64) (string, any) { emitted.Add(1); return next(seq) }
+			more := func(n int64) {
+				t.Helper()
+				want := emitted.Load() + n
+				for deadline := time.Now().Add(10 * time.Second); emitted.Load() < want; time.Sleep(time.Millisecond) {
+					if time.Now().After(deadline) {
+						t.Fatalf("source made %d of the %d records waited for", emitted.Load(), want)
+					}
+				}
+			}
+			var workload string
+			var addrs []string
+			for i := 0; i < workers; i++ {
+				w := NewWorker(i, map[string]*Pipeline{"stay": pipe}, nil)
+				addr, err := w.Listen("127.0.0.1:0")
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(w.Close)
+				workload, addrs = "stay", append(addrs, addr)
+			}
+			par := func(n int) dataflow.Parallelism { return dataflow.Parallelism{"src": 1, "work": 1, "count": n} }
+
+			job, err := start(pipe, workload, par(1), addrs, Config{}, nil, "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer job.Close()
+			for _, n := range []int{3, 2} {
+				more(1500)
+				if err := job.Rescale(par(n)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			more(1500)
+			store := NewMemoryStore()
+			if err := job.Savepoint(store, "cut"); err != nil {
+				t.Fatal(err)
+			}
+			job.Stop()
+			job.Close()
+
+			restored, err := start(pipe, workload, par(5), addrs, Config{}, store, "cut")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer restored.Close()
+			more(1500)
+			if err := restored.Rescale(par(1)); err != nil {
+				t.Fatal(err)
+			}
+			restored.Wait()
+			if got, want := restored.Stop()["count"], stayCounts(limit); !reflect.DeepEqual(got, want) {
+				t.Fatalf("final counts diverged from the replay:\n got: %v\nwant: %v", got, want)
+			}
+		})
+	}
+}
+
+// TestKeyedParallelismBoundedByKeyGroups: NewJob, NewJobFromSavepoint and
+// Rescale refuse a keyed operator more instances than there are key
+// groups, naming the operator, and a refused Rescale leaves the job
+// running: its final counts are exact.
+func TestKeyedParallelismBoundedByKeyGroups(t *testing.T) {
+	const limit = 12000
+	pipe := stayPipeline(t, limit, IntStateCodec{})
+	over := dataflow.Parallelism{"src": 1, "work": 1, "count": keyGroups + 1}
+	refused := func(what string, err error) {
+		t.Helper()
+		if want := fmt.Sprintf(`keyed operator "count" parallelism %d exceeds the %d key groups`, keyGroups+1, keyGroups); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s at %d count instances: error %v, want one containing %q", what, keyGroups+1, err, want)
+		}
+	}
+	_, err := NewJob(pipe, over, Config{})
+	refused("NewJob", err)
+
+	job, err := NewJob(pipe, dataflow.Parallelism{"src": 1, "work": 1, "count": 2}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := NewMemoryStore()
+	if err := job.Savepoint(store, "cut"); err != nil {
+		t.Fatal(err)
+	}
+	_, err = NewJobFromSavepoint(pipe, over, Config{}, store, "cut")
+	refused("NewJobFromSavepoint", err)
+	refused("Rescale", job.Rescale(over))
+	if err := job.Err(); err != nil {
+		t.Fatalf("the refused Rescale failed the job: %v", err)
+	}
+	if err := job.Rescale(dataflow.Parallelism{"src": 1, "work": 1, "count": 3}); err != nil {
+		t.Fatal(err)
+	}
 	job.Wait()
 	if got := job.Stop()["count"]; !reflect.DeepEqual(got, stayCounts(limit)) {
 		t.Fatalf("final counts diverged from the replay:\n got: %v\nwant: %v", got, stayCounts(limit))

@@ -114,9 +114,9 @@ func TestJobRescaleTraceTimeline(t *testing.T) {
 	if v.ID != "rescale-1" {
 		t.Errorf("trace id = %q, want rescale-1", v.ID)
 	}
-	// A single-process rescale times drain → snapshot → restart, then
-	// the asynchronous first_record tail.
-	ph := requirePhases(t, v, "drain", "snapshot", "restart", "first_record")
+	// A single-process rescale times drain → snapshot → router_rebuild →
+	// restart, then the asynchronous first_record tail.
+	ph := requirePhases(t, v, "drain", "snapshot", "router_rebuild", "restart", "first_record")
 	if fr := ph["first_record"]; fr.StartNs < ph["restart"].EndNs {
 		t.Errorf("first_record starts at %d, before restart ended at %d", fr.StartNs, ph["restart"].EndNs)
 	}

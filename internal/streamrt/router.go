@@ -1,31 +1,87 @@
 package streamrt
 
 import (
+	"fmt"
 	"slices"
+	"sort"
 	"strings"
+
+	"ds2/internal/dataflow"
 )
 
+// keyGroups is the number of key groups every keyed operator's keys fall
+// into (keyGroup): the unit a deployment routes, deals and writes a
+// savepoint in. A version 2 savepoint file is in (group, key) order, so
+// the count and keyGroup are fixed by the file's version number: changing
+// either is a version bump. It also bounds a keyed operator's parallelism.
+const keyGroups = 1 << 15
+
+// keyGroup returns the key group of key.
+func keyGroup(key string) int { return int(mix64(hashKey(key)) & (keyGroups - 1)) }
+
 // router decides which instance of a keyed operator owns each key for
-// one deployment generation. Its table comes out of the same deal that
+// one deployment generation: instance i owns the key groups
+// [bounds[i], bounds[i+1]). The bounds come out of the same cut that
 // hands the instances their state, so a key's records and its state
-// always agree on the owner.
-//
-// Keys the job has already seen — present in the rescale snapshot —
-// are striped over the instances by that deployment-time routing table:
-// sorted for determinism and dealt out in equal shares, the remainder
-// going to the lowest instance indices. That keeps a small
-// hot universe balanced exactly — 100 auctions over 3 instances split
-// 34/33/33 — where hashing mod n would saturate the luckiest shard
-// well before the mean. Keys never seen before fall back to rendezvous
-// (highest-random-weight) hashing: deterministic within a deployment,
-// and at most ~1/n of fallback keys change owner when n changes.
+// always agree on the owner, and a key the cut never saw routes by its
+// group like any other.
 type router struct {
-	n     int
-	table map[string]int
+	n      int
+	bounds []int    // n+1 group bounds, from 0 to keyGroups
+	owners []uint16 // group -> instance
 }
 
-// entry is one key's state. A run is a slice of them: what deal sorts
-// and cuts, and what a savepoint file holds per operator, in key order.
+// newRouter returns the router over bounds, building its group -> owner
+// table once for the deployment.
+func newRouter(bounds []int) *router {
+	r := &router{n: len(bounds) - 1, bounds: bounds, owners: make([]uint16, keyGroups)}
+	for inst := 1; inst < r.n; inst++ {
+		for g := bounds[inst]; g < bounds[inst+1]; g++ {
+			r.owners[g] = uint16(inst)
+		}
+	}
+	return r
+}
+
+// owner returns the instance index owning key.
+func (r *router) owner(key string) int {
+	if r.n <= 1 {
+		return 0
+	}
+	return int(r.owners[keyGroup(key)])
+}
+
+// routersFrom builds a deployment's routers from the group bounds a
+// DEPLOY carries, one list per keyed operator, refusing any list that
+// does not cut the groups into par's ranges.
+func routersFrom(pipe *Pipeline, par dataflow.Parallelism, bounds map[string][]int) (map[string]*router, error) {
+	routers := make(map[string]*router)
+	for name, spec := range pipe.ops {
+		if !spec.Keyed {
+			continue
+		}
+		b := bounds[name]
+		if len(b) != par[name]+1 || b[0] != 0 || b[len(b)-1] != keyGroups || !slices.IsSorted(b) {
+			return nil, fmt.Errorf("streamrt: deploy has %d key-group bounds for keyed operator %q at parallelism %d, not an ordered cut of [0, %d]", len(b), name, par[name], keyGroups)
+		}
+		routers[name] = newRouter(b)
+	}
+	return routers, nil
+}
+
+// checkKeyGroups refuses a keyed operator more instances than there are
+// key groups to route to.
+func checkKeyGroups(pipe *Pipeline, par dataflow.Parallelism) error {
+	for name, spec := range pipe.ops {
+		if spec.Keyed && par[name] > keyGroups {
+			return fmt.Errorf("streamrt: keyed operator %q parallelism %d exceeds the %d key groups", name, par[name], keyGroups)
+		}
+	}
+	return nil
+}
+
+// entry is one key's state. A run is a slice of them: what deal and a
+// restore cut, and what a savepoint file holds per operator.
 type entry[V any] struct {
 	key string
 	val V
@@ -47,74 +103,105 @@ func gather[V any](ps []map[string]V) []entry[V] {
 	return run
 }
 
-func sortRun[V any](run []entry[V]) {
-	slices.SortFunc(run, func(a, b entry[V]) int { return strings.Compare(a.key, b.key) })
+// countGroups returns the key group of every entry of run and, in w, how
+// many of them fall below each group bound: w[b] counts the groups
+// [0, b), so w[0] is 0 and w[keyGroups] is len(run).
+func countGroups[V any](run []entry[V]) (groups []uint16, w []int) {
+	groups = make([]uint16, len(run))
+	w = make([]int, keyGroups+1)
+	for i, e := range run {
+		g := keyGroup(e.key)
+		groups[i] = uint16(g)
+		w[g+1]++
+	}
+	for b := 1; b <= keyGroups; b++ {
+		w[b] += w[b-1]
+	}
+	return groups, w
 }
 
 // deal hands the keyed state in drained — the quiesced instances' maps,
 // keys disjoint by the previous generation's router — to the n instances
-// of the next one: the routing table and, per instance, the share of the
-// state it starts from. The maps are gathered into one run, sorted (one
-// instance owns every key, in any order) and cut (see cut).
-func deal[V any](drained []map[string]V, n int) (table map[string]int, shares []map[string]V) {
-	run := gather(drained)
-	if n > 1 {
-		sortRun(run)
-	}
-	table, shares, _ = cut(run, n, func(_ string, v V) (V, error) { return v, nil })
-	return table, shares
+// of the next one: the router and, per instance, the share of the state
+// it starts from. The maps are gathered into one run and cut (see cut).
+func deal[V any](drained []map[string]V, n int) (*router, []map[string]V) {
+	r, shares, _ := cut(gather(drained), n, func(_ string, v V) (V, error) { return v, nil })
+	return r, shares
 }
 
-// cut is the one rule that assigns known keys: it cuts a key-ordered run
-// into n contiguous runs, len/n keys each and one more for the first
-// len%n instances, and files every key in the routing table and in its
-// owner's share (never nil: an instance writes into it from the first
-// record on), converted by conv, whose first error ends the cut. With one
-// instance, or no state, there is no table: everything is instance 0's,
-// as the router's fallback has it. Drained state comes through deal; a
-// savepoint file's runs, in key order already, straight from dealAll.
-func cut[A, B any](run []entry[A], n int, conv func(key string, a A) (B, error)) (map[string]int, []map[string]B, error) {
-	var table map[string]int
-	if n > 1 && len(run) > 0 {
-		table = make(map[string]int, len(run))
-	}
+// cut is the one rule that assigns keys to instances. It counts the keys
+// of run, in any order, into their key groups and cuts the group sequence
+// into n contiguous ranges (see groupBounds); then it files every key in
+// its owner's presized share (never nil: an instance writes into it from
+// the first record on), converted by conv, whose first error ends the
+// cut. Drained state comes through deal; a savepoint file's runs, as they
+// lie, straight from dealAll.
+func cut[A, B any](run []entry[A], n int, conv func(key string, a A) (B, error)) (*router, []map[string]B, error) {
+	groups, w := countGroups(run)
+	r := newRouter(groupBounds(w, n))
 	shares := make([]map[string]B, n)
-	base, extra := len(run)/n, len(run)%n
 	for inst := range shares {
-		size := base
-		if inst < extra {
-			size++
-		}
-		share := make(map[string]B, size)
-		for _, e := range run[:size] {
-			v, err := conv(e.key, e.val)
-			if err != nil {
-				return nil, nil, err
-			}
-			if table != nil {
-				table[e.key] = inst
-			}
-			share[e.key] = v
-		}
-		shares[inst], run = share, run[size:]
+		shares[inst] = make(map[string]B, w[r.bounds[inst+1]]-w[r.bounds[inst]])
 	}
-	return table, shares, nil
+	for i, e := range run {
+		v, err := conv(e.key, e.val)
+		if err != nil {
+			return nil, nil, err
+		}
+		shares[r.owners[groups[i]]][e.key] = v
+	}
+	return r, shares, nil
 }
 
-// owner returns the instance index owning key.
-func (r *router) owner(key string) int {
-	if r.n <= 1 {
-		return 0
+// groupBounds cuts the key groups into n ranges, w counting the keys
+// below each group bound as countGroups does. Instance i's range starts
+// at its uniform bound i·G/n, clamped into the bounds with exactly K_i
+// keys below them, K_i being len/n keys an instance and one more for the
+// first len%n summed over the instances before i. Where no such bound
+// exists one group straddles K_i, and the instance below takes it. So no
+// keys gives Flink's uniform ranges, and a universe with no straddling
+// group gives every instance its exact share: 100 keys over 3 instances
+// split 34/33/33.
+func groupBounds(w []int, n int) []int {
+	bounds := make([]int, n+1)
+	base, extra := w[keyGroups]/n, w[keyGroups]%n
+	for i := 1; i < n; i++ {
+		k := i*base + min(i, extra)
+		lo := sort.SearchInts(w, k)       // the least bound with k keys or more below
+		hi := sort.SearchInts(w, k+1) - 1 // the greatest with k or fewer
+		bounds[i] = max(lo, min(i*keyGroups/n, hi))
 	}
-	if t, ok := r.table[key]; ok {
-		return t
-	}
-	return rendezvousOwner(key, r.n)
+	bounds[n] = keyGroups
+	return bounds
 }
 
-// hashKey is FNV-1a 64 — the stable hash behind the rendezvous
-// fallback, so an unseen key's owning instance is a pure function of
-// (key, parallelism).
+// byGroup puts run in (group, key) order, a version 2 savepoint file's:
+// a counting pass finds each group's place, the entries are swapped into
+// their groups in place, and then each group's few keys are sorted on
+// their own.
+func byGroup[V any](run []entry[V]) {
+	groups, w := countGroups(run)
+	next := slices.Clone(w[:keyGroups]) // the first unplaced position of each group
+	for g := range keyGroups {
+		for next[g] < w[g+1] {
+			i := next[g]
+			h := groups[i]
+			if int(h) != g {
+				j := next[h]
+				run[i], run[j] = run[j], run[i]
+				groups[i], groups[j] = groups[j], groups[i]
+			}
+			next[h]++
+		}
+	}
+	for g := range keyGroups {
+		if grp := run[w[g]:w[g+1]]; len(grp) > 1 {
+			slices.SortFunc(grp, func(a, b entry[V]) int { return strings.Compare(a.key, b.key) })
+		}
+	}
+}
+
+// hashKey is FNV-1a 64, the stable hash under keyGroup.
 func hashKey(s string) uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(s); i++ {
@@ -124,22 +211,9 @@ func hashKey(s string) uint64 {
 	return h
 }
 
-// rendezvousOwner picks argmax_i mix64(hash(key) ^ seed_i): alloc-free
-// highest-random-weight hashing over the instance indices.
-func rendezvousOwner(key string, n int) int {
-	h := hashKey(key)
-	best, bestScore := 0, uint64(0)
-	for i := 0; i < n; i++ {
-		if s := mix64(h ^ (uint64(i)+1)*0x9E3779B97F4A7C15); s > bestScore {
-			best, bestScore = i, s
-		}
-	}
-	return best
-}
-
 // mix64 is the splitmix64 finalizer: a cheap bijective scrambler with
-// good avalanche, so per-instance scores decorrelate even for similar
-// keys.
+// good avalanche, so FNV's weak low bits do not decide the group of
+// similar keys.
 func mix64(x uint64) uint64 {
 	x ^= x >> 30
 	x *= 0xBF58476D1CE4E5B9

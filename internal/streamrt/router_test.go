@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 )
@@ -25,10 +26,9 @@ func shardSizes(rt *router, known map[string]any, n int) []int {
 }
 
 // dealRouter deals known, as one part, over n instances and returns the
-// router a deployment would build over the table, with the shares.
+// router a deployment would run under, with the shares.
 func dealRouter(known map[string]any, n int) (*router, []map[string]any) {
-	table, shares := deal([]map[string]any{known}, n)
-	return &router{n: n, table: table}, shares
+	return deal([]map[string]any{known}, n)
 }
 
 // TestRouterStripesKnownKeysEvenly: a known universe must split within
@@ -85,73 +85,88 @@ func TestRouterDeterministicAndStateAgreement(t *testing.T) {
 	if len(seen) != len(known) {
 		t.Fatalf("%d keys partitioned, want %d", len(seen), len(known))
 	}
-	// Unseen keys take the rendezvous fallback: deterministic and in
-	// range, for fresh deployments with an empty table too.
+	// Unseen keys route by their key group like known ones: to the
+	// instance whose group range holds it, the same under both deals. A
+	// deal of no keys cuts the groups into uniform ranges.
 	empty, _ := dealRouter(nil, 5)
+	for i := range empty.bounds {
+		if want := i * keyGroups / 5; empty.bounds[i] != want {
+			t.Fatalf("empty deal: bounds %v, want i·%d/5", empty.bounds, keyGroups)
+		}
+	}
 	for i := 0; i < 500; i++ {
 		k := fmt.Sprintf("unseen-%d", i)
-		own := a.owner(k)
+		own, g := a.owner(k), keyGroup(k)
 		if own < 0 || own >= 5 {
 			t.Fatalf("key %s routed to %d, out of range", k, own)
 		}
-		if own != b.owner(k) || own != empty.owner(k) {
-			t.Fatalf("key %s: fallback owner differs between routers", k)
+		if g < a.bounds[own] || g >= a.bounds[own+1] || own != b.owner(k) {
+			t.Fatalf("key %s (group %d) routed to %d: not its group range under bounds %v, or not the second router's", k, g, own, a.bounds)
+		}
+		if e := empty.owner(k); g < empty.bounds[e] || g >= empty.bounds[e+1] {
+			t.Fatalf("key %s (group %d) routed to %d over an empty deal, bounds %v", k, g, e, empty.bounds)
 		}
 	}
 }
 
-// buildRouter and partitionState are the rule deal replaced, kept word
-// for word as its reference: merge every part into one map, sort the
-// key universe and stripe it, then scan the whole map once per instance.
-
-// buildRouter stripes the known key universe over n instances.
-func buildRouter(known map[string]any, n int) *router {
-	r := &router{n: n}
-	if n <= 1 || len(known) == 0 {
-		return r
-	}
-	keys := make([]string, 0, len(known))
+// refBounds is the group rule written out from the sorted groups of
+// known, as the reference cut is checked against: K_i keys go below
+// instance i's range — len/n an instance, one more for the first len%n —
+// so the range can start no lower than one past the K_i'th key's group
+// and no higher than the (K_i+1)'th key's; it starts at the uniform bound
+// i·G/n clamped into that window, or at the window's low end when one
+// group holds both keys.
+func refBounds(known map[string]any, n int) []int {
+	gs := make([]int, 0, len(known))
 	for k := range known {
-		keys = append(keys, k)
+		gs = append(gs, keyGroup(k))
 	}
-	sort.Strings(keys)
-	r.table = make(map[string]int, len(keys))
-	// Instance i owns share(i) consecutive sorted keys: len/n each,
-	// and one more for the first len%n instances.
-	base, extra := len(keys)/n, len(keys)%n
-	next := 0
-	for inst := 0; inst < n; inst++ {
-		share := base
-		if inst < extra {
-			share++
+	sort.Ints(gs)
+	bounds := []int{0}
+	below := 0
+	for i := 1; i < n; i++ {
+		below += len(gs) / n
+		if i-1 < len(gs)%n {
+			below++
 		}
-		for _, k := range keys[next : next+share] {
-			r.table[k] = inst
+		lo, hi := 0, keyGroups
+		if below > 0 {
+			lo = gs[below-1] + 1
 		}
-		next += share
+		if below < len(gs) {
+			hi = gs[below]
+		}
+		b := i * keyGroups / n
+		switch {
+		case lo > hi || b < lo:
+			b = lo
+		case b > hi:
+			b = hi
+		}
+		bounds = append(bounds, b)
 	}
-	return r
+	return append(bounds, keyGroups)
 }
 
-// partitionState selects the keys instance idx owns under the
-// deployment's router.
-func partitionState(all map[string]any, rt *router, idx int) map[string]any {
-	out := make(map[string]any)
-	for k, v := range all {
-		if rt.owner(k) == idx {
-			out[k] = v
+// refOwner is the instance whose range under bounds holds key's group.
+func refOwner(bounds []int, key string) int {
+	g := keyGroup(key)
+	for inst := 0; inst+1 < len(bounds); inst++ {
+		if bounds[inst] <= g && g < bounds[inst+1] {
+			return inst
 		}
 	}
-	return out
+	return -1
 }
 
-// TestDealIsTheOldRule: whatever the number of keys, instances and
-// drained parts, deal returns the table buildRouter built over the
-// merged universe and, per instance, the map partitionState selected.
-// Every key count up to 64 meets every instance count and every number
-// of parts; above that the key counts are sampled and the number of
-// parts varies with them.
-func TestDealIsTheOldRule(t *testing.T) {
+// TestDealIsTheGroupRule: whatever the number of keys, instances and
+// drained parts, deal returns the bounds refBounds computes over the
+// merged universe, a router that sends every key to the instance whose
+// range holds its group, and, per instance, exactly the keys that router
+// sends it. Every key count up to 64 meets every instance count and every
+// number of parts; above that the key counts are sampled and the number
+// of parts varies with them.
+func TestDealIsTheGroupRule(t *testing.T) {
 	check := func(nkeys, n, nparts int) {
 		t.Helper()
 		all := keyUniverse(nkeys)
@@ -162,18 +177,29 @@ func TestDealIsTheOldRule(t *testing.T) {
 		for k, v := range all {
 			split[hashKey(k)%uint64(nparts)][k] = v
 		}
-		table, shares := deal(split, n)
-		ref := buildRouter(all, n)
-		if !reflect.DeepEqual(table, ref.table) {
-			t.Fatalf("%d keys, %d instances, %d parts: routing table differs from buildRouter's", nkeys, n, nparts)
+		r, shares := deal(split, n)
+		bounds := refBounds(all, n)
+		if !reflect.DeepEqual(r.bounds, bounds) {
+			t.Fatalf("%d keys, %d instances, %d parts: bounds %v, the rule gives %v", nkeys, n, nparts, r.bounds, bounds)
 		}
 		if len(shares) != n {
 			t.Fatalf("%d keys, %d instances, %d parts: %d shares", nkeys, n, nparts, len(shares))
 		}
+		want := make([]map[string]any, n)
+		for i := range want {
+			want[i] = make(map[string]any)
+		}
+		for k, v := range all {
+			inst := refOwner(bounds, k)
+			if own := r.owner(k); own != inst {
+				t.Fatalf("%d keys, %d instances, %d parts: key %s routed to %d, the rule gives %d", nkeys, n, nparts, k, own, inst)
+			}
+			want[inst][k] = v
+		}
 		for idx, share := range shares {
-			if want := partitionState(all, ref, idx); !reflect.DeepEqual(share, want) {
-				t.Fatalf("%d keys, %d instances, %d parts: instance %d starts from %d keys, partitionState selected %d",
-					nkeys, n, nparts, idx, len(share), len(want))
+			if !reflect.DeepEqual(share, want[idx]) {
+				t.Fatalf("%d keys, %d instances, %d parts: instance %d starts from %d keys, the rule gives it %d",
+					nkeys, n, nparts, idx, len(share), len(want[idx]))
 			}
 		}
 	}
@@ -187,6 +213,30 @@ func TestDealIsTheOldRule(t *testing.T) {
 			check(nkeys, n, 1+(nkeys+n)%5)
 		}
 		check(1500, n, 5)
+	}
+}
+
+// TestAuctionUniverseSplitsEvenly: Nexmark's live auction universe, the
+// 101 keys "0" to "100", splits within one key of even at every
+// parallelism from 1 to 16.
+func TestAuctionUniverseSplitsEvenly(t *testing.T) {
+	known := make(map[string]any, 101)
+	for i := 0; i <= 100; i++ {
+		known[fmt.Sprint(i)] = i
+	}
+	for n := 1; n <= 16; n++ {
+		_, shares := dealRouter(known, n)
+		lo, hi := len(known), 0
+		for _, s := range shares {
+			lo, hi = min(lo, len(s)), max(hi, len(s))
+		}
+		if hi-lo > 1 {
+			sizes := make([]int, n)
+			for i, s := range shares {
+				sizes[i] = len(s)
+			}
+			t.Errorf("101 auctions over %d instances split %v", n, sizes)
+		}
 	}
 }
 
@@ -224,5 +274,35 @@ func TestLowRateRecordsFlowPromptly(t *testing.T) {
 	// 10 records at 50/s is 200ms of stream; batch-fill would need 5s.
 	if elapsed > 1500*time.Millisecond {
 		t.Errorf("drained in %v — records sat in partial batches", elapsed)
+	}
+}
+
+// TestRoutersFromRefusesBadBounds: a worker builds its routers from the
+// bounds a DEPLOY carries only when they cut the key groups into the
+// deployed parallelism's ordered ranges; anything else is refused naming
+// the operator.
+func TestRoutersFromRefusesBadBounds(t *testing.T) {
+	pipe := &Pipeline{ops: map[string]*OperatorSpec{"count": {Keyed: true}, "map": {}}}
+	par := map[string]int{"count": 3, "map": 2}
+	good := []int{0, 100, 20000, keyGroups}
+	routers, err := routersFrom(pipe, par, map[string][]int{"count": good})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(routers) != 1 || !reflect.DeepEqual(routers["count"].bounds, good) {
+		t.Fatalf("routers %v, want one for count over %v", routers, good)
+	}
+	for _, bad := range [][]int{
+		nil,
+		{0, keyGroups},
+		{0, 100, 20000, 30000, keyGroups},
+		{1, 100, 20000, keyGroups},
+		{0, 100, 20000, keyGroups - 1},
+		{0, 20000, 100, keyGroups},
+		{0, -1, 100, keyGroups},
+	} {
+		if _, err := routersFrom(pipe, par, map[string][]int{"count": bad}); err == nil || !strings.Contains(err.Error(), `"count"`) {
+			t.Errorf("bounds %v: error %v, want a refusal naming count", bad, err)
+		}
 	}
 }
