@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race alloc-pins fuzz-smoke bench-test bench-smoke bench-pairs vet loc live-smoke dist-smoke savepoint-smoke profile-live
+.PHONY: build test race alloc-pins test-virtual fuzz-smoke bench-test bench-smoke bench-pairs vet loc live-smoke dist-smoke savepoint-smoke profile-live
 
 build:
 	$(GO) build ./...
@@ -22,6 +22,14 @@ race:
 # allocates), so `make race` never runs them; this does.
 alloc-pins:
 	$(GO) test -run 'AllocFree|DecodeAllocs' ./internal/streamrt ./internal/nexmark
+
+# The tests that run their job in virtual time (testing/synctest, an
+# experiment in go 1.24): files tagged goexperiment.synctest, which
+# `go test ./...` never builds. Clocks there move only when every
+# goroutine of the job is blocked, so timings are exact and one attempt
+# decides.
+test-virtual:
+	GOEXPERIMENT=synctest $(GO) test -run Virtual ./internal/streamrt
 
 # Ten seconds of fuzzing each for the two decoders of outside bytes:
 # transport frames and savepoint files. `go test` alone runs only their

@@ -73,9 +73,13 @@ func (a *AttachedJob) Run() (controlloop.Trace, error) {
 	}
 
 	var lastSeq, lastSpSeq, reported int
-	// Bounded defensively: the service finishes after MaxIntervals
-	// reports at the latest.
-	for cycle := 0; cycle < a.spec.MaxIntervals+16; cycle++ {
+	var refused error // the last report the service refused, if any
+	for cycle := 0; ; cycle++ {
+		// Bounded defensively: the service finishes after MaxIntervals
+		// accepted reports; a run cut short must not pass for a whole one.
+		if cycle == a.spec.MaxIntervals+16 {
+			return controlloop.Trace{}, errors.Join(fmt.Errorf("service: job %s still running after %d intervals", id, cycle), refused)
+		}
 		rep, err := a.rt.Advance(a.spec.IntervalSec)
 		if err != nil {
 			if errors.Is(err, controlloop.ErrStopped) {
@@ -87,6 +91,11 @@ func (a *AttachedJob) Run() (controlloop.Trace, error) {
 			return controlloop.Trace{}, err
 		}
 		state, err := a.client.Report(id, rep)
+		if errors.Is(err, ErrBacklogged) {
+			// A request to back off, not to stop: drop the report, go on.
+			refused = err
+			continue
+		}
 		if err != nil {
 			return controlloop.Trace{}, err
 		}

@@ -2,6 +2,7 @@ package service_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -125,6 +126,108 @@ func TestServiceParityDS2(t *testing.T) {
 	// 20 Count) — guard against both traces being identically wrong.
 	if want.Final[wordcount.FlatMap] != 10 || want.Final[wordcount.Count] != 20 {
 		t.Errorf("reference final = %s, want flatmap=10 count=20", want.Final)
+	}
+}
+
+// refuseReports is an http.RoundTripper that answers the metrics POSTs
+// numbered from to to (1-based, inclusive; to 0: every one from on) as a
+// backlogged server does, 429 with Retry-After, and passes every other
+// request through, recording the end of each report it let through.
+type refuseReports struct {
+	next     http.RoundTripper
+	from, to int
+	mu       sync.Mutex
+	posts    int
+	ends     []float64
+}
+
+func (r *refuseReports) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.Method != http.MethodPost || !strings.HasSuffix(req.URL.Path, "/metrics") {
+		return r.next.RoundTrip(req)
+	}
+	body, err := io.ReadAll(req.Body)
+	req.Body.Close()
+	if err != nil {
+		return nil, err
+	}
+	var rep service.Report
+	if err := json.Unmarshal(body, &rep); err != nil {
+		return nil, err
+	}
+	r.mu.Lock()
+	r.posts++
+	refuse := r.posts >= r.from && (r.to == 0 || r.posts <= r.to)
+	if !refuse {
+		r.ends = append(r.ends, rep.End)
+	}
+	r.mu.Unlock()
+	if refuse {
+		return &http.Response{
+			StatusCode: http.StatusTooManyRequests,
+			Header:     http.Header{"Retry-After": {"1"}, "Content-Type": {"application/json"}},
+			Body:       io.NopCloser(strings.NewReader(`{"error":"report backlog full"}`)),
+			Request:    req,
+		}, nil
+	}
+	out := req.Clone(req.Context())
+	out.Body = io.NopCloser(bytes.NewReader(body))
+	return r.next.RoundTrip(out)
+}
+
+// TestAttachedJobSurvivesRefusedReport: a report the service refuses as
+// backlogged is dropped and the attached job goes on to the next
+// interval; Run ends cleanly and the service-side trace holds every
+// other report, in order.
+func TestAttachedJobSurvivesRefusedReport(t *testing.T) {
+	const maxIntervals = 6
+	srv := service.NewServer(service.ServerConfig{})
+	ts := httptest.NewServer(srv)
+	t.Cleanup(func() {
+		srv.Close()
+		ts.Close()
+	})
+	rt := &refuseReports{next: ts.Client().Transport, from: 3, to: 3}
+	client := service.NewClient(ts.URL, &http.Client{Transport: rt, Timeout: time.Minute})
+
+	spec := wordcountSpec(service.AutoscalerDS2, maxIntervals)
+	got, err := service.NewAttachedJob(client, controlloop.NewEngineRuntime(heronEngine(t), true), spec).Run()
+	if err != nil {
+		t.Fatalf("Run after one refused report: %v", err)
+	}
+	if rt.posts != maxIntervals+1 {
+		t.Fatalf("%d reports posted, want %d: every interval but the refused one accepted", rt.posts, maxIntervals+1)
+	}
+	if len(got.Intervals) != len(rt.ends) {
+		t.Fatalf("trace holds %d intervals, want the %d accepted reports\n%s", len(got.Intervals), len(rt.ends), got)
+	}
+	for i, iv := range got.Intervals {
+		if iv.Time != rt.ends[i] {
+			t.Fatalf("trace interval %d ends at %v, want the accepted report's %v\n%s", i, iv.Time, rt.ends[i], got)
+		}
+	}
+}
+
+// TestAttachedJobRefusedToTheEnd: when the service refuses every report
+// from some point on, Run gives up at its cycle bound with ErrBacklogged
+// rather than returning the cut-short trace as if the run were whole.
+func TestAttachedJobRefusedToTheEnd(t *testing.T) {
+	const maxIntervals = 6
+	srv := service.NewServer(service.ServerConfig{})
+	ts := httptest.NewServer(srv)
+	t.Cleanup(func() {
+		srv.Close()
+		ts.Close()
+	})
+	rt := &refuseReports{next: ts.Client().Transport, from: 3}
+	client := service.NewClient(ts.URL, &http.Client{Transport: rt, Timeout: time.Minute})
+
+	spec := wordcountSpec(service.AutoscalerDS2, maxIntervals)
+	got, err := service.NewAttachedJob(client, controlloop.NewEngineRuntime(heronEngine(t), true), spec).Run()
+	if !errors.Is(err, service.ErrBacklogged) {
+		t.Fatalf("Run with every report from the 3rd refused: %v, want ErrBacklogged\n%s", err, got)
+	}
+	if len(rt.ends) != 2 {
+		t.Fatalf("%d reports accepted, want 2", len(rt.ends))
 	}
 }
 

@@ -468,7 +468,7 @@ func mustBytes(t *testing.T, pipe *Pipeline, vals parts[any]) parts[[]byte] {
 // TestRestoreFileVersionsDealAlike: over seeded state — a plain and a
 // windowed operator, 0..2000 keys, now and then an operator the file does
 // not hold — a version 1 file and a version 2 file of it both restore, at
-// every parallelism from 1 to 33, to the routers and shares a rescale
+// every parallelism of refParallelisms, to the routers and shares a rescale
 // deals the drained state to: as values (what the local placement
 // deploys) and as bytes (what the remote one ships).
 func TestRestoreFileVersionsDealAlike(t *testing.T) {
@@ -506,7 +506,7 @@ func TestRestoreFileVersionsDealAlike(t *testing.T) {
 			restores = append(restores, &snapshot{runs: sp.States})
 		}
 		enc := mustBytes(t, pipe, vals)
-		for n := 1; n <= 33; n++ {
+		for _, n := range refParallelisms {
 			par := dataflow.Parallelism{"plain": n, "win": 1 + (n*7)%33}
 			dealt, dealtBytes := make(map[string]*router), make(parts[[]byte])
 			vshares := make(parts[any])

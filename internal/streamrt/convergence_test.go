@@ -78,6 +78,103 @@ func liveManager(t *testing.T, g *dataflow.Graph, initial dataflow.Parallelism) 
 	return controlloop.DS2Autoscaler(mgr)
 }
 
+// The rate step of the convergence pins: 100 rec/s, then 400 from 0.8 s
+// of job time, under 0.2 s policy intervals. The wordcountish job starts
+// at convInitial and must settle at convWant.
+const (
+	convInterval  = 0.2
+	convStepAt    = 0.8
+	convRateLow   = 100.0
+	convRateHigh  = 400.0
+	convIntervals = 14
+)
+
+var (
+	convInitial = dataflow.Parallelism{"src": 1, "split": 1, "count": 1}
+	convWant    = dataflow.Parallelism{"src": 1, "split": 2, "count": 3}
+)
+
+func convRate(tm float64) float64 {
+	if tm >= convStepAt {
+		return convRateHigh
+	}
+	return convRateLow
+}
+
+// deployLocal deploys the wordcountish job p in this process.
+func deployLocal(p *streamrt.Pipeline) (*streamrt.Job, error) {
+	return streamrt.NewJob(p, convInitial, streamrt.Config{})
+}
+
+// convergeOnce runs the rate step once on the job deploy starts, driven
+// by scaler through the Controller and the Engine seam, and says how it
+// missed, if it did. It reports every failure as its error and takes no
+// *testing.T, so it can run inside a synctest bubble. local adds the
+// pins only the single-process case has ever had: no decision before
+// the step, three quiet intervals after the last one, and the converged
+// deployment sustaining the rate.
+func convergeOnce(deploy func() (*streamrt.Job, error), scaler controlloop.Autoscaler, local bool) error {
+	job, err := deploy()
+	if err != nil {
+		return fmt.Errorf("deploy: %v", err)
+	}
+	defer job.Close()
+	defer job.Stop()
+	ctrl, err := controlloop.New(streamrt.NewEngineRuntime(job), scaler,
+		controlloop.Config{Interval: convInterval, MaxIntervals: convIntervals})
+	if err != nil {
+		return fmt.Errorf("controller: %v", err)
+	}
+	tr, err := ctrl.Run()
+	if err != nil {
+		return fmt.Errorf("controller: %v\n%s", err, tr)
+	}
+	if !tr.Final.Equal(convWant) {
+		return fmt.Errorf("final = %s, want %s\n%s", tr.Final, convWant, tr)
+	}
+	if local && tr.Decisions < 1 {
+		return fmt.Errorf("no decisions taken\n%s", tr)
+	}
+	// Locate the first interval that saw the post-step target;
+	// every decision must land within three intervals of it.
+	firstStep, lastAction := -1, -1
+	for i, iv := range tr.Intervals {
+		if firstStep < 0 && iv.Target > convRateLow*1.5 {
+			firstStep = i
+		}
+		if iv.Action != "" {
+			if local && firstStep < 0 {
+				return fmt.Errorf("decision before the step change at interval %d\n%s", i, tr)
+			}
+			lastAction = i
+		}
+	}
+	if firstStep < 0 {
+		return fmt.Errorf("step change never observed\n%s", tr)
+	}
+	if lastAction < 0 || lastAction > firstStep+2 {
+		return fmt.Errorf("last action at interval %d, want within 3 intervals of step at %d\n%s",
+			lastAction, firstStep, tr)
+	}
+	if !local {
+		// The converged deployment spans both workers.
+		if total := convWant.Total(); total < 2 {
+			return fmt.Errorf("converged total %d cannot span two workers", total)
+		}
+		return nil
+	}
+	// Everything after the last decision must be quiet (stable
+	// provisioning), and the deployment must sustain the rate.
+	if quiet := len(tr.Intervals) - 1 - lastAction; quiet < 3 {
+		return fmt.Errorf("only %d quiet intervals after convergence\n%s", quiet, tr)
+	}
+	if last := tr.Last(); last.Achieved < convRateHigh*0.7 {
+		return fmt.Errorf("achieved %v rec/s at the converged config, want ~%v\n%s",
+			last.Achieved, convRateHigh, tr)
+	}
+	return nil
+}
+
 // TestDS2ConvergesWithinThreeIntervals is one scenario on both
 // placements: the wordcountish job — in this process, and with its
 // instances spread over two worker processes — driven by the same
@@ -87,111 +184,37 @@ func liveManager(t *testing.T, g *dataflow.Graph, initial dataflow.Parallelism) 
 // Each case gets up to three attempts and fails only when all three
 // miss: on a small loaded host a sleeping instance is now and then not
 // woken for a whole interval, which the policy correctly answers with a
-// spurious decision. Every missed attempt's trace is logged.
+// spurious decision. Every missed attempt's trace is logged. The local
+// case also runs in virtual time, once, as
+// TestDS2ConvergesWithinThreeIntervalsVirtual.
 func TestDS2ConvergesWithinThreeIntervals(t *testing.T) {
-	const (
-		interval  = 0.2
-		stepAt    = 0.8
-		rateLow   = 100.0
-		rateHigh  = 400.0
-		intervals = 14
-		attempts  = 3
-	)
-	rate := func(tm float64) float64 {
-		if tm >= stepAt {
-			return rateHigh
-		}
-		return rateLow
-	}
-	initial := dataflow.Parallelism{"src": 1, "split": 1, "count": 1}
-	want := dataflow.Parallelism{"src": 1, "split": 2, "count": 3}
-
+	const attempts = 3
 	cases := []struct {
-		name  string
-		start func(t *testing.T) (*streamrt.Pipeline, *streamrt.Job, error)
-		// local carries the pins only the single-process case has ever
-		// had: no decision before the step, three quiet intervals after
-		// the last one, and the converged deployment sustaining the rate.
-		local bool
+		name   string
+		pipe   func(t *testing.T) *streamrt.Pipeline
+		deploy func(t *testing.T, p *streamrt.Pipeline) (*streamrt.Job, error)
+		local  bool
 	}{
-		{name: "local", local: true, start: func(t *testing.T) (*streamrt.Pipeline, *streamrt.Job, error) {
-			p := liveWordcountish(t, rate)
-			job, err := streamrt.NewJob(p, initial, streamrt.Config{})
-			return p, job, err
-		}},
-		{name: "cluster", start: func(t *testing.T) (*streamrt.Pipeline, *streamrt.Job, error) {
-			p := distWordcountish(t, rate, 0, 4*time.Millisecond, 1200*time.Microsecond)
-			addrs := startWorkers(t, 2, map[string]*streamrt.Pipeline{"wc": p})
-			job, err := streamrt.NewCluster(p, "wc", initial, addrs, streamrt.Config{})
-			return p, job, err
-		}},
+		{name: "local", local: true,
+			pipe:   func(t *testing.T) *streamrt.Pipeline { return liveWordcountish(t, convRate) },
+			deploy: func(_ *testing.T, p *streamrt.Pipeline) (*streamrt.Job, error) { return deployLocal(p) },
+		},
+		{name: "cluster",
+			pipe: func(t *testing.T) *streamrt.Pipeline {
+				return distWordcountish(t, convRate, 0, 4*time.Millisecond, 1200*time.Microsecond)
+			},
+			deploy: func(t *testing.T, p *streamrt.Pipeline) (*streamrt.Job, error) {
+				addrs := startWorkers(t, 2, map[string]*streamrt.Pipeline{"wc": p})
+				return streamrt.NewCluster(p, "wc", convInitial, addrs, streamrt.Config{})
+			},
+		},
 	}
 	for _, tc := range cases {
-		// attempt runs the scenario once and says how it missed, if it did.
-		attempt := func(t *testing.T) error {
-			p, job, err := tc.start(t)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer job.Close()
-			defer job.Stop()
-			ctrl, err := controlloop.New(streamrt.NewEngineRuntime(job), liveManager(t, p.Graph(), initial),
-				controlloop.Config{Interval: interval, MaxIntervals: intervals})
-			if err != nil {
-				t.Fatal(err)
-			}
-			tr, err := ctrl.Run()
-			if err != nil {
-				return fmt.Errorf("controller: %v\n%s", err, tr)
-			}
-			if !tr.Final.Equal(want) {
-				return fmt.Errorf("final = %s, want %s\n%s", tr.Final, want, tr)
-			}
-			if tc.local && tr.Decisions < 1 {
-				return fmt.Errorf("no decisions taken\n%s", tr)
-			}
-			// Locate the first interval that saw the post-step target;
-			// every decision must land within three intervals of it.
-			firstStep, lastAction := -1, -1
-			for i, iv := range tr.Intervals {
-				if firstStep < 0 && iv.Target > rateLow*1.5 {
-					firstStep = i
-				}
-				if iv.Action != "" {
-					if tc.local && firstStep < 0 {
-						return fmt.Errorf("decision before the step change at interval %d\n%s", i, tr)
-					}
-					lastAction = i
-				}
-			}
-			if firstStep < 0 {
-				return fmt.Errorf("step change never observed\n%s", tr)
-			}
-			if lastAction < 0 || lastAction > firstStep+2 {
-				return fmt.Errorf("last action at interval %d, want within 3 intervals of step at %d\n%s",
-					lastAction, firstStep, tr)
-			}
-			if !tc.local {
-				// The converged deployment spans both workers.
-				if total := want.Total(); total < 2 {
-					return fmt.Errorf("converged total %d cannot span two workers", total)
-				}
-				return nil
-			}
-			// Everything after the last decision must be quiet (stable
-			// provisioning), and the deployment must sustain the rate.
-			if quiet := len(tr.Intervals) - 1 - lastAction; quiet < 3 {
-				return fmt.Errorf("only %d quiet intervals after convergence\n%s", quiet, tr)
-			}
-			if last := tr.Last(); last.Achieved < rateHigh*0.7 {
-				return fmt.Errorf("achieved %v rec/s at the converged config, want ~%v\n%s",
-					last.Achieved, rateHigh, tr)
-			}
-			return nil
-		}
 		t.Run(tc.name, func(t *testing.T) {
 			for i := 1; i <= attempts; i++ {
-				err := attempt(t)
+				p := tc.pipe(t)
+				deploy := func() (*streamrt.Job, error) { return tc.deploy(t, p) }
+				err := convergeOnce(deploy, liveManager(t, p.Graph(), convInitial), tc.local)
 				if err == nil {
 					return
 				}

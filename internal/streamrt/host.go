@@ -110,8 +110,9 @@ func (h *host) deployLocked(gen uint32, par dataflow.Parallelism, routers map[st
 		first:       newFirstRecord(),
 	}
 
-	// Input queues, one per hosted non-source instance.
+	// Input queues and their gates, one per hosted non-source instance.
 	chans := make(map[string][]chan *batch, g.NumOperators())
+	gates := make(map[string][]*gate, g.NumOperators())
 	dc := h.dist
 	hosted := func(op string, k int) bool { return dc == nil || dc.assign[op][k] == dc.worker }
 	// In a distributed deployment a receiver's channel also buffers the
@@ -131,12 +132,14 @@ func (h *host) deployLocked(gen uint32, par dataflow.Parallelism, routers map[st
 			continue
 		}
 		cs := make([]chan *batch, par[op.Name])
+		gs := make([]*gate, par[op.Name])
 		for k := range cs {
 			if hosted(op.Name, k) {
 				cs[k] = make(chan *batch, capacity)
+				gs[k] = newGate(h.cfg.ChannelCapacity * h.cfg.BatchSize)
 			}
 		}
-		chans[op.Name] = cs
+		chans[op.Name], gates[op.Name] = cs, gs
 		if dc != nil {
 			rds := make([]*remoteDest, par[op.Name])
 			for k := range rds {
@@ -167,6 +170,7 @@ func (h *host) deployLocked(gen uint32, par dataflow.Parallelism, routers map[st
 				enc:    appendEncoder(spec.Codec),
 				router: routers[down.Name],
 				chans:  chans[down.Name],
+				gates:  gates[down.Name],
 			}
 			if dc != nil {
 				oe.gen = dc.gen
@@ -225,7 +229,7 @@ func (h *host) deployLocked(gen uint32, par dataflow.Parallelism, routers map[st
 				}
 			} else {
 				in.spec = h.pipe.ops[op.Name]
-				in.in = chans[op.Name][k]
+				in.in, in.gate = chans[op.Name][k], gates[op.Name][k]
 				for _, u := range g.Upstream(i) {
 					in.upstream += par[g.Operator(u).Name]
 				}

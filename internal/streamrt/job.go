@@ -23,8 +23,10 @@ var ErrStopped = errors.New("streamrt: job stopped")
 type Config struct {
 	// ChannelCapacity bounds every instance's input queue, counted in
 	// batches (the exchange moves batches of up to BatchSize records).
-	// Smaller queues mean tighter backpressure and faster drains on
-	// rescale; values < 1 default to 16.
+	// It is a ceiling: what local senders may queue is also bounded in
+	// time, to about 10 ms of the receiver's measured per-record work, or
+	// one batch if a batch holds more than that, and a drain on rescale
+	// waits for about that much per operator. Values < 1 default to 16.
 	ChannelCapacity int `json:"channel_capacity"`
 	// BatchSize caps how many records one exchange batch carries. A
 	// sender flushes a partial batch when it reaches this size, when

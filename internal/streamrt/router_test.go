@@ -148,6 +148,11 @@ func refBounds(known map[string]any, n int) []int {
 	return append(bounds, keyGroups)
 }
 
+// refParallelisms are the instance counts the reference tests of the cut
+// sweep: the smallest, where a lone instance or the remainder decides a
+// bound, a prime, a power of two and one past the next.
+var refParallelisms = []int{1, 2, 3, 7, 16, 33}
+
 // refOwner is the instance whose range under bounds holds key's group.
 func refOwner(bounds []int, key string) int {
 	g := keyGroup(key)
@@ -163,9 +168,9 @@ func refOwner(bounds []int, key string) int {
 // drained parts, deal returns the bounds refBounds computes over the
 // merged universe, a router that sends every key to the instance whose
 // range holds its group, and, per instance, exactly the keys that router
-// sends it. Every key count up to 64 meets every instance count and every
-// number of parts; above that the key counts are sampled and the number
-// of parts varies with them.
+// sends it. Every key count up to 64 meets every instance count of
+// refParallelisms and every number of parts; above that the key counts
+// are sampled and the number of parts varies with them.
 func TestDealIsTheGroupRule(t *testing.T) {
 	check := func(nkeys, n, nparts int) {
 		t.Helper()
@@ -203,7 +208,7 @@ func TestDealIsTheGroupRule(t *testing.T) {
 			}
 		}
 	}
-	for n := 1; n <= 33; n++ {
+	for _, n := range refParallelisms {
 		for nkeys := 0; nkeys <= 64; nkeys++ {
 			for nparts := 1; nparts <= 5; nparts++ {
 				check(nkeys, n, nparts)

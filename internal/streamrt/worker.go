@@ -45,6 +45,57 @@ type batch struct {
 // windowed tick's empty batch, which does.
 var endOfStream = &batch{}
 
+// drainBudget is how much of its own work a local receiver may have
+// queued, since a drain processes all of it at the old parallelism
+// (after Flink's buffer debloating, FLIP-183).
+const drainBudget = 10 * time.Millisecond
+
+// gate bounds a local receiver's queue in records: a sender admits a
+// batch while fewer than budget records are queued (so one batch always
+// fits), the receiver releases it after its record step. The budget is
+// drainBudget over the receiver's per-record useful time, in [1, max];
+// max (ChannelCapacity × BatchSize) holds until that is measured.
+// Link batches, end-of-stream and tick batches pass the gate by.
+type gate struct {
+	mu     sync.Mutex
+	cond   sync.Cond
+	queued int
+	budget int
+	max    int
+}
+
+func newGate(max int) *gate {
+	g := &gate{budget: max, max: max}
+	g.cond.L = &g.mu
+	return g
+}
+
+func (g *gate) admit(n int) {
+	g.mu.Lock()
+	for g.queued >= g.budget {
+		g.cond.Wait()
+	}
+	g.queued += n
+	g.mu.Unlock()
+}
+
+// release returns b's records, unless b came off a transport link (its
+// sender took a credit token, not gate room), and resizes the budget
+// from est, the receiver's per-record useful time (0: not yet measured).
+func (g *gate) release(b *batch, est time.Duration) {
+	budget := g.max
+	if est > 0 {
+		budget = int(max(1, min(drainBudget/est, time.Duration(g.max))))
+	}
+	g.mu.Lock()
+	if b.from.link == nil {
+		g.queued -= len(b.msgs)
+	}
+	g.budget = budget
+	g.mu.Unlock()
+	g.cond.Broadcast()
+}
+
 // outEdge is one instance's view of a downstream operator: where to
 // send and how to partition. Each instance owns its copy (the
 // round-robin cursor and the pending batches are worker-goroutine state
@@ -55,6 +106,7 @@ type outEdge struct {
 	enc    AppendEncoder // the receiving operator's codec (see appendEncoder); nil without one
 	router *router       // key -> instance, shared with state repartitioning
 	chans  []chan *batch
+	gates  []*gate // chans[k]'s receiver's gate; nil exactly when chans[k] is
 	rr     int
 	// Distributed deployments only. remote[k] is the credit gate for
 	// target instance k when it lives on another worker (nil for local
@@ -194,6 +246,7 @@ type instance struct {
 	// operators
 	spec     *OperatorSpec
 	in       chan *batch
+	gate     *gate          // in's local senders' credit gate
 	upstream int            // upstream instances: the end-of-stream markers to await
 	state    map[string]any // keyed per-key state (this instance's share)
 
@@ -210,6 +263,7 @@ type instance struct {
 	// nil when telemetry is off.
 	latHist      *obs.Histogram
 	owed         time.Duration // work-pacing credit, see work()
+	est          time.Duration // smoothed useful time per record, see bookUseful
 	lastAccFlush time.Time
 	lastPend     time.Time
 	// first points at the deployment's first-record resolver until this
@@ -334,6 +388,7 @@ func (in *instance) flushOne(oe *outEdge, edge, target int, reason flushReason) 
 		t1 = time.Now()
 		in.local.Dur.Serialization += t1.Sub(t0)
 	}
+	oe.gates[target].admit(n)
 	oe.chans[target] <- b
 	t2 := time.Now()
 	blocked := t2.Sub(t1)
@@ -437,8 +492,9 @@ func (in *instance) emitted() time.Duration {
 }
 
 // bookUseful books n records as processed and the span since from as
-// processing time, less what flushes booked since the emitted0 reading.
-// It returns the clock reading that ends the span.
+// processing time, less what flushes booked since the emitted0 reading,
+// and folds the span's time per record into est. It returns the clock
+// reading that ends the span.
 func (in *instance) bookUseful(from time.Time, emitted0 time.Duration, n int64) time.Time {
 	now := time.Now()
 	proc := now.Sub(from) - (in.emitted() - emitted0)
@@ -447,6 +503,14 @@ func (in *instance) bookUseful(from time.Time, emitted0 time.Duration, n int64) 
 	}
 	in.local.Dur.Processing += proc
 	in.local.Processed += n
+	if n > 0 {
+		per := proc / time.Duration(n)
+		if in.est == 0 {
+			in.est = per
+		} else {
+			in.est += (per - in.est) / 8
+		}
+	}
 	return now
 }
 
@@ -536,6 +600,7 @@ func (in *instance) runOperator() {
 		emitted0 := in.emitted()
 		step(b, vals, emit)
 		t3 := in.bookUseful(t1, emitted0, int64(len(b.msgs)))
+		in.gate.release(b, in.est)
 		if len(b.msgs) > 0 {
 			in.noteFirstRecord(t3)
 		}
