@@ -48,12 +48,13 @@ bench-test:
 
 # One iteration of every paper-figure and micro benchmark in
 # bench_test.go, and of the reconfiguration path's per-layer benchmarks
-# in internal/streamrt (deal, savepoint encode; ns/key) — the CI guard
-# that keeps them compiling and running without paying full
-# measurement time.
+# in internal/streamrt (cut, savepoint encode and the coordinator's
+# shares, ns/key; the keyed record step's state access, ns/record) —
+# the CI guard that keeps them compiling and running without paying
+# full measurement time.
 bench-smoke:
 	$(GO) test -run XXX -bench . -benchtime 1x -benchmem .
-	$(GO) test -run XXX -bench 'Deal|SavepointEncode' -benchtime 1x ./internal/streamrt
+	$(GO) test -run XXX -bench 'Cut|SavepointEncode|CoordinatorShares|KeyedStep' -benchtime 1x ./internal/streamrt
 
 # The numbers a PR that touches performance reports: N alternating pairs
 # of `benchmarks/run.sh --workload $(W)` runs, a clone of BASE against

@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"ds2/internal/dataflow"
@@ -155,7 +156,8 @@ func (s *DirStore) Load(name string) ([]byte, error) {
 // requires: identical state gives identical bytes. The group count and
 // keyGroup are part of the format, so changing either is a version bump.
 // Version 1, whose keys are in strictly increasing key order, is still
-// read; a restore cuts either version's keys as they lie (see cut).
+// read; a restore files either version's keys into their groups (see
+// filed) and cuts those like any drained state.
 //
 // Per-key state blobs are encodeOpState's output — the operator's
 // StateCodec bytes, wrapped in the canonical window encoding for
@@ -183,7 +185,8 @@ type savepointData struct {
 	Seqs     map[string][]int64 // source -> per-rank local counters
 	// States is, per operator, the file's run of (key, encoded state) in
 	// the file's order, as decodeSavepoint read it; the states alias the
-	// file. encodeSavepoint takes drained parts instead.
+	// file. A restore files them into group maps (see filed);
+	// encodeSavepoint takes state in that form.
 	States map[string][]entry[[]byte]
 }
 
@@ -201,15 +204,15 @@ func appendSpString(buf []byte, s string) []byte {
 	return append(buf, s...)
 }
 
-// encodeSavepoint serializes the header fields of sp and the drained
-// state in one pass: per operator the (key, state) pairs of every part
-// are collected and put in (group, key) order once (byGroup) — identical
-// state gives identical bytes whatever the part boundaries and map
-// iteration order — and each state goes through enc (encodeOpState for
-// values, the identity for bytes a worker already encoded) straight into
-// the file buffer. A failing or panicking StateCodec is reported naming
-// operator and key.
-func encodeSavepoint[V any](pipe *Pipeline, sp *savepointData, states parts[V], enc func(*OperatorSpec, V) ([]byte, error)) (_ []byte, err error) {
+// encodeSavepoint serializes the header fields of sp and the state in
+// group form in one pass: per operator the groups are walked in order
+// and each group's few keys sorted, which is the file's (group, key)
+// order — identical state gives identical bytes whatever the map
+// iteration order — and each state is appended by enc (appendOpState for
+// values, appendBytes for bytes a worker already encoded) to one reused
+// scratch buffer and copied into the file buffer behind its length. A
+// failing or panicking StateCodec is reported naming operator and key.
+func encodeSavepoint[V any](pipe *Pipeline, sp *savepointData, states parts[V], enc func([]byte, *OperatorSpec, V) ([]byte, error)) (_ []byte, err error) {
 	var op, key string
 	defer recoverCodec("encoding", &op, &key, &err)
 	buf := make([]byte, 0, 1024)
@@ -228,31 +231,39 @@ func encodeSavepoint[V any](pipe *Pipeline, sp *savepointData, states parts[V], 
 		}
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(states)))
+	var grp []entry[V] // one group's keys, reused
+	var state []byte   // one key's encoded state, reused
 	for _, op = range sortedKeys(states) {
 		spec := pipe.ops[op]
 		if spec == nil {
 			return nil, fmt.Errorf("streamrt: state for unknown operator %q", op)
 		}
-		run := gather(states[op])
-		byGroup(run)
-		keyBytes := 0
-		for _, e := range run {
-			keyBytes += len(e.key)
+		keys := 0
+		for _, kv := range states[op] {
+			keys += len(kv)
 		}
-		// Room for the keys and, as a guess, 8 bytes of lengths and state
-		// a key: the buffer grows once per operator, not per doubling.
-		buf = slices.Grow(buf, keyBytes+8*len(run))
+		// Room for, as a guess, 24 bytes of key, lengths and state a key:
+		// the buffer grows once per operator, not per doubling.
+		buf = slices.Grow(buf, 24*keys)
 		buf = appendSpString(buf, op)
-		buf = binary.AppendUvarint(buf, uint64(len(run)))
-		for _, e := range run {
-			key = e.key
-			b, err := enc(spec, e.val)
-			if err != nil {
-				return nil, fmt.Errorf("streamrt: encoding %s[%q]: %w", op, key, err)
+		buf = binary.AppendUvarint(buf, uint64(keys))
+		for _, kv := range states[op] {
+			grp = grp[:0]
+			for k, v := range kv {
+				grp = append(grp, entry[V]{k, v})
 			}
-			buf = appendSpString(buf, key)
-			buf = binary.AppendUvarint(buf, uint64(len(b)))
-			buf = append(buf, b...)
+			if len(grp) > 1 {
+				slices.SortFunc(grp, func(a, b entry[V]) int { return strings.Compare(a.key, b.key) })
+			}
+			for _, e := range grp {
+				key = e.key
+				if state, err = enc(state[:0], spec, e.val); err != nil {
+					return nil, fmt.Errorf("streamrt: encoding %s[%q]: %w", op, key, err)
+				}
+				buf = appendSpString(buf, key)
+				buf = binary.AppendUvarint(buf, uint64(len(state)))
+				buf = append(buf, state...)
+			}
 		}
 	}
 	return binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf)), nil

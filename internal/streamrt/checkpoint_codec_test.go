@@ -9,6 +9,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"iter"
 	"math"
 	"math/rand"
 	"os"
@@ -50,14 +51,22 @@ func inGroupOrder[V any](run []entry[V]) []entry[V] {
 }
 
 // encodeDecoded runs the encoder over a decoded savepoint the way the
-// remote placement does: the States are bytes already, one part per
-// operator, and every operator they name exists.
-func encodeDecoded(sp *savepointData) []byte { return encodeDecodedBy(encodeSavepoint[[]byte], sp) }
+// remote placement does: the States are bytes already, filed into group
+// form, and every operator they name exists.
+func encodeDecoded(sp *savepointData) []byte {
+	return encodeDecodedBy(func(pipe *Pipeline, sp *savepointData, states parts[[]byte]) ([]byte, error) {
+		return encodeSavepoint(pipe, sp, states, appendBytes)
+	}, sp)
+}
 
 // encodeDecodedV1 is encodeDecoded writing a version 1 file.
-func encodeDecodedV1(sp *savepointData) []byte { return encodeDecodedBy(encodeSavepointV1[[]byte], sp) }
+func encodeDecodedV1(sp *savepointData) []byte {
+	return encodeDecodedBy(func(pipe *Pipeline, sp *savepointData, states parts[[]byte]) ([]byte, error) {
+		return encodeSavepointV1(pipe, sp, states, sameBytes)
+	}, sp)
+}
 
-func encodeDecodedBy(encode func(*Pipeline, *savepointData, parts[[]byte], func(*OperatorSpec, []byte) ([]byte, error)) ([]byte, error), sp *savepointData) []byte {
+func encodeDecodedBy(encode func(*Pipeline, *savepointData, parts[[]byte]) ([]byte, error), sp *savepointData) []byte {
 	pipe := &Pipeline{ops: make(map[string]*OperatorSpec, len(sp.States))}
 	states := make(parts[[]byte], len(sp.States))
 	for op, run := range sp.States {
@@ -66,9 +75,9 @@ func encodeDecodedBy(encode func(*Pipeline, *savepointData, parts[[]byte], func(
 		for _, e := range run {
 			kv[e.key] = e.val
 		}
-		states[op] = []map[string][]byte{kv}
+		states[op] = groupsOf(kv)
 	}
-	data, err := encode(pipe, sp, states, sameBytes)
+	data, err := encode(pipe, sp, states)
 	if err != nil {
 		panic(err)
 	}
@@ -305,6 +314,127 @@ func fileV1(pipe *Pipeline, snap *snapshot, sp *savepointData) ([]byte, error) {
 	return encodeSavepointV1(pipe, sp, snap.vals, encodeOpState)
 }
 
+// encodeSavepointByGroup, gather, countGroups and byGroup are the
+// version 2 encoder before state lived in key groups, kept word for word
+// as the reference for the files it wrote: gather the (key, state) pairs
+// of the drained instances' maps into one run, put the run in (group,
+// key) order, write it.
+
+// gather collects the (key, state) pairs of every map in ps into one run,
+// in no particular order.
+func gather[V any](ps []map[string]V) []entry[V] {
+	n := 0
+	for _, p := range ps {
+		n += len(p)
+	}
+	run := make([]entry[V], 0, n)
+	for _, p := range ps {
+		for k, v := range p {
+			run = append(run, entry[V]{k, v})
+		}
+	}
+	return run
+}
+
+// countGroups returns the key group of every entry of run and, in w, how
+// many of them fall below each group bound: w[b] counts the groups
+// [0, b), so w[0] is 0 and w[keyGroups] is len(run).
+func countGroups[V any](run []entry[V]) (groups []uint16, w []int) {
+	groups = make([]uint16, len(run))
+	w = make([]int, keyGroups+1)
+	for i, e := range run {
+		g := keyGroup(e.key)
+		groups[i] = uint16(g)
+		w[g+1]++
+	}
+	for b := 1; b <= keyGroups; b++ {
+		w[b] += w[b-1]
+	}
+	return groups, w
+}
+
+// byGroup puts run in (group, key) order, a version 2 savepoint file's:
+// a counting pass finds each group's place, the entries are swapped into
+// their groups in place, and then each group's few keys are sorted on
+// their own.
+func byGroup[V any](run []entry[V]) {
+	groups, w := countGroups(run)
+	next := slices.Clone(w[:keyGroups]) // the first unplaced position of each group
+	for g := range keyGroups {
+		for next[g] < w[g+1] {
+			i := next[g]
+			h := groups[i]
+			if int(h) != g {
+				j := next[h]
+				run[i], run[j] = run[j], run[i]
+				groups[i], groups[j] = groups[j], groups[i]
+			}
+			next[h]++
+		}
+	}
+	for g := range keyGroups {
+		if grp := run[w[g]:w[g+1]]; len(grp) > 1 {
+			slices.SortFunc(grp, func(a, b entry[V]) int { return strings.Compare(a.key, b.key) })
+		}
+	}
+}
+
+// encodeSavepointByGroup serializes the header fields of sp and the
+// drained state in one pass: per operator the (key, state) pairs of every
+// part are collected and put in (group, key) order once (byGroup) —
+// identical state gives identical bytes whatever the part boundaries and
+// map iteration order — and each state goes through enc straight into
+// the file buffer. A failing or panicking StateCodec is reported naming
+// operator and key.
+func encodeSavepointByGroup[V any](pipe *Pipeline, sp *savepointData, states parts[V], enc func(*OperatorSpec, V) ([]byte, error)) (_ []byte, err error) {
+	var op, key string
+	defer recoverCodec("encoding", &op, &key, &err)
+	buf := make([]byte, 0, 1024)
+	buf = append(buf, savepointMagic[:]...)
+	buf = binary.BigEndian.AppendUint16(buf, savepointVersion)
+	buf = appendSpString(buf, sp.Workload)
+	buf = binary.AppendUvarint(buf, uint64(sp.Workers))
+	buf = binary.AppendUvarint(buf, uint64(sp.SeqBlock))
+	buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(sp.Elapsed))
+	buf = binary.AppendUvarint(buf, uint64(len(sp.Seqs)))
+	for _, name := range sortedKeys(sp.Seqs) {
+		buf = appendSpString(buf, name)
+		buf = binary.AppendUvarint(buf, uint64(len(sp.Seqs[name])))
+		for _, c := range sp.Seqs[name] {
+			buf = binary.AppendVarint(buf, c)
+		}
+	}
+	buf = binary.AppendUvarint(buf, uint64(len(states)))
+	for _, op = range sortedKeys(states) {
+		spec := pipe.ops[op]
+		if spec == nil {
+			return nil, fmt.Errorf("streamrt: state for unknown operator %q", op)
+		}
+		run := gather(states[op])
+		byGroup(run)
+		keyBytes := 0
+		for _, e := range run {
+			keyBytes += len(e.key)
+		}
+		// Room for the keys and, as a guess, 8 bytes of lengths and state
+		// a key: the buffer grows once per operator, not per doubling.
+		buf = slices.Grow(buf, keyBytes+8*len(run))
+		buf = appendSpString(buf, op)
+		buf = binary.AppendUvarint(buf, uint64(len(run)))
+		for _, e := range run {
+			key = e.key
+			b, err := enc(spec, e.val)
+			if err != nil {
+				return nil, fmt.Errorf("streamrt: encoding %s[%q]: %w", op, key, err)
+			}
+			buf = appendSpString(buf, key)
+			buf = binary.AppendUvarint(buf, uint64(len(b)))
+			buf = append(buf, b...)
+		}
+	}
+	return binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf)), nil
+}
+
 // encodeSavepointMap and refSavepointFile are the chain the one-pass
 // encoder replaced, kept as its reference: encode every part into a
 // parts[[]byte], merge the parts into one map per operator, then order
@@ -357,9 +487,9 @@ func encodeSavepointMap(sp *savepointMapData, version uint16) []byte {
 
 func refSavepointFile(t *testing.T, pipe *Pipeline, hdr savepointData, snap *snapshot, version uint16) []byte {
 	t.Helper()
-	enc, err := snap.bytes(pipe)
-	if err != nil {
-		t.Fatal(err)
+	enc := snap.enc
+	if snap.vals != nil {
+		enc = mustBytes(t, pipe, snap.vals)
 	}
 	return encodeSavepointMap(&savepointMapData{hdr, mergeParts(enc)}, version)
 }
@@ -382,10 +512,12 @@ func randomState(rng *rand.Rand, keys int) (plain, win map[string]any) {
 }
 
 // TestSavepointFileIsTheOldFile: over seeded random state — a plain and
-// a windowed operator, 0..5 parts each with empty and nil maps among
-// them, as values and as bytes — the one-pass encoder writes the file the
-// old chain writes in (group, key) order, byte for byte, and the version 1
-// encoder the one it writes in key order.
+// a windowed operator, spread over 0..5 drained instances with empty and
+// nil maps among them, as values and as bytes — the encoder writes, from
+// the state's group maps, the very file the gather + byGroup encoder
+// writes from the instances' maps, and the file the old map chain writes
+// in (group, key) order, byte for byte; the version 1 encoder writes the
+// one the chain writes in key order.
 func TestSavepointFileIsTheOldFile(t *testing.T) {
 	pipe := &Pipeline{ops: map[string]*OperatorSpec{
 		"plain": {Keyed: true, State: IntStateCodec{}},
@@ -426,9 +558,13 @@ func TestSavepointFileIsTheOldFile(t *testing.T) {
 			Seqs:     map[string][]int64{"src": {rng.Int63n(1 << 40)}, "aux": {0}},
 		}
 		plain, win := randomState(rng, keys)
-		vals := parts[any]{"plain": randomParts(plain), "win": randomParts(win)}
+		drained := parts[any]{"plain": randomParts(plain), "win": randomParts(win)}
 		if round%7 == 3 {
-			delete(vals, "win") // an operator no instance reported
+			delete(drained, "win") // an operator no instance reported
+		}
+		vals := make(parts[any], len(drained))
+		for op, list := range drained {
+			vals[op] = groupsOf(list...)
 		}
 		for _, snap := range []*snapshot{{vals: vals}, {enc: mustBytes(t, pipe, vals)}} {
 			got, err := snap.file(pipe, &hdr)
@@ -447,6 +583,17 @@ func TestSavepointFileIsTheOldFile(t *testing.T) {
 				t.Fatalf("round %d (%d keys, values=%v): version 1 file differs from the old chain's (%d vs %d bytes)",
 					round, keys, snap.vals != nil, len(gotV1), len(want))
 			}
+			head, err := encodeSavepointByGroup(pipe, &hdr, drained, encodeOpState)
+			if snap.vals == nil {
+				head, err = encodeSavepointByGroup(pipe, &hdr, mustBytes(t, pipe, drained), sameBytes)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, head) {
+				t.Fatalf("round %d (%d keys, values=%v): file from the group maps differs from the gather + byGroup file of the instances' maps (%d vs %d bytes)",
+					round, keys, snap.vals != nil, len(got), len(head))
+			}
 			for _, file := range [][]byte{got, gotV1} {
 				if _, err := decodeSavepoint(file); err != nil {
 					t.Fatalf("round %d: %v", round, err)
@@ -458,7 +605,7 @@ func TestSavepointFileIsTheOldFile(t *testing.T) {
 
 func mustBytes(t *testing.T, pipe *Pipeline, vals parts[any]) parts[[]byte] {
 	t.Helper()
-	enc, err := (&snapshot{vals: vals}).bytes(pipe)
+	enc, err := convertParts(pipe, "encoding", vals, encodeOpState)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -467,10 +614,11 @@ func mustBytes(t *testing.T, pipe *Pipeline, vals parts[any]) parts[[]byte] {
 
 // TestRestoreFileVersionsDealAlike: over seeded state — a plain and a
 // windowed operator, 0..2000 keys, now and then an operator the file does
-// not hold — a version 1 file and a version 2 file of it both restore, at
-// every parallelism of refParallelisms, to the routers and shares a rescale
-// deals the drained state to: as values (what the local placement
-// deploys) and as bytes (what the remote one ships).
+// not hold — a version 1 file, a version 2 file and the file the gather +
+// byGroup encoder wrote of it all restore, at every parallelism of
+// refParallelisms, to the routers and shares the cut of the drained
+// group maps gives, the bounds refBounds computes: as values (what the
+// local placement deploys) and as bytes (what the remote one ships).
 func TestRestoreFileVersionsDealAlike(t *testing.T) {
 	pipe := &Pipeline{ops: map[string]*OperatorSpec{
 		"plain": {Keyed: true, State: IntStateCodec{}},
@@ -484,9 +632,13 @@ func TestRestoreFileVersionsDealAlike(t *testing.T) {
 			keys = 0
 		}
 		plain, win := randomState(rng, keys)
-		vals := parts[any]{"plain": {plain}, "win": {win}}
+		universe := map[string]map[string]any{"plain": plain, "win": win}
+		drained := parts[any]{"plain": {plain}, "win": {win}}
+		vals := parts[any]{"plain": groupsOf(plain), "win": groupsOf(win)}
 		if round%5 == 2 {
+			delete(drained, "win")
 			delete(vals, "win")
+			universe["win"] = nil
 		}
 		snap := &snapshot{vals: vals}
 		v1, err := fileV1(pipe, snap, hdr)
@@ -497,40 +649,54 @@ func TestRestoreFileVersionsDealAlike(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var restores []*snapshot
-		for _, file := range [][]byte{v1, v2} {
+		head, err := encodeSavepointByGroup(pipe, hdr, drained, encodeOpState)
+		if err != nil {
+			t.Fatal(err)
+		}
+		type restore struct {
+			vals parts[any]
+			enc  parts[[]byte]
+		}
+		var restores []restore
+		for _, file := range [][]byte{v1, v2, head} {
 			sp, err := decodeSavepoint(file)
 			if err != nil {
 				t.Fatal(err)
 			}
-			restores = append(restores, &snapshot{runs: sp.States})
+			run := func(op string) iter.Seq2[string, []byte] { return runPairs(sp.States[op]) }
+			var r restore
+			if r.vals, err = filed(pipe, run, decodeOpState); err != nil {
+				t.Fatal(err)
+			}
+			if r.enc, err = filed(pipe, run, sameBytes); err != nil {
+				t.Fatal(err)
+			}
+			restores = append(restores, r)
 		}
 		enc := mustBytes(t, pipe, vals)
 		for _, n := range refParallelisms {
 			par := dataflow.Parallelism{"plain": n, "win": 1 + (n*7)%33}
-			dealt, dealtBytes := make(map[string]*router), make(parts[[]byte])
-			vshares := make(parts[any])
-			for op := range pipe.ops {
-				dealt[op], vshares[op] = deal(vals[op], par[op])
-				_, dealtBytes[op] = deal(enc[op], par[op])
-			}
+			dealt, vshares := dealAll(pipe, vals, par)
+			_, dealtBytes := dealAll(pipe, enc, par)
 			for i, restore := range restores {
-				routers, shares, err := dealAll(pipe, restore, nil, par, decodeOpState)
-				if err != nil {
-					t.Fatal(err)
-				}
-				bRouters, bShares, err := dealAll(pipe, restore, nil, par, sameBytes)
-				if err != nil {
-					t.Fatal(err)
-				}
+				routers, shares := dealAll(pipe, restore.vals, par)
+				bRouters, bShares := dealAll(pipe, restore.enc, par)
 				for op := range pipe.ops {
 					if !reflect.DeepEqual(routers[op].bounds, dealt[op].bounds) || !reflect.DeepEqual(bRouters[op].bounds, dealt[op].bounds) {
-						t.Fatalf("round %d (%d keys), %s at %d instances: version %d file restores to bounds %v and %v, the drained state deals to %v",
+						t.Fatalf("round %d (%d keys), %s at %d instances: file %d restores to bounds %v and %v, the drained state cuts to %v",
 							round, keys, op, par[op], i+1, routers[op].bounds, bRouters[op].bounds, dealt[op].bounds)
 					}
-					if !reflect.DeepEqual(shares[op], vshares[op]) || !reflect.DeepEqual(bShares[op], dealtBytes[op]) {
-						t.Fatalf("round %d (%d keys), %s at %d instances: version %d file restores to other shares than the drained state deals to",
-							round, keys, op, par[op], i+1)
+					if want := refBounds(universe[op], par[op]); !reflect.DeepEqual(routers[op].bounds, want) {
+						t.Fatalf("round %d (%d keys), %s at %d instances: file %d restores to bounds %v, the rule gives %v",
+							round, keys, op, par[op], i+1, routers[op].bounds, want)
+					}
+					b := dealt[op].bounds
+					for inst := 0; inst < par[op]; inst++ {
+						lo, hi := b[inst], b[inst+1]
+						if !reflect.DeepEqual(shares[op][lo:hi], vshares[op][lo:hi]) || !reflect.DeepEqual(bShares[op][lo:hi], dealtBytes[op][lo:hi]) {
+							t.Fatalf("round %d (%d keys), %s at %d instances: file %d restores instance %d to other group maps than the drained state cuts to",
+								round, keys, op, par[op], i+1, inst)
+						}
 					}
 				}
 			}

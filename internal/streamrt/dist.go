@@ -2,9 +2,11 @@ package streamrt
 
 import (
 	"bufio"
+	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"iter"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -84,12 +86,12 @@ type deployReq struct {
 	Peers       []string         `json:"peers"` // data addr per worker index
 	Parallelism map[string]int   `json:"parallelism"`
 	Assign      map[string][]int `json:"assign"`
-	// Bounds and Shares are the coordinator's deal: every keyed
+	// Bounds and Shares are the coordinator's cut: every keyed
 	// operator's n+1 key-group bounds (see router) — the same on every
 	// worker — and, indexed by instance, the encoded state of the
 	// instances this worker hosts (null for the others).
-	Bounds map[string][]int `json:"bounds,omitempty"`
-	Shares parts[[]byte]    `json:"shares,omitempty"`
+	Bounds map[string][]int       `json:"bounds,omitempty"`
+	Shares map[string][]wireState `json:"shares,omitempty"`
 	// Seqs, when present, overwrites this worker's per-source local
 	// sequence counters before the generation starts. A restore from a
 	// savepoint is what that matters for; after a drain it writes back
@@ -116,7 +118,7 @@ type drainReq struct {
 type drainResp struct {
 	// States is the drained instances' keyed state, encoded, indexed by
 	// instance (null for the instances other workers host).
-	States parts[[]byte] `json:"states,omitempty"`
+	States map[string][]map[string][]byte `json:"states,omitempty"`
 	// Seqs reports the worker's per-source local sequence counters at
 	// the drain, so a coordinator cutting a savepoint can persist the
 	// exact resume point of every stripe.
@@ -210,8 +212,9 @@ type Worker struct {
 	mu       sync.Mutex
 	workload string
 	seqs     map[string]*int64
-	host     *host   // the live generation; nil between drain and deploy
-	winStart float64 // job time of the last collect, for the worker's own gauges
+	host     *host              // the live generation; nil between drain and deploy
+	routers  map[string]*router // host's, to split its drained state by instance
+	winStart float64            // job time of the last collect, for the worker's own gauges
 }
 
 // NewWorker creates a worker with the given index (its position in the
@@ -313,7 +316,13 @@ func (w *Worker) deploy(body []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	shares, err := convertParts(pipe, "decoding", req.Shares, decodeOpState)
+	shares, err := filed(pipe, func(op string) iter.Seq2[string, []byte] {
+		var list []map[string][]byte
+		for _, share := range req.Shares[op] {
+			list = append(list, share...)
+		}
+		return pairs(list)
+	}, decodeOpState)
 	if err != nil {
 		return nil, err
 	}
@@ -369,7 +378,7 @@ func (w *Worker) deploy(body []byte) ([]byte, error) {
 	}
 	h.deployLocked(req.Gen, par, routers, shares)
 	h.mu.Unlock()
-	w.host, w.winStart = h, req.Elapsed
+	w.host, w.routers, w.winStart = h, routers, req.Elapsed
 	w.workload, w.seqs = req.Workload, h.seqs
 	resp := deployResp{}
 	if req.Trace.ID != "" {
@@ -379,6 +388,37 @@ func (w *Worker) deploy(body []byte) ([]byte, error) {
 		}
 	}
 	return json.Marshal(resp)
+}
+
+// instanceStates is a worker's drained group maps as a drainResp carries
+// them: per keyed operator, one flat map of encoded states per instance
+// h hosted, holding its range's keys under routers, nil for the others.
+func instanceStates(h *host, vals parts[any], routers map[string]*router) (_ map[string][]map[string][]byte, err error) {
+	var op, key string
+	defer recoverCodec("encoding", &op, &key, &err)
+	out := make(map[string][]map[string][]byte, len(vals))
+	for name, groups := range vals {
+		op = name
+		spec, r := h.pipe.ops[op], routers[op]
+		list := make([]map[string][]byte, r.n)
+		for inst := range list {
+			if h.dist.assign[op][inst] != h.dist.worker {
+				continue
+			}
+			flat := make(map[string][]byte)
+			for _, kv := range groups[r.bounds[inst]:r.bounds[inst+1]] {
+				for k, v := range kv {
+					key = k
+					if flat[k], err = encodeOpState(spec, v); err != nil {
+						return nil, fmt.Errorf("streamrt: encoding %s[%q]: %w", op, k, err)
+					}
+				}
+			}
+			list[inst] = flat
+		}
+		out[op] = list
+	}
+	return out, nil
 }
 
 // start releases the deployed generation's sources.
@@ -413,7 +453,7 @@ func (w *Worker) drain(body []byte) ([]byte, error) {
 	}
 	h0 := time.Now()
 	w.mu.Lock()
-	h := w.host
+	h, routers := w.host, w.routers
 	w.mu.Unlock()
 	var resp drainResp
 	if h != nil {
@@ -425,7 +465,7 @@ func (w *Worker) drain(body []byte) ([]byte, error) {
 		w.mu.Lock()
 		w.host = nil
 		w.mu.Unlock()
-		if resp.States, err = snap.bytes(h.pipe); err != nil {
+		if resp.States, err = instanceStates(h, snap.vals, routers); err != nil {
 			return nil, err
 		}
 		resp.Seqs = make(map[string]int64, len(snap.seqs))
@@ -667,11 +707,11 @@ func (r *remote) each(f func(cc *ctrlClient) error) error {
 	return errors.Join(errs...)
 }
 
-// deploy pushes one new generation: placement, the deal (key-group
+// deploy pushes one new generation: placement, the cut (key-group
 // bounds — identical on every worker — and per-instance shares, over the
-// bytes the workers drained or a savepoint file's runs), then the
-// two-phase deploy/start barrier, each worker receiving the bounds and
-// the shares of the instances it hosts.
+// bytes the workers drained or a savepoint file's runs, in group form),
+// then the two-phase deploy/start barrier, each worker receiving the
+// bounds and the shares of the instances it hosts.
 // snap.seqs, on a restore, carries per-rank source counters; each
 // hosting worker receives its rank's counter. tr, when non-nil, times
 // the router_rebuild/transfer/restart phases with per-worker child
@@ -682,8 +722,7 @@ func (r *remote) deploy(gen uint32, par dataflow.Parallelism, snap *snapshot, tr
 	var routers map[string]*router
 	var shares parts[[]byte]
 	var err error
-	// Bytes go through no codec, so the deal cannot fail.
-	tr.phase(phaseRouterRebuild, func(uint64) { routers, shares, _ = dealAll(r.pipe, snap, snap.enc, par, sameBytes) })
+	tr.phase(phaseRouterRebuild, func(uint64) { routers, shares = dealAll(r.pipe, snap.enc, par) })
 	bounds := make(map[string][]int, len(routers))
 	for op, rt := range routers {
 		bounds[op] = rt.bounds
@@ -714,7 +753,7 @@ func (r *remote) deploy(gen uint32, par dataflow.Parallelism, snap *snapshot, tr
 				Parallelism: par,
 				Assign:      assign,
 				Bounds:      bounds,
-				Shares:      hostedShares(shares, assign, cc.worker),
+				Shares:      hostedShares(shares, routers, assign, cc.worker),
 				Seqs:        perWorkerSeqs[cc.worker],
 				Elapsed:     elapsed,
 				Config:      r.cfg,
@@ -751,15 +790,17 @@ func (r *remote) deploy(gen uint32, par dataflow.Parallelism, snap *snapshot, tr
 	return nil
 }
 
-// hostedShares keeps of the dealt shares those of the instances worker w
-// hosts; the other slots stay nil.
-func hostedShares(shares parts[[]byte], assign map[string][]int, w int) parts[[]byte] {
-	out := make(parts[[]byte], len(shares))
-	for op, list := range shares {
-		mine := make([]map[string][]byte, len(list))
-		for k, share := range list {
+// hostedShares is the part of the cut a DEPLOY carries to worker w: per
+// keyed operator, the group maps of the range of every instance w hosts,
+// nil for the other instances.
+func hostedShares(shares parts[[]byte], routers map[string]*router, assign map[string][]int, w int) map[string][]wireState {
+	out := make(map[string][]wireState, len(shares))
+	for op, groups := range shares {
+		r := routers[op]
+		mine := make([]wireState, r.n)
+		for k := range mine {
 			if assign[op][k] == w {
-				mine[k] = share
+				mine[k] = groups[r.bounds[k]:r.bounds[k+1]]
 			}
 		}
 		out[op] = mine
@@ -767,10 +808,69 @@ func hostedShares(shares parts[[]byte], assign map[string][]int, w int) parts[[]
 	return out
 }
 
+// wireState is one instance's share on the control channel: the JSON
+// object of key -> StateCodec bytes a map[string][]byte marshals to. The
+// coordinator writes it from the group maps of the instance's range
+// without merging them into one map first; a worker reads it into one
+// map. Nil is null, an instance another worker hosts.
+type wireState []map[string][]byte
+
+// MarshalJSON writes the union of s's maps as one JSON object.
+func (s wireState) MarshalJSON() ([]byte, error) {
+	if s == nil {
+		return []byte("null"), nil
+	}
+	buf := []byte{'{'}
+	for _, kv := range s {
+		for k, v := range kv {
+			if len(buf) > 1 {
+				buf = append(buf, ',')
+			}
+			buf = appendJSONString(buf, k)
+			if v == nil {
+				buf = append(buf, ":null"...)
+				continue
+			}
+			buf = append(buf, ':', '"')
+			buf = base64.StdEncoding.AppendEncode(buf, v)
+			buf = append(buf, '"')
+		}
+	}
+	return append(buf, '}'), nil
+}
+
+// UnmarshalJSON reads one JSON object into a single map.
+func (s *wireState) UnmarshalJSON(b []byte) error {
+	var kv map[string][]byte
+	if err := json.Unmarshal(b, &kv); err != nil {
+		return err
+	}
+	*s = nil
+	if kv != nil {
+		*s = wireState{kv}
+	}
+	return nil
+}
+
+// appendJSONString appends s as a JSON string: as it is between quotes
+// when it is printable ASCII with nothing to escape, else as
+// encoding/json writes it.
+func appendJSONString(buf []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' {
+			b, _ := json.Marshal(s)
+			return append(buf, b...)
+		}
+	}
+	buf = append(buf, '"')
+	buf = append(buf, s...)
+	return append(buf, '"')
+}
+
 // drain drains every worker, recording one child span per worker RPC
 // under parent (plus the worker-shipped handler spans). The snapshot
-// gets every drained instance's encoded state and the per-rank source
-// counters:
+// gets every drained instance's encoded state, filed into group form,
+// and the per-rank source counters:
 // rank i of a source is the i'th (sorted) worker hosting it under the
 // drained generation's placement, and its counter is that worker's
 // drained local count.
@@ -791,18 +891,26 @@ func (r *remote) drain(tr *rescaleTrace, parent uint64) (*snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	snap := &snapshot{enc: make(parts[[]byte]), seqs: make(map[string][]int64, len(r.pipe.sources))}
-	for w := range resps {
-		for op, list := range resps[w].States {
-			snap.enc[op] = append(snap.enc[op], list...)
-		}
-	}
+	snap := &snapshot{enc: workerStates(r.pipe, resps), seqs: make(map[string][]int64, len(r.pipe.sources))}
 	for src := range r.pipe.sources {
 		for _, w := range hostingWorkers(r.assign[src]) {
 			snap.seqs[src] = append(snap.seqs[src], resps[w].Seqs[src])
 		}
 	}
 	return snap, nil
+}
+
+// workerStates files the states the workers drained into group form.
+func workerStates(pipe *Pipeline, resps []drainResp) parts[[]byte] {
+	// Bytes go through no codec, so filing them cannot fail.
+	p, _ := filed(pipe, func(op string) iter.Seq2[string, []byte] {
+		var list []map[string][]byte
+		for w := range resps {
+			list = append(list, resps[w].States[op]...)
+		}
+		return pairs(list)
+	}, sameBytes)
+	return p
 }
 
 // collect takes every worker's accumulators and mirrors their link

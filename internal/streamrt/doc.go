@@ -98,27 +98,27 @@
 // downstream instance an end-of-stream marker behind its last batch, and
 // an instance exits once it has one per upstream instance, so every
 // in-flight record is processed),
-// take the keyed state of every stateful instance as it lies — one map
-// per instance, nothing merged — and restart fresh instances on it. In
-// one process an operator whose parallelism does not change is not
-// repartitioned: its instances start again on the very maps and router
-// they held. Any other state changes hands once in between: keys hash
-// into 1 << 15 key groups, and deal (router.go) gathers the (key, state)
-// pairs into one run that cut counts into groups and cuts into one
-// contiguous group range per new instance — the router, n+1 group
-// bounds — putting each key into its owner's share. That is the only
-// rule that assigns keys, seen or not: on the values themselves in one
-// process and, for every keyed operator, since the state has travelled
-// to the coordinator anyway, on their StateCodec bytes across workers,
-// each of which receives the bounds and the shares of the instances it
-// hosts.
+// take the keyed state of every stateful instance as it lies and restart
+// fresh instances on it. Keys hash into 1 << 15 key groups, and an
+// instance keeps its state as one map per group of its range, so the
+// state changes hands by group: a drain puts every instance's group maps
+// back into one group-indexed list, and cut (router.go) weighs the
+// groups by their keys and cuts them into one contiguous group range per
+// new instance — the router, n+1 group bounds — each instance starting
+// on the very maps of its range. No key is hashed, copied or moved; a
+// reconfiguration costs O(groups), whether the parallelism changes or
+// not. That is the only rule that assigns keys, seen or not: on the
+// values themselves in one process and, for every keyed operator, since
+// the state has travelled to the coordinator anyway, on their StateCodec
+// bytes across workers, filed into group maps there, each worker
+// receiving the bounds and the shares of the instances it hosts.
 // The pause pollutes the running observation window, so Rescale discards
 // it, exactly like the settling EngineRuntime resets its metrics on
 // restart. Source sequence counters survive the cycle, so every
 // generated record is processed exactly once across rescales.
 //
 // Job.Savepoint is the same cycle at the current parallelism — so in
-// one process it repartitions nothing — with the file built in the
+// one process it moves no key — with the file built in the
 // snapshot phase and a persist phase for the store write: the drained
 // state and the sequence counters are encoded in one pass (keys in
 // (group, key) order, each state through its StateCodec once) into a

@@ -15,7 +15,7 @@ import (
 // filters the instance set by the coordinator's assignment, sends
 // remote edges through the transport and stripes the source sequence
 // space. Every dist branch in deployLocked is a nil check, and none of
-// them concerns state: routers and shares arrive dealt.
+// them concerns state: routers and shares arrive cut.
 type host struct {
 	pipe  *Pipeline
 	cfg   Config
@@ -85,8 +85,8 @@ type deployment struct {
 	stopSources chan struct{}
 	wg          sync.WaitGroup // every instance goroutine
 	insts       map[string][]*instance
-	// routers holds every keyed operator's router: a drain reports them
-	// as what the generation ran under.
+	// routers holds every keyed operator's router: what the generation's
+	// senders route by, and the operators whose state a drain collects.
 	routers map[string]*router
 	// first resolves when the deployment processes its first record —
 	// the end of a rescale's downtime window. Always allocated (one
@@ -96,11 +96,11 @@ type deployment struct {
 
 // deployLocked builds channels and instances for generation gen at par
 // and starts every worker. routers and shares are what the cut made of
-// the previous generation's keyed state: per keyed operator the router
-// the shares were dealt by — the same in every process, so a key's
-// records and its state can never disagree on the owning instance — and,
-// for every instance hosted here, the state it starts from. Callers hold
-// h.mu.
+// the previous generation's keyed state: per keyed operator the router —
+// the same in every process, so a key's records and its state can never
+// disagree on the owning instance — and the group maps (see parts), of
+// which every instance hosted here takes its range's subslice. Callers
+// hold h.mu.
 func (h *host) deployLocked(gen uint32, par dataflow.Parallelism, routers map[string]*router, shares parts[any]) {
 	g := h.pipe.graph
 	dep := &deployment{
@@ -234,7 +234,8 @@ func (h *host) deployLocked(gen uint32, par dataflow.Parallelism, routers map[st
 					in.upstream += par[g.Operator(u).Name]
 				}
 				if in.spec.Keyed {
-					in.state = shares[op.Name][k]
+					b := routers[op.Name].bounds
+					in.lo, in.groups = b[k], shares[op.Name][b[k]:b[k+1]]
 				}
 			}
 			dep.insts[op.Name] = append(dep.insts[op.Name], in)
@@ -289,12 +290,11 @@ func (h *host) workers() int { return 1 }
 
 func (h *host) validate(dataflow.Parallelism) error { return nil }
 
-// deploy implements placement: state arrives as the values this host
-// drained, or as a savepoint file's runs, decoded into the instances'
-// shares as they are dealt. Its trace phases are "router_rebuild", the
-// deal of the operators par repartitions, and "restart", the start of
-// every instance.
-func (h *host) deploy(gen uint32, par dataflow.Parallelism, snap *snapshot, tr *rescaleTrace) (err error) {
+// deploy implements placement: state arrives as the group maps this host
+// drained, or as a savepoint file's runs filed into group maps. Its trace
+// phases are "router_rebuild", the cut of every keyed operator, and
+// "restart", the start of every instance.
+func (h *host) deploy(gen uint32, par dataflow.Parallelism, snap *snapshot, tr *rescaleTrace) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	for src, ranks := range snap.seqs {
@@ -302,21 +302,18 @@ func (h *host) deploy(gen uint32, par dataflow.Parallelism, snap *snapshot, tr *
 	}
 	var routers map[string]*router
 	var shares parts[any]
-	tr.phase(phaseRouterRebuild, func(uint64) { routers, shares, err = dealAll(h.pipe, snap, snap.vals, par, decodeOpState) })
-	if err != nil {
-		return err
-	}
+	tr.phase(phaseRouterRebuild, func(uint64) { routers, shares = dealAll(h.pipe, snap.vals, par) })
 	tr.phase(phaseRestart, func(uint64) { h.deployLocked(gen, par, routers, shares) })
 	return nil
 }
 
 // drain implements placement: stop the sources and wait for every
 // instance to exit, each once its upstream instances' end-of-stream
-// markers are in, so every in-flight record is processed. The quiesced instances'
-// state maps go into the snapshot indexed by instance — their goroutines
-// have exited, so the maps are safe to read, and nil marks an instance
-// another worker hosts — beside the routers they ran under and this
-// process's sequence counters as rank 0.
+// markers are in, so every in-flight record is processed. Every keyed
+// operator's group maps go back into one group-indexed list, each
+// instance's at its range — their goroutines have exited, so the maps
+// are safe to hand on, and the groups of instances another worker hosts
+// stay nil — beside this process's sequence counters as rank 0.
 func (h *host) drain(*rescaleTrace, uint64) (*snapshot, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -326,13 +323,12 @@ func (h *host) drain(*rescaleTrace, uint64) (*snapshot, error) {
 		close(dep.stopSources)
 		dep.wg.Wait()
 		h.dep = nil
-		snap.ran = dep.routers
-		for name, r := range dep.routers {
-			list := make([]map[string]any, r.n)
+		for name := range dep.routers {
+			groups := make([]map[string]any, keyGroups)
 			for _, in := range dep.insts[name] {
-				list[in.idx] = in.state
+				copy(groups[in.lo:], in.groups)
 			}
-			snap.vals[name] = list
+			snap.vals[name] = groups
 		}
 	}
 	for src, p := range h.seqs {

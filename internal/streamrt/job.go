@@ -3,6 +3,7 @@ package streamrt
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"math"
 	"sort"
 	"sync"
@@ -129,8 +130,9 @@ func NewCluster(pipe *Pipeline, workload string, initial dataflow.Parallelism, a
 
 // start builds a coordinator and pushes its first generation — from
 // nothing, or, with a store, from the savepoint held under name: load,
-// decode, check it fits this pipeline and worker count, deploy the
-// file's runs. A nil addrs selects the local placement.
+// decode, check it fits this pipeline and worker count, file its runs
+// into group maps and deploy those. A nil addrs selects the local
+// placement.
 func start(pipe *Pipeline, workload string, initial dataflow.Parallelism, addrs []string, cfg Config, store CheckpointStore, name string) (*Job, error) {
 	if pipe == nil {
 		return nil, errors.New("streamrt: nil pipeline")
@@ -160,7 +162,18 @@ func start(pipe *Pipeline, workload string, initial dataflow.Parallelism, addrs 
 		j.cfg.SourceSeqBlock = sp.SeqBlock
 		j.epoch = j.epoch.Add(-time.Duration(sp.Elapsed * float64(time.Second)))
 		j.winStart = sp.Elapsed
-		snap.seqs, snap.runs = sp.Seqs, sp.States
+		// The file's runs go into group maps in the form the placement
+		// deploys: decoded here, or as the file's bytes for the workers.
+		run := func(op string) iter.Seq2[string, []byte] { return runPairs(sp.States[op]) }
+		if addrs == nil {
+			snap.vals, err = filed(pipe, run, decodeOpState)
+		} else {
+			snap.enc, err = filed(pipe, run, sameBytes)
+		}
+		if err != nil {
+			return nil, err
+		}
+		snap.seqs = sp.Seqs
 	}
 	if j.cfg.Metrics != nil {
 		j.obs = newJobObs(j.cfg.Metrics, pipe, j.Rescales)
@@ -273,12 +286,13 @@ func (j *Job) Rescale(newP dataflow.Parallelism) error {
 // Savepoint cuts the job durably: it drains the job, encodes its keyed
 // state and source sequence counters into one savepoint file, persists
 // the file under name, and starts the job again at the parallelism it
-// had — in one process on the very maps and routers the instances held,
-// nothing repartitioned; across worker processes the state has
-// travelled to the coordinator for the file and is dealt back like a
-// rescale's. It is traced like a rescale (the timeline appears on the
-// rescale trace ring as "savepoint-N", with a persist phase for the
-// store write) and observed into streamrt_savepoint_seconds. The job
+// had, its state cut again like a rescale's — in one process the very
+// group maps the instances held, no key moved; across worker processes
+// the state has travelled to the coordinator for the file and goes back
+// as a rescale's does. It is traced like a rescale (the timeline
+// appears on the rescale trace ring as "savepoint-N", with a persist
+// phase for the store write) and observed into
+// streamrt_savepoint_seconds. The job
 // starts again even when the encode or the store write fails: the error
 // is returned but the job is never left drained.
 func (j *Job) Savepoint(store CheckpointStore, name string) error {
@@ -319,7 +333,7 @@ func (j *Job) reconfigure(newP dataflow.Parallelism, store CheckpointStore, name
 		return j.failLocked(err)
 	}
 	// A savepoint's snapshot is the file; a plain rescale needs nothing of
-	// the drained parts before they are dealt.
+	// the drained state before it is cut.
 	var file []byte
 	var perr error
 	tr.phase(phaseSnapshot, func(uint64) {

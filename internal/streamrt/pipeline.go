@@ -72,7 +72,11 @@ func (StringCodec) AppendEncode(dst []byte, v any) []byte { return append(dst, v
 type IntStateCodec struct{}
 
 // EncodeState implements StateCodec.
-func (IntStateCodec) EncodeState(v any) []byte { return binary.AppendVarint(nil, int64(v.(int))) }
+func (c IntStateCodec) EncodeState(v any) []byte { return c.appendState(nil, v) }
+
+func (IntStateCodec) appendState(dst []byte, v any) []byte {
+	return binary.AppendVarint(dst, int64(v.(int)))
+}
 
 // DecodeState implements StateCodec.
 func (IntStateCodec) DecodeState(b []byte) any {

@@ -2,6 +2,7 @@ package streamrt
 
 import (
 	"fmt"
+	"iter"
 	"time"
 
 	"ds2/internal/dataflow"
@@ -22,15 +23,15 @@ type placement interface {
 	// validate reports whether par can be deployed here at all, before
 	// anything is drained for it.
 	validate(par dataflow.Parallelism) error
-	// deploy starts generation gen at par from snap: keyed state dealt
-	// to par's instances, and the source sequence counters (after
+	// deploy starts generation gen at par from snap: keyed state cut
+	// into par's instances' shares, and the source sequence counters (after
 	// a drain the hosts still hold the very same values; a restore is
 	// what actually installs them). It times its own trace phases
 	// (router_rebuild and restart; remotely also transfer).
 	deploy(gen uint32, par dataflow.Parallelism, snap *snapshot, tr *rescaleTrace) error
 	// drain stops the sources, lets every in-flight record finish, and
-	// returns the quiesced generation's state, unmerged. Child spans go
-	// under parent.
+	// returns the quiesced generation's state in group form. Child spans
+	// go under parent.
 	drain(tr *rescaleTrace, parent uint64) (*snapshot, error)
 	// collect takes every running instance's accumulator, starting the
 	// next observation window.
@@ -47,33 +48,26 @@ type placement interface {
 	close()
 }
 
-// parts is keyed state on its way between generations: per operator, a
-// list of key -> state maps with disjoint keys. A local drain fills it
-// with one map per quiesced instance, indexed by instance (a worker's
-// drain leaves nil the instances it does not host, and the coordinator
-// strings the workers' lists together), and deal turns it into one map
-// per instance of the next generation, indexed by instance.
+// parts is keyed state on its way between generations, in the form an
+// instance keeps it: per keyed operator one key -> state map per key
+// group, indexed by group (keyGroups of them, nil for a group with no
+// keys, or whose instance another worker hosts). A live instance holds
+// the group maps of its range; a local drain puts them back in place,
+// pointer by pointer, and a deploy hands each instance of the next
+// generation the subslice the cut gives it (see cut), so state changes
+// hands without a key being touched.
 type parts[V any] map[string][]map[string]V
 
 // snapshot is what a drain hands back and a deploy starts from: the
-// keyed state of every stateful operator plus the source sequence
-// counters. State stays in the one form the placement produced it —
-// decoded values from the local one, StateCodec bytes from the remote
-// one, each deploying its own form — and is converted only when someone
+// keyed state of every keyed operator plus the source sequence counters.
+// State is in the form the placement deploys — decoded values locally,
+// StateCodec bytes remotely, a restore filing the savepoint file's runs
+// into the one its placement needs — and is converted only when someone
 // asks for the other, so a local rescale never calls a codec and the
 // coordinator of a remote job never decodes state it only forwards.
 type snapshot struct {
 	vals parts[any]
 	enc  parts[[]byte]
-	// runs is a restore's state instead: per operator the savepoint file's
-	// run of StateCodec bytes, which alias the loaded file.
-	runs map[string][]entry[[]byte]
-	// ran holds, for the operators whose parts are the drained instances'
-	// own maps in instance order, the router they ran under: deployed
-	// again at the parallelism ran[op].n, such an operator keeps maps and
-	// router (see dealAll). A savepoint file, and a drain that had to move
-	// the state to hand it back, leave it empty.
-	ran map[string]*router
 	// seqs holds per source the local counter of every rank (position
 	// in the sorted list of workers hosting the source).
 	seqs map[string][]int64
@@ -88,27 +82,23 @@ func (s *snapshot) values(pipe *Pipeline) (parts[any], error) {
 	return convertParts(pipe, "decoding", s.enc, decodeOpState)
 }
 
-// bytes returns the state encoded, running the StateCodecs only if it
-// was drained as values.
-func (s *snapshot) bytes(pipe *Pipeline) (parts[[]byte], error) {
-	if s.vals == nil {
-		return s.enc, nil
-	}
-	return convertParts(pipe, "encoding", s.vals, encodeOpState)
-}
-
 // file returns the state as a savepoint file under header sp (see
 // encodeSavepoint), running the StateCodecs only if it was drained as
 // values.
 func (s *snapshot) file(pipe *Pipeline, sp *savepointData) ([]byte, error) {
 	if s.vals == nil {
-		return encodeSavepoint(pipe, sp, s.enc, sameBytes)
+		return encodeSavepoint(pipe, sp, s.enc, appendBytes)
 	}
-	return encodeSavepoint(pipe, sp, s.vals, encodeOpState)
+	return encodeSavepoint(pipe, sp, s.vals, appendOpState)
 }
 
 // sameBytes is the codec of state that stays StateCodec bytes.
 func sameBytes(_ *OperatorSpec, b []byte) ([]byte, error) { return b, nil }
+
+// appendBytes is sameBytes appending to dst.
+func appendBytes(dst []byte, _ *OperatorSpec, b []byte) ([]byte, error) {
+	return append(dst, b...), nil
+}
 
 // recoverCodec, deferred around calls into user StateCodecs, turns a
 // panic into *err naming the operator and key being converted. User
@@ -152,8 +142,7 @@ func convertParts[A, B any](pipe *Pipeline, verb string, p parts[A], conv func(*
 	return out, nil
 }
 
-// mergeParts folds p into one map per operator — what Stop returns and
-// what a savepoint file holds.
+// mergeParts folds p into one map per operator: what Stop returns.
 func mergeParts[V any](p parts[V]) map[string]map[string]V {
 	merged := make(map[string]map[string]V, len(p))
 	for op, list := range p {
@@ -172,41 +161,83 @@ func mergeParts[V any](p parts[V]) map[string]map[string]V {
 	return merged
 }
 
-// dealAll turns snap into what host.deployLocked starts a generation at
-// par from: per keyed operator the router and the per-instance shares,
-// as values locally and StateCodec bytes remotely — p is snap's drained
-// state in that form, decode turns a file's bytes into it. It is the one
-// place that decides what is repartitioned. A restore's runs are cut as
-// they lie, each state decoded on its way into its owner's share. An
-// operator that ran under snap.ran[op] and deploys at that router's
-// parallelism is not repartitioned: its parts are the next shares as
-// they lie and the router is kept, so every key stays where it is. Any
-// other is dealt (see deal).
-func dealAll[V any](pipe *Pipeline, snap *snapshot, p parts[V], par dataflow.Parallelism, decode func(*OperatorSpec, []byte) (V, error)) (_ map[string]*router, _ parts[V], err error) {
-	var op, key string
-	defer recoverCodec("decoding", &op, &key, &err)
+// dealAll cuts the state p holds for every keyed operator of pipe into
+// par's ranges (see cut): it returns the routers and, per keyed operator,
+// the group maps the instances' shares are subslices of — p's own, or
+// all nil for an operator p holds nothing for. It is the one place that
+// repartitions state, for both placements and every reconfiguration: a
+// rescale's drain, a savepoint's restart and a restore. Its cost is in
+// groups, whether the parallelism changes or not.
+func dealAll[V any](pipe *Pipeline, p parts[V], par dataflow.Parallelism) (map[string]*router, parts[V]) {
 	routers := make(map[string]*router)
 	shares := make(parts[V])
 	for name, spec := range pipe.ops {
 		if !spec.Keyed {
 			continue
 		}
+		groups := p[name]
+		if groups == nil {
+			groups = make([]map[string]V, keyGroups)
+		}
+		routers[name], shares[name] = cut(groups, par[name]), groups
+	}
+	return routers, shares
+}
+
+// filed returns every keyed operator's state in group form: each (key,
+// state) pair from(op) yields goes, converted by conv, into the map of
+// its key group — one hash and one insert a key, the only per-key step
+// between generations. A restore files a savepoint file's runs here, a
+// worker the shares a DEPLOY carries and a coordinator the states its
+// workers drained. A conversion's error or panic is reported naming
+// operator and key.
+func filed[A, B any](pipe *Pipeline, from func(op string) iter.Seq2[string, A], conv func(*OperatorSpec, A) (B, error)) (_ parts[B], err error) {
+	var op, key string
+	defer recoverCodec("decoding", &op, &key, &err)
+	p := make(parts[B])
+	for name, spec := range pipe.ops {
+		if !spec.Keyed {
+			continue
+		}
 		op = name
-		r := snap.ran[name]
-		switch {
-		case snap.runs != nil:
-			routers[name], shares[name], err = cut(snap.runs[name], par[name], func(k string, b []byte) (V, error) {
-				key = k
-				return decode(spec, b)
-			})
+		groups := make([]map[string]B, keyGroups)
+		for k, a := range from(name) {
+			key = k
+			b, err := conv(spec, a)
 			if err != nil {
-				return nil, nil, fmt.Errorf("streamrt: decoding %s[%q]: %w", op, key, err)
+				return nil, fmt.Errorf("streamrt: decoding %s[%q]: %w", op, key, err)
 			}
-		case r != nil && r.n == par[name]:
-			routers[name], shares[name] = r, p[name]
-		default:
-			routers[name], shares[name] = deal(p[name], par[name])
+			g := keyGroup(k)
+			if groups[g] == nil {
+				groups[g] = make(map[string]B)
+			}
+			groups[g][k] = b
+		}
+		p[name] = groups
+	}
+	return p, nil
+}
+
+// pairs yields every (key, state) of the maps in list.
+func pairs[V any](list []map[string]V) iter.Seq2[string, V] {
+	return func(yield func(string, V) bool) {
+		for _, kv := range list {
+			for k, v := range kv {
+				if !yield(k, v) {
+					return
+				}
+			}
 		}
 	}
-	return routers, shares, nil
+}
+
+// runPairs yields every (key, state) of a savepoint file's run.
+func runPairs(run []entry[[]byte]) iter.Seq2[string, []byte] {
+	return func(yield func(string, []byte) bool) {
+		for _, e := range run {
+			if !yield(e.key, e.val) {
+				return
+			}
+		}
+	}
 }

@@ -265,28 +265,45 @@ func stayCounts(limit int64) map[string]any {
 	return want
 }
 
-// TestUnchangedParallelismMovesNoState: across a Savepoint, and across a
-// Rescale that changes another operator only, every count instance keeps
-// the very map it held and the deployment the very router — nothing is
-// dealt; a Rescale of count itself deals. The run is bounded and its
-// final counts are exact.
+// TestUnchangedParallelismMovesNoState: no local reconfiguration copies
+// a key. Across a Savepoint, a Rescale that changes another operator only
+// and a Rescale of count itself (3 → 2), every group map a count instance
+// held is afterwards the very same map, held by the instance whose new
+// range holds its group — the one the new router sends the group's keys
+// to. The run is bounded and its final counts are exact.
 func TestUnchangedParallelismMovesNoState(t *testing.T) {
 	const limit = 16000
 	pipe := stayPipeline(t, limit, IntStateCodec{})
-	job, err := NewJob(pipe, dataflow.Parallelism{"src": 1, "work": 1, "count": 2}, Config{})
+	par := func(work, count int) dataflow.Parallelism {
+		return dataflow.Parallelism{"src": 1, "work": work, "count": count}
+	}
+	job, err := NewJob(pipe, par(1, 2), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	h := job.pl.(*host)
-	// held returns the identity of every count instance's state map, by
-	// instance, and count's router.
-	held := func() (maps []uintptr, rt *router) {
+	deployed := func() *deployment {
 		h.mu.Lock()
 		defer h.mu.Unlock()
-		for _, in := range h.dep.insts["count"] {
-			maps = append(maps, reflect.ValueOf(in.state).Pointer())
+		return h.dep
+	}
+	type holding struct {
+		m    uintptr // the group map's identity
+		inst int
+	}
+	// held returns, by group, the map a count instance of dep holds and
+	// the instance. The maps are written by the instances' goroutines, so
+	// it reads a deployment only once that has been drained or has ended.
+	held := func(dep *deployment) map[int]holding {
+		out := make(map[int]holding)
+		for _, in := range dep.insts["count"] {
+			for i, m := range in.groups {
+				if m != nil {
+					out[in.lo+i] = holding{reflect.ValueOf(m).Pointer(), in.idx}
+				}
+			}
 		}
-		return maps, h.dep.routers["count"]
+		return out
 	}
 	emitted := func(n int64) {
 		t.Helper()
@@ -299,25 +316,29 @@ func TestUnchangedParallelismMovesNoState(t *testing.T) {
 	}
 
 	emitted(2000)
-	if err := job.Rescale(dataflow.Parallelism{"src": 1, "work": 1, "count": 3}); err != nil {
+	if err := job.Rescale(par(1, 3)); err != nil {
 		t.Fatal(err)
 	}
-	maps0, rt0 := held()
-	// Every key the deal knew was emitted by now.
+	// Every key the cut knew was emitted by now.
 	known := len(stayCounts(atomic.LoadInt64(h.seqs["src"])))
-	if len(maps0) != 3 || rt0.n != 3 {
-		t.Fatalf("after the deal: %d instances, a router over %d", len(maps0), rt0.n)
-	}
-	emitted(atomic.LoadInt64(h.seqs["src"]) + 1500) // keys the deal did not know
-
 	store := NewMemoryStore()
-	if err := job.Savepoint(store, "cut"); err != nil {
-		t.Fatal(err)
+	steps := []struct {
+		what string
+		do   func() error
+	}{
+		{"Savepoint", func() error { return job.Savepoint(store, "cut") }},
+		{"Rescale of work", func() error { return job.Rescale(par(2, 3)) }},
+		{"Rescale of count", func() error { return job.Rescale(par(2, 2)) }},
 	}
-	if maps, rt := held(); !reflect.DeepEqual(maps, maps0) || rt != rt0 {
-		t.Fatalf("Savepoint moved state: maps %v -> %v, same router %v", maps0, maps, rt == rt0)
+	deps := []*deployment{deployed()}
+	for _, step := range steps {
+		emitted(atomic.LoadInt64(h.seqs["src"]) + 1500) // keys the last cut did not know
+		if err := step.do(); err != nil {
+			t.Fatal(err)
+		}
+		deps = append(deps, deployed())
 	}
-	// The cut held both kinds of key: dealt ones and later arrivals.
+	// The cut held both kinds of key: known ones and later arrivals.
 	data, err := store.Load("cut")
 	if err != nil {
 		t.Fatal(err)
@@ -327,32 +348,29 @@ func TestUnchangedParallelismMovesNoState(t *testing.T) {
 		t.Fatal(err)
 	}
 	if cut := len(sp.States["count"]); cut <= known {
-		t.Fatalf("savepoint holds %d keys, %d were known at the deal: no key arrived after it", cut, known)
-	}
-
-	if err := job.Rescale(dataflow.Parallelism{"src": 1, "work": 2, "count": 3}); err != nil {
-		t.Fatal(err)
-	}
-	if maps, rt := held(); !reflect.DeepEqual(maps, maps0) || rt != rt0 {
-		t.Fatalf("Rescale of work moved count's state: maps %v -> %v, same router %v", maps0, maps, rt == rt0)
-	}
-
-	if err := job.Rescale(dataflow.Parallelism{"src": 1, "work": 2, "count": 2}); err != nil {
-		t.Fatal(err)
-	}
-	maps, rt := held()
-	if len(maps) != 2 || rt == rt0 || rt.n != 2 {
-		t.Fatalf("Rescale of count: %d instances, a router over %d, same router %v", len(maps), rt.n, rt == rt0)
-	}
-	for _, m := range maps {
-		for _, m0 := range maps0 {
-			if m == m0 {
-				t.Fatal("Rescale of count kept an instance's map instead of dealing")
-			}
-		}
+		t.Fatalf("savepoint holds %d keys, %d were known at the cut before it: no key arrived after it", cut, known)
 	}
 
 	job.Wait()
+	for i, step := range steps {
+		before, after := held(deps[i]), held(deps[i+1])
+		r := deps[i+1].routers["count"]
+		if len(before) == 0 {
+			t.Fatalf("%s: count held no state before it", step.what)
+		}
+		for g, was := range before {
+			now, ok := after[g]
+			if !ok || now.m != was.m {
+				t.Fatalf("%s: group %d's map was replaced (held %v, now %v)", step.what, g, ok, ok && now.m == was.m)
+			}
+			if owner := int(r.owners[g]); owner != now.inst {
+				t.Fatalf("%s: group %d is held by instance %d, routed to %d", step.what, g, now.inst, owner)
+			}
+		}
+	}
+	if n := deps[len(deps)-1].routers["count"].n; n != 2 {
+		t.Fatalf("after the Rescale of count: a router over %d instances, want 2", n)
+	}
 	if got := job.Stop()["count"]; !reflect.DeepEqual(got, stayCounts(limit)) {
 		t.Fatalf("final counts diverged from the replay:\n got: %v\nwant: %v", got, stayCounts(limit))
 	}

@@ -4,16 +4,16 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"strings"
 
 	"ds2/internal/dataflow"
 )
 
 // keyGroups is the number of key groups every keyed operator's keys fall
-// into (keyGroup): the unit a deployment routes, deals and writes a
-// savepoint in. A version 2 savepoint file is in (group, key) order, so
-// the count and keyGroup are fixed by the file's version number: changing
-// either is a version bump. It also bounds a keyed operator's parallelism.
+// into (keyGroup): the unit an instance keeps its state in, and a
+// deployment routes, cuts and writes a savepoint in. A version 2
+// savepoint file is in (group, key) order, so the count and keyGroup are
+// fixed by the file's version number: changing either is a version bump.
+// It also bounds a keyed operator's parallelism.
 const keyGroups = 1 << 15
 
 // keyGroup returns the key group of key.
@@ -80,81 +80,32 @@ func checkKeyGroups(pipe *Pipeline, par dataflow.Parallelism) error {
 	return nil
 }
 
-// entry is one key's state. A run is a slice of them: what deal and a
-// restore cut, and what a savepoint file holds per operator.
+// entry is one key's state. A run is a slice of them: what a savepoint
+// file holds per operator, in the file's order.
 type entry[V any] struct {
 	key string
 	val V
 }
 
-// gather collects the (key, state) pairs of every map in ps into one run,
-// in no particular order.
-func gather[V any](ps []map[string]V) []entry[V] {
-	n := 0
-	for _, p := range ps {
-		n += len(p)
+// cut is the one rule that assigns keys to instances. It weighs every key
+// group by the keys of its map in groups, the group-indexed maps of one
+// keyed operator, and cuts the group sequence into n contiguous ranges
+// (see groupBounds): instance i's share is the group maps of its range,
+// groups[bounds[i]:bounds[i+1]] (groups holds keyGroups maps, nil for a
+// group without keys). Its cost is in groups, not in keys: no
+// key is hashed, copied or moved, and a map keeps its identity across
+// the cut. A rescale's drained maps, a savepoint file's filed runs and the
+// coordinator's filed worker states are all cut here.
+func cut[V any](groups []map[string]V, n int) *router {
+	w := make([]int, keyGroups+1)
+	for g, m := range groups {
+		w[g+1] = w[g] + len(m)
 	}
-	run := make([]entry[V], 0, n)
-	for _, p := range ps {
-		for k, v := range p {
-			run = append(run, entry[V]{k, v})
-		}
-	}
-	return run
+	return newRouter(groupBounds(w, n))
 }
 
-// countGroups returns the key group of every entry of run and, in w, how
-// many of them fall below each group bound: w[b] counts the groups
-// [0, b), so w[0] is 0 and w[keyGroups] is len(run).
-func countGroups[V any](run []entry[V]) (groups []uint16, w []int) {
-	groups = make([]uint16, len(run))
-	w = make([]int, keyGroups+1)
-	for i, e := range run {
-		g := keyGroup(e.key)
-		groups[i] = uint16(g)
-		w[g+1]++
-	}
-	for b := 1; b <= keyGroups; b++ {
-		w[b] += w[b-1]
-	}
-	return groups, w
-}
-
-// deal hands the keyed state in drained — the quiesced instances' maps,
-// keys disjoint by the previous generation's router — to the n instances
-// of the next one: the router and, per instance, the share of the state
-// it starts from. The maps are gathered into one run and cut (see cut).
-func deal[V any](drained []map[string]V, n int) (*router, []map[string]V) {
-	r, shares, _ := cut(gather(drained), n, func(_ string, v V) (V, error) { return v, nil })
-	return r, shares
-}
-
-// cut is the one rule that assigns keys to instances. It counts the keys
-// of run, in any order, into their key groups and cuts the group sequence
-// into n contiguous ranges (see groupBounds); then it files every key in
-// its owner's presized share (never nil: an instance writes into it from
-// the first record on), converted by conv, whose first error ends the
-// cut. Drained state comes through deal; a savepoint file's runs, as they
-// lie, straight from dealAll.
-func cut[A, B any](run []entry[A], n int, conv func(key string, a A) (B, error)) (*router, []map[string]B, error) {
-	groups, w := countGroups(run)
-	r := newRouter(groupBounds(w, n))
-	shares := make([]map[string]B, n)
-	for inst := range shares {
-		shares[inst] = make(map[string]B, w[r.bounds[inst+1]]-w[r.bounds[inst]])
-	}
-	for i, e := range run {
-		v, err := conv(e.key, e.val)
-		if err != nil {
-			return nil, nil, err
-		}
-		shares[r.owners[groups[i]]][e.key] = v
-	}
-	return r, shares, nil
-}
-
-// groupBounds cuts the key groups into n ranges, w counting the keys
-// below each group bound as countGroups does. Instance i's range starts
+// groupBounds cuts the key groups into n ranges, w[b] counting the keys
+// of the groups [0, b). Instance i's range starts
 // at its uniform bound i·G/n, clamped into the bounds with exactly K_i
 // keys below them, K_i being len/n keys an instance and one more for the
 // first len%n summed over the instances before i. Where no such bound
@@ -173,32 +124,6 @@ func groupBounds(w []int, n int) []int {
 	}
 	bounds[n] = keyGroups
 	return bounds
-}
-
-// byGroup puts run in (group, key) order, a version 2 savepoint file's:
-// a counting pass finds each group's place, the entries are swapped into
-// their groups in place, and then each group's few keys are sorted on
-// their own.
-func byGroup[V any](run []entry[V]) {
-	groups, w := countGroups(run)
-	next := slices.Clone(w[:keyGroups]) // the first unplaced position of each group
-	for g := range keyGroups {
-		for next[g] < w[g+1] {
-			i := next[g]
-			h := groups[i]
-			if int(h) != g {
-				j := next[h]
-				run[i], run[j] = run[j], run[i]
-				groups[i], groups[j] = groups[j], groups[i]
-			}
-			next[h]++
-		}
-	}
-	for g := range keyGroups {
-		if grp := run[w[g]:w[g+1]]; len(grp) > 1 {
-			slices.SortFunc(grp, func(a, b entry[V]) int { return strings.Compare(a.key, b.key) })
-		}
-	}
 }
 
 // hashKey is FNV-1a 64, the stable hash under keyGroup.

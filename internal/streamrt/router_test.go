@@ -25,10 +25,43 @@ func shardSizes(rt *router, known map[string]any, n int) []int {
 	return sizes
 }
 
-// dealRouter deals known, as one part, over n instances and returns the
-// router a deployment would run under, with the shares.
-func dealRouter(known map[string]any, n int) (*router, []map[string]any) {
-	return deal([]map[string]any{known}, n)
+// groupsOf files the keys of the maps in ps into group form, the form a
+// drain hands state on in.
+func groupsOf[V any](ps ...map[string]V) []map[string]V {
+	groups := make([]map[string]V, keyGroups)
+	for _, kv := range ps {
+		for k, v := range kv {
+			g := keyGroup(k)
+			if groups[g] == nil {
+				groups[g] = make(map[string]V)
+			}
+			groups[g][k] = v
+		}
+	}
+	return groups
+}
+
+// flatShares merges the group maps of each instance's range under r into
+// one map: the keys the instance starts from.
+func flatShares[V any](groups []map[string]V, r *router) []map[string]V {
+	shares := make([]map[string]V, r.n)
+	for i := range shares {
+		shares[i] = make(map[string]V)
+		for _, kv := range groups[r.bounds[i]:r.bounds[i+1]] {
+			for k, v := range kv {
+				shares[i][k] = v
+			}
+		}
+	}
+	return shares
+}
+
+// cutRouter cuts known, in group form, over n instances and returns the
+// router a deployment would run under, with each instance's keys.
+func cutRouter(known map[string]any, n int) (*router, []map[string]any) {
+	groups := groupsOf(known)
+	r := cut(groups, n)
+	return r, flatShares(groups, r)
 }
 
 // TestRouterStripesKnownKeysEvenly: a known universe must split within
@@ -37,7 +70,7 @@ func dealRouter(known map[string]any, n int) (*router, []map[string]any) {
 func TestRouterStripesKnownKeysEvenly(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 4, 7, 16} {
 		known := keyUniverse(100)
-		rt, _ := dealRouter(known, n)
+		rt, _ := cutRouter(known, n)
 		sizes := shardSizes(rt, known, n)
 		lo, hi := sizes[0], sizes[0]
 		total := 0
@@ -62,14 +95,14 @@ func TestRouterStripesKnownKeysEvenly(t *testing.T) {
 	}
 }
 
-// TestRouterDeterministicAndStateAgreement: two deals of the same
+// TestRouterDeterministicAndStateAgreement: two cuts of the same
 // snapshot agree on every owner (deployment determinism), and the shares
 // split state exactly along the router's lines — disjoint across
 // instances, nothing lost.
 func TestRouterDeterministicAndStateAgreement(t *testing.T) {
 	known := keyUniverse(64)
-	a, shares := dealRouter(known, 5)
-	b, _ := dealRouter(known, 5)
+	a, shares := cutRouter(known, 5)
+	b, _ := cutRouter(known, 5)
 	seen := make(map[string]int)
 	for idx := 0; idx < 5; idx++ {
 		for k := range shares[idx] {
@@ -86,12 +119,12 @@ func TestRouterDeterministicAndStateAgreement(t *testing.T) {
 		t.Fatalf("%d keys partitioned, want %d", len(seen), len(known))
 	}
 	// Unseen keys route by their key group like known ones: to the
-	// instance whose group range holds it, the same under both deals. A
-	// deal of no keys cuts the groups into uniform ranges.
-	empty, _ := dealRouter(nil, 5)
+	// instance whose group range holds it, the same under both cuts. A
+	// cut of no keys gives the groups into uniform ranges.
+	empty, _ := cutRouter(nil, 5)
 	for i := range empty.bounds {
 		if want := i * keyGroups / 5; empty.bounds[i] != want {
-			t.Fatalf("empty deal: bounds %v, want i·%d/5", empty.bounds, keyGroups)
+			t.Fatalf("empty cut: bounds %v, want i·%d/5", empty.bounds, keyGroups)
 		}
 	}
 	for i := 0; i < 500; i++ {
@@ -104,7 +137,7 @@ func TestRouterDeterministicAndStateAgreement(t *testing.T) {
 			t.Fatalf("key %s (group %d) routed to %d: not its group range under bounds %v, or not the second router's", k, g, own, a.bounds)
 		}
 		if e := empty.owner(k); g < empty.bounds[e] || g >= empty.bounds[e+1] {
-			t.Fatalf("key %s (group %d) routed to %d over an empty deal, bounds %v", k, g, e, empty.bounds)
+			t.Fatalf("key %s (group %d) routed to %d over an empty cut, bounds %v", k, g, e, empty.bounds)
 		}
 	}
 }
@@ -165,12 +198,13 @@ func refOwner(bounds []int, key string) int {
 }
 
 // TestDealIsTheGroupRule: whatever the number of keys, instances and
-// drained parts, deal returns the bounds refBounds computes over the
-// merged universe, a router that sends every key to the instance whose
-// range holds its group, and, per instance, exactly the keys that router
-// sends it. Every key count up to 64 meets every instance count of
-// refParallelisms and every number of parts; above that the key counts
-// are sampled and the number of parts varies with them.
+// drained parts, the cut of their group maps returns the bounds refBounds
+// computes over the merged universe, a router that sends every key to
+// the instance whose range holds its group, and, per instance, group maps
+// holding exactly the keys that router sends it. Every key count up to 64
+// meets every instance count of refParallelisms and every number of
+// parts; above that the key counts are sampled and the number of parts
+// varies with them.
 func TestDealIsTheGroupRule(t *testing.T) {
 	check := func(nkeys, n, nparts int) {
 		t.Helper()
@@ -182,7 +216,9 @@ func TestDealIsTheGroupRule(t *testing.T) {
 		for k, v := range all {
 			split[hashKey(k)%uint64(nparts)][k] = v
 		}
-		r, shares := deal(split, n)
+		groups := groupsOf(split...)
+		r := cut(groups, n)
+		shares := flatShares(groups, r)
 		bounds := refBounds(all, n)
 		if !reflect.DeepEqual(r.bounds, bounds) {
 			t.Fatalf("%d keys, %d instances, %d parts: bounds %v, the rule gives %v", nkeys, n, nparts, r.bounds, bounds)
@@ -230,7 +266,7 @@ func TestAuctionUniverseSplitsEvenly(t *testing.T) {
 		known[fmt.Sprint(i)] = i
 	}
 	for n := 1; n <= 16; n++ {
-		_, shares := dealRouter(known, n)
+		_, shares := cutRouter(known, n)
 		lo, hi := len(known), 0
 		for _, s := range shares {
 			lo, hi = min(lo, len(s)), max(hi, len(s))

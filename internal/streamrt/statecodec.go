@@ -18,16 +18,28 @@ import (
 //	windowed := varint nextFire | uvarint numPanes |
 //	            numPanes×(varint paneIdx | uvarint len | user bytes)
 
+// stateAppender is a StateCodec of this package that appends a state's
+// encoding to a buffer, so the savepoint encoder writes no []byte a key.
+type stateAppender interface {
+	appendState(dst []byte, v any) []byte
+}
+
 // encodeOpState serializes one key's state value for the wire.
-func encodeOpState(spec *OperatorSpec, v any) ([]byte, error) {
+func encodeOpState(spec *OperatorSpec, v any) ([]byte, error) { return appendOpState(nil, spec, v) }
+
+// appendOpState appends encodeOpState's encoding of v to dst.
+func appendOpState(dst []byte, spec *OperatorSpec, v any) ([]byte, error) {
 	if spec.Window == nil {
-		return spec.State.EncodeState(v), nil
+		if a, ok := spec.State.(stateAppender); ok {
+			return a.appendState(dst, v), nil
+		}
+		return append(dst, spec.State.EncodeState(v)...), nil
 	}
 	ws, ok := v.(*WindowState)
 	if !ok {
 		return nil, fmt.Errorf("streamrt: windowed state is %T, not *WindowState", v)
 	}
-	buf := binary.AppendVarint(nil, ws.NextFire)
+	buf := binary.AppendVarint(dst, ws.NextFire)
 	buf = binary.AppendUvarint(buf, uint64(len(ws.Panes)))
 	idxs := make([]int64, 0, len(ws.Panes))
 	for i := range ws.Panes {

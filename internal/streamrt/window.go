@@ -5,10 +5,10 @@ import "time"
 // WindowState is the per-key state of a windowed operator: the open
 // pane aggregates indexed by pane sequence number (pane n covers job
 // time [n·slide, (n+1)·slide)), plus the firing watermark. It is the
-// value stored in the ordinary keyed state map, so Rescale snapshots
-// and repartitions it by key like any other keyed state — window
-// contents survive redeployments exactly once, and tests can inspect
-// residual panes after Stop.
+// value stored in the ordinary keyed state maps, so Rescale snapshots
+// and repartitions it with its key group like any other keyed state —
+// window contents survive redeployments exactly once, and tests can
+// inspect residual panes after Stop.
 type WindowState struct {
 	// NextFire is the earliest window-end pane index not yet fired.
 	// Initialized to the pane of the key's first record; advancing it
@@ -24,20 +24,21 @@ func paneIndex(t float64, slide time.Duration) int64 {
 	return int64(t / slide.Seconds())
 }
 
-// fireDue fires, in pane order, every window of key's state whose end
-// pane closed strictly before cur, emitting through emit. Fired panes
-// that no longer contribute to any open window are dropped; a key
-// whose panes are exhausted is removed from the state map entirely
-// (deleting the in-range key during the caller's map iteration is
-// safe in Go). Empty windows advance the watermark without firing.
-func (in *instance) fireDue(key string, ws *WindowState, cur int64, emit Emit) {
+// fireDue fires, in pane order, every window of key's state ws, held in
+// its group's map st, whose end pane closed strictly before cur,
+// emitting through emit. Fired panes that no longer contribute to any
+// open window are dropped; a key whose panes are exhausted is removed
+// from st entirely (deleting the in-range key during the caller's map
+// iteration is safe in Go; the map stays, empty). Empty windows advance
+// the watermark without firing.
+func (in *instance) fireDue(st map[string]any, key string, ws *WindowState, cur int64, emit Emit) {
 	win := in.spec.Window
 	k := win.panes()
 	for e := ws.NextFire; e < cur; e++ {
 		if len(ws.Panes) == 0 {
 			// Nothing buffered for any remaining window: skip ahead
 			// and drop the key so idle keys cost nothing.
-			delete(in.state, key)
+			delete(st, key)
 			return
 		}
 		var agg any
@@ -92,10 +93,11 @@ func (in *instance) paneRecords(b *batch, vals []any, emit Emit) {
 			v = vals[i]
 		}
 		in.curSrc = m.src
-		ws, _ := in.state[m.key].(*WindowState)
+		st := in.group(m.key)
+		ws, _ := st[m.key].(*WindowState)
 		if ws == nil {
 			ws = &WindowState{NextFire: cur, Panes: make(map[int64]any)}
-			in.state[m.key] = ws
+			st[m.key] = ws
 		}
 		ws.Panes[cur] = spec.Process(ws.Panes[cur], m.key, v, emit)
 		if spec.Cost > 0 {
@@ -104,9 +106,11 @@ func (in *instance) paneRecords(b *batch, vals []any, emit Emit) {
 	}
 	if cur > in.swept {
 		in.curSrc = time.Time{}
-		for key, st := range in.state {
-			if ws, ok := st.(*WindowState); ok {
-				in.fireDue(key, ws, cur, emit)
+		for _, st := range in.groups {
+			for key, v := range st {
+				if ws, ok := v.(*WindowState); ok {
+					in.fireDue(st, key, ws, cur, emit)
+				}
 			}
 		}
 		in.swept = cur

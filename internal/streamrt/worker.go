@@ -246,9 +246,13 @@ type instance struct {
 	// operators
 	spec     *OperatorSpec
 	in       chan *batch
-	gate     *gate          // in's local senders' credit gate
-	upstream int            // upstream instances: the end-of-stream markers to await
-	state    map[string]any // keyed per-key state (this instance's share)
+	gate     *gate // in's local senders' credit gate
+	upstream int   // upstream instances: the end-of-stream markers to await
+	// Keyed operators: the state of this instance's key groups
+	// [lo, lo+len(groups)), one key -> state map per group, allocated on
+	// the group's first write and kept when it empties (see parts).
+	lo     int
+	groups []map[string]any
 
 	outs []outEdge
 
@@ -625,7 +629,8 @@ func (in *instance) records(b *batch, vals []any, emit Emit) {
 		}
 		in.curSrc = m.src
 		if spec.Keyed {
-			in.state[m.key] = spec.Process(in.state[m.key], m.key, v, emit)
+			st := in.group(m.key)
+			st[m.key] = spec.Process(st[m.key], m.key, v, emit)
 		} else {
 			spec.Process(nil, m.key, v, emit)
 		}
@@ -633,6 +638,18 @@ func (in *instance) records(b *batch, vals []any, emit Emit) {
 			in.work(spec.Cost)
 		}
 	}
+}
+
+// group returns the state map of key's group, allocating it on the
+// group's first write.
+func (in *instance) group(key string) map[string]any {
+	g := keyGroup(key) - in.lo
+	st := in.groups[g]
+	if st == nil {
+		st = make(map[string]any)
+		in.groups[g] = st
+	}
+	return st
 }
 
 // seqAt maps this process's c-th source record to its global sequence
